@@ -72,7 +72,8 @@ def main(argv=None):
                            default=(0.2, 0.8))
             p.add_argument("--mode", choices=("limit", "nll"), default="limit")
         if name == "verify":
-            p.add_argument("--selector", default="fast")
+            p.add_argument("--selector", choices=("fast", "full"),
+                           default="fast")
 
     args = parser.parse_args(argv)
     cfg = _load_config(args)

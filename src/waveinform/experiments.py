@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -94,6 +94,11 @@ class ExperimentConfig:
     dx_grid: float = 0.02
     dt_v: float = 1e-7
 
+    def __post_init__(self):
+        if self.test_case not in (1, 2, 3):
+            raise ValueError(f"unknown test case {self.test_case!r}; "
+                             "expected 1, 2 or 3")
+
     def sensors(self):
         if self.sensor_positions is not None:
             return np.asarray(self.sensor_positions, dtype=float).reshape(-1, 3)
@@ -105,26 +110,10 @@ class ExperimentConfig:
         return {1: ("u",), 2: ("v",), 3: ("u", "v")}[self.test_case]
 
     def to_json(self):
-        blob = {
-            "test_case": self.test_case,
-            "sim": {"L": self.sim.L, "dx": self.sim.dx, "dt": self.sim.dt,
-                    "c": self.sim.c, "T": self.sim.T,
-                    "abc_order": self.sim.abc_order},
-            "n_sensors": self.n_sensors,
-            "sensor_bounds": list(self.sensor_bounds),
-            "layout_seed": self.layout_seed,
-            "layout_restarts": self.layout_restarts,
-            "sample_rate": self.sample_rate,
-            "noise_sigma": self.noise_sigma,
-            "noise_seed": self.noise_seed,
-            "fit_n_mult": self.fit_n_mult,
-            "fit_seed": self.fit_seed,
-            "fit_max_evals": self.fit_max_evals,
-            "fit_tol": self.fit_tol,
-            "dx_grid": self.dx_grid,
-            "dt_v": self.dt_v,
-        }
-        if self.sensor_positions is not None:
+        blob = asdict(self)
+        if self.sensor_positions is None:
+            del blob["sensor_positions"]
+        else:
             blob["sensor_positions"] = np.asarray(
                 self.sensor_positions, dtype=float).tolist()
         return json.dumps(blob, sort_keys=True, indent=1)
@@ -132,26 +121,28 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text):
         blob = json.loads(text)
+        _refuse_unknown_keys(blob, cls, "config")
         sim = blob.pop("sim", None)
-        kwargs = {}
         if sim is not None:
-            kwargs["sim"] = SimConfig(**sim)
-        for key in ("test_case", "n_sensors", "layout_seed", "layout_restarts",
-                    "sample_rate", "noise_sigma", "noise_seed", "fit_n_mult",
-                    "fit_seed", "fit_max_evals", "fit_tol", "dx_grid", "dt_v"):
-            if key in blob:
-                kwargs[key] = blob[key]
+            _refuse_unknown_keys(sim, SimConfig, "sim")
+            blob["sim"] = SimConfig(**sim)
         if "sensor_bounds" in blob:
-            kwargs["sensor_bounds"] = tuple(blob["sensor_bounds"])
+            blob["sensor_bounds"] = tuple(blob["sensor_bounds"])
         if "sensor_positions" in blob:
-            kwargs["sensor_positions"] = tuple(
+            blob["sensor_positions"] = tuple(
                 tuple(p) for p in blob["sensor_positions"])
-        return cls(**kwargs)
+        return cls(**blob)
 
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+def _refuse_unknown_keys(blob, cls, where):
+    unknown = sorted(set(blob) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
 def theta_to_json(params: HyperParams):
@@ -362,14 +353,8 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
             fk = fast.regularized_green(dist, t, c, radius, alpha)
             fw += fk @ wmat[:, k]
             f2 += np.einsum("mq,mq->m", fk, fk)
-        if lam is None:
-            vals = w2 * (1.0 - np.where(f2 > 0.0, fw * fw / (
-                np.where(f2 > 0.0, f2, 1.0) * w2), 0.0))
-        else:
-            n = dataset.n
-            vals = (w2 / lam * (1.0 - fw * fw / (w2 * (lam + f2)))
-                    + (n - 1) * np.log(lam) + np.log(lam + f2))
-        out[lo: lo + chunk] = vals
+        out[lo: lo + chunk] = fast.rank_one_objective(w2, f2, fw, dataset.n,
+                                                      lam)
     return out
 
 
@@ -497,7 +482,7 @@ def cmd_verify(selector="fast", outdir=None, kernel_params=None,
     ``selector`` picks the suite depth: "fast" runs the kernel PSD, oracle
     equivalence and PDE residual checks at small sizes; "full" adds the Lp
     stability and rank-one limit checks.  Failures are reported as
-    entries, never raised.
+    entries, never raised; an unknown selector raises ValueError.
     """
     params = kernel_params
     if params is None:
@@ -506,10 +491,12 @@ def cmd_verify(selector="fast", outdir=None, kernel_params=None,
             u=SourceParams(x0=[0.65, 0.3, 0.5], radius=0.3, rho=0.2, sigma2=3.0),
             v=SourceParams(x0=[0.3, 0.6, 0.7], radius=0.15, rho=0.03, sigma2=3.0),
             lam=0.0081)
-    checks = [_verify_kernel_psd(params, tamper=tamper_psd)]
-    if selector in ("fast", "full"):
-        checks.append(_verify_oracle_match(params, order=quad_order))
-        checks.append(_verify_pde_residual(params))
+    if selector not in ("fast", "full"):
+        raise ValueError(f"unknown verify selector {selector!r}; "
+                         "expected 'fast' or 'full'")
+    checks = [_verify_kernel_psd(params, tamper=tamper_psd),
+              _verify_oracle_match(params, order=quad_order),
+              _verify_pde_residual(params)]
     if selector == "full":
         checks.append(_verify_lp_stability())
         checks.append(_verify_rank_one_limit())

@@ -167,34 +167,41 @@ class RankOneData:
             raise ValueError("lam must be positive")
 
 
-def rank_one_nll(data: RankOneData):
-    """Closed-form likelihood for the rank-one covariance F F^T + lam I.
+def rank_one_objective(w2, f2, fw, n, lam=None):
+    """Rank-one objective from |W|^2, |F|^2, <F,W> and n; vectorised in F.
 
+    With ``lam``: the likelihood of F F^T + lam I,
     |W|^2/lam * (1 - <F,W>^2 / (|W|^2 (lam + |F|^2)))
-    + (n-1) log lam + log(lam + |F|^2); O(n), no matrix formed.
+    + (n-1) log lam + log(lam + |F|^2).
+    Without: its small-lambda limit |W|^2 (1 - <F,W>^2 / (|F|^2 |W|^2)),
+    which is |W|^2 where F = 0 and is undefined for W = 0.
     """
-    f, w, lam = data.green, data.obs, data.lam
-    n = w.size
-    w2 = float(w @ w)
-    f2 = float(f @ f)
-    fw = float(f @ w)
+    if lam is None:
+        if w2 == 0.0:
+            raise ValueError("limit profile requires a nonzero observation "
+                             "vector")
+        live = f2 > 0.0
+        return w2 * (1.0 - np.where(live, fw * fw / (np.where(live, f2, 1.0)
+                                                     * w2), 0.0))
     quad = w2 / lam
     if w2 > 0.0:
-        quad *= 1.0 - fw * fw / (w2 * (lam + f2))
-    return quad + (n - 1) * math.log(lam) + math.log(lam + f2)
+        quad = quad * (1.0 - fw * fw / (w2 * (lam + f2)))
+    return quad + (n - 1) * math.log(lam) + np.log(lam + f2)
+
+
+def _sums(data: RankOneData):
+    f, w = data.green, data.obs
+    return float(w @ w), float(f @ f), float(f @ w), w.size
+
+
+def rank_one_nll(data: RankOneData):
+    """Likelihood of F F^T + lam I in O(n), no matrix formed."""
+    return float(rank_one_objective(*_sums(data), data.lam))
 
 
 def limit_profile(data: RankOneData):
     """Small-lambda limit |W|^2 (1 - r^2), r = <F,W>/(|F||W|), r = 0 if F = 0."""
-    f, w = data.green, data.obs
-    w2 = float(w @ w)
-    if w2 == 0.0:
-        raise ValueError("limit profile requires a nonzero observation vector")
-    f2 = float(f @ f)
-    if f2 == 0.0:
-        return w2
-    fw = float(f @ w)
-    return w2 * (1.0 - fw * fw / (f2 * w2))
+    return float(rank_one_objective(*_sums(data)))
 
 
 def r_infinity(traces_obs, traces_green, total_time):

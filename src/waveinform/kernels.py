@@ -5,9 +5,18 @@ speed (v component) of the 3D free-space wave equation induces a GP on the
 full space-time solution.  When the base kernels are radial around a source
 center and compactly supported, the induced space-time kernels have fast
 closed forms: four-term sums over the in/outgoing characteristic radii
-``r + eps*c*|t|``.  This module implements those closed forms, the
-Matern-5/2 base profile they are built on, the smooth compact-support cutoff,
-and the two stationary-prior closed forms (singular shell density and the
+b_eps = r + eps*c*|t| (eps = -1, +1; r = |x - x0|) of a 1D Matern-5/2.
+Both components share one form.  Each point z gets radial features
+(w_eps(z), s_eps(z)), and
+
+    k(z, z') = sum_e' w_e'(z') * sum_e w_e(z) * m52(s_e(z) - s_e'(z'))
+
+- position (u): s_eps = |b_eps|, w_eps = b_eps phi(|b_eps|/R) / (2r);
+- speed (v): s_eps = min(b_eps^2, R^2), w_eps = eps sgn(t) / (4cr).
+
+This module implements the feature map and its assembly, the Matern-5/2
+base profile, the smooth compact-support cutoff, and the two
+stationary-prior closed forms (singular shell density and the
 Gaussian-base formula).
 
 Base-kernel conventions.  The position prior puts a plain radial Matern on
@@ -38,6 +47,8 @@ TIME_TOL = 1e-12
 # Small-r clamp for the 1/r quotients; the quotients are even in r so the
 # clamp error is O(RADIUS_CLAMP**2).
 RADIUS_CLAMP = 1e-4
+# Signs eps of the incoming (row 0) and outgoing (row 1) characteristic radii.
+_EPS = np.array([[-1.0], [1.0]])
 
 
 class SpaceTimePoint(NamedTuple):
@@ -203,125 +214,120 @@ def _time_sign(t):
     return s
 
 
-def _kv_terms(r, t, c, src):
-    """Clamped squared characteristic radii min((r + eps*c|t|)^2, R^2)."""
+def _features(comp, x, t, c, src, alpha_cut):
+    """Features (w, s) of component "u" or "v" (module docstring), (2, n) each."""
+    r = _clamped_radii(x, src.x0)
     ct = c * np.abs(t)
-    r2cap = src.radius**2
-    a_plus = np.minimum((r + ct) ** 2, r2cap)
-    a_minus = np.minimum((r - ct) ** 2, r2cap)
-    return a_minus, a_plus
+    b = np.stack([r - ct, r + ct])
+    if comp == "u":
+        s = np.abs(b)
+        return b * smooth_cutoff(s / src.radius, alpha_cut) / (2.0 * r), s
+    w = _EPS * (_time_sign(t) / (4.0 * c * r))
+    return w, np.minimum(b * b, src.radius**2)
+
+
+def _weighted_matern(h, w, rho, sigma2, out):
+    """out = w * matern52(h, rho, sigma2) without temporaries; h is overwritten.
+
+    Performs matern52's floating-point operations in its order, so the
+    Matern factor is bitwise equal to matern52's.
+    """
+    np.abs(h, out=h)
+    h /= rho
+    np.divide(h, 3.0, out=out)
+    out += 1.0
+    out *= h
+    out += 1.0
+    out *= sigma2
+    np.negative(h, out=h)
+    np.exp(h, out=h)
+    out *= h
+    out *= w
+    return out
+
+
+def _assemble(w1, s1, w2, s2, src):
+    """sum_e' w2[e'] * (sum_e w1[e] * m52(s1[e] - s2[e'])), broadcast.
+
+    Rows are the two characteristic radii; the remaining axes broadcast, so
+    (2, n, 1) against (2, 1, m) gives a pairwise block and (2, n) against
+    (2, n) a diagonal.  Summing over e first makes an out-of-cone point,
+    whose two features are equal up to sign, contribute an exact 0.
+    """
+    shape = np.broadcast_shapes(s1.shape[1:], s2.shape[1:])
+    acc, inner, term, h = (np.empty(shape) for _ in range(4))
+    for e2 in (0, 1):
+        for e in (0, 1):
+            np.subtract(s1[e], s2[e2], out=h)
+            _weighted_matern(h, w1[e], src.rho, src.sigma2,
+                             term if e else inner)
+        inner += term
+        if e2:
+            inner *= w2[1]
+            acc += inner
+        else:
+            np.multiply(inner, w2[0], out=acc)
+    return acc
+
+
+def _kernel(c, parts, alpha_cut, x1, t1, x2=None, t2=None):
+    """Sum of the (component, source) parts; the diagonal when x2 is None."""
+    x1, t1 = _as_points(x1, t1)
+    if x2 is not None:
+        x2, t2 = _as_points(x2, t2)
+    out = np.zeros(t1.shape if x2 is None else (t1.size, t2.size))
+    for comp, src in parts:
+        w1, s1 = _features(comp, x1, t1, c, src, alpha_cut)
+        if x2 is None:
+            out += _assemble(w1, s1, w1, s1, src)
+        else:
+            w2, s2 = _features(comp, x2, t2, c, src, alpha_cut)
+            out += _assemble(w1[:, :, None], s1[:, :, None],
+                             w2[:, None, :], s2[:, None, :], src)
+    return out
 
 
 def kv_wave_radial(x1, t1, x2, t2, c, src):
     """Speed-component wave kernel (truncated radial base), pairwise.
 
-    Returns the (n, m) matrix of
-    sgn(t t') / (16 c^2 r r') * sum_{eps,eps'} eps eps'
-    Kv(min((r+eps c|t|)^2, R^2), min((r'+eps' c|t'|)^2, R^2))
-    with Kv the Matern-5/2 profile of the difference of its squared-radius
-    arguments.  Exactly zero outside the light cone of either argument.
+    sgn(t t') / (16 c^2 r r') * sum_{eps,eps'} eps eps' m52(a_eps - a'_eps')
+    with a_eps = min((r + eps c|t|)^2, R^2).  Exact 0 outside the light cone.
     """
-    x1, t1 = _as_points(x1, t1)
-    x2, t2 = _as_points(x2, t2)
-    r1 = _clamped_radii(x1, src.x0)
-    r2 = _clamped_radii(x2, src.x0)
-    am1, ap1 = _kv_terms(r1, t1, c, src)
-    am2, ap2 = _kv_terms(r2, t2, c, src)
-    rho, s2 = src.rho, src.sigma2
-    # Grouped so that a clamped (out-of-cone) argument cancels exactly.
-    inner_p = matern52(ap1[:, None] - ap2[None, :], rho, s2) \
-        - matern52(am1[:, None] - ap2[None, :], rho, s2)
-    inner_m = matern52(ap1[:, None] - am2[None, :], rho, s2) \
-        - matern52(am1[:, None] - am2[None, :], rho, s2)
-    acc = inner_p - inner_m
-    sgn = np.outer(_time_sign(t1), _time_sign(t2))
-    return sgn * acc / (16.0 * c * c * np.outer(r1, r2))
+    return _kernel(c, [("v", src)], None, x1, t1, x2, t2)
 
 
 def kv_wave_diag(x, t, c, src):
     """Diagonal kv_wave_radial(z, z); exact zeros outside the light cone."""
-    x, t = _as_points(x, t)
-    r = _clamped_radii(x, src.x0)
-    am, ap = _kv_terms(r, t, c, src)
-    rho, s2 = src.rho, src.sigma2
-    inner_p = matern52(ap - ap, rho, s2) - matern52(am - ap, rho, s2)
-    inner_m = matern52(ap - am, rho, s2) - matern52(am - am, rho, s2)
-    acc = inner_p - inner_m
-    sgn = _time_sign(t) ** 2
-    return sgn * acc / (16.0 * c * c * r * r)
-
-
-def _ku_terms(r, t, c, src, alpha_cut):
-    """Signed characteristic radii b_eps = r + eps*c|t| and their cutoffs."""
-    ct = c * np.abs(t)
-    b_minus = r - ct
-    b_plus = r + ct
-    w_minus = smooth_cutoff(np.abs(b_minus) / src.radius, alpha_cut)
-    w_plus = smooth_cutoff(np.abs(b_plus) / src.radius, alpha_cut)
-    return (b_minus, b_plus), (w_minus, w_plus)
+    return _kernel(c, [("v", src)], None, x, t)
 
 
 def ku_wave_radial(x1, t1, x2, t2, c, src, alpha_cut=0.8):
     """Position-component wave kernel (smoothly truncated radial base), pairwise.
 
-    Returns 1/(4 r r') * sum_{eps,eps'} (r+eps c|t|)(r'+eps' c|t'|) *
-    ku0((r+eps c|t|)^2, (r'+eps' c|t'|)^2) where the truncated base is
-    ku0(s, s') = matern52(sqrt(s) - sqrt(s')) * phi(sqrt(s)/R) *
-    phi(sqrt(s')/R), i.e. a plain radial Matern prior on u0.
+    1/(4 r r') * sum_{eps,eps'} b_eps b'_eps' phi(|b_eps|/R) phi(|b'_eps'|/R)
+    m52(|b_eps| - |b'_eps'|) with b_eps = r + eps c|t|: a plain radial
+    Matern prior on u0 cut off by phi.
     """
-    x1, t1 = _as_points(x1, t1)
-    x2, t2 = _as_points(x2, t2)
-    r1 = _clamped_radii(x1, src.x0)
-    r2 = _clamped_radii(x2, src.x0)
-    (b1m, b1p), (w1m, w1p) = _ku_terms(r1, t1, c, src, alpha_cut)
-    (b2m, b2p), (w2m, w2p) = _ku_terms(r2, t2, c, src, alpha_cut)
-    rho, s2 = src.rho, src.sigma2
-    g1m, g1p = b1m * w1m, b1p * w1p
-    g2m, g2p = b2m * w2m, b2p * w2p
-    a1m, a1p = np.abs(b1m), np.abs(b1p)
-    a2m, a2p = np.abs(b2m), np.abs(b2p)
-    # All four terms add; the eps signs live inside the signed radii b_eps.
-    acc = np.outer(g1p, g2p) * matern52(a1p[:, None] - a2p[None, :], rho, s2)
-    acc += np.outer(g1m, g2m) * matern52(a1m[:, None] - a2m[None, :], rho, s2)
-    acc += np.outer(g1p, g2m) * matern52(a1p[:, None] - a2m[None, :], rho, s2)
-    acc += np.outer(g1m, g2p) * matern52(a1m[:, None] - a2p[None, :], rho, s2)
-    return acc / (4.0 * np.outer(r1, r2))
+    return _kernel(c, [("u", src)], alpha_cut, x1, t1, x2, t2)
 
 
 def ku_wave_diag(x, t, c, src, alpha_cut=0.8):
     """Diagonal ku_wave_radial(z, z)."""
-    x, t = _as_points(x, t)
-    r = _clamped_radii(x, src.x0)
-    (bm, bp), (wm, wp) = _ku_terms(r, t, c, src, alpha_cut)
-    rho, s2 = src.rho, src.sigma2
-    gm, gp = bm * wm, bp * wp
-    acc = gp * gp * matern52(0.0, rho, s2)
-    acc += gm * gm * matern52(0.0, rho, s2)
-    acc += 2.0 * gp * gm * matern52(np.abs(bp) - np.abs(bm), rho, s2)
-    return acc / (4.0 * r * r)
+    return _kernel(c, [("u", src)], alpha_cut, x, t)
+
+
+def _parts(params):
+    return [(name, getattr(params, name)) for name in params.components]
 
 
 def wave_kernel(x1, t1, x2, t2, params: HyperParams):
     """Full space-time wave kernel: sum of the enabled u and v components."""
-    x1, t1 = _as_points(x1, t1)
-    x2, t2 = _as_points(x2, t2)
-    out = np.zeros((x1.shape[0], x2.shape[0]))
-    if params.u is not None:
-        out += ku_wave_radial(x1, t1, x2, t2, params.c, params.u, params.alpha_cut)
-    if params.v is not None:
-        out += kv_wave_radial(x1, t1, x2, t2, params.c, params.v)
-    return out
+    return _kernel(params.c, _parts(params), params.alpha_cut, x1, t1, x2, t2)
 
 
 def wave_kernel_diag(x, t, params: HyperParams):
     """Diagonal of :func:`wave_kernel`; exact zeros outside both light cones."""
-    x, t = _as_points(x, t)
-    out = np.zeros(x.shape[0])
-    if params.u is not None:
-        out += ku_wave_diag(x, t, params.c, params.u, params.alpha_cut)
-    if params.v is not None:
-        out += kv_wave_diag(x, t, params.c, params.v)
-    return out
+    return _kernel(params.c, _parts(params), params.alpha_cut, x, t)
 
 
 class WaveKernel:
@@ -399,26 +405,16 @@ def stationary_ftft_density(hnorm, t, tp, c):
     return sgn / (8.0 * math.pi * c * c * hnorm)
 
 
-_GAUSSIAN_PREFACTOR_CACHE = []
-
-
-def stationary_gaussian_wave(h, t, tp, c, C, L, cprime=None):
+def stationary_gaussian_wave(h, t, tp, c, C, L, cprime=math.sqrt(math.pi / 2)):
     """Closed form for a stationary Gaussian base kernel C*exp(-|h|^2/(2L^2)).
 
     sgn(t t') * cprime * L^3 / c^2 * (q(R1) - q(R2)) with
     q(R) = (Phi((R+|h|)/L) - Phi((R-|h|)/L)) / (2|h|),
     R1 = c||t|-|t'||, R2 = c(|t|+|t'|), Phi the standard normal CDF.
-    ``cprime`` is the dimensionless calibration constant (scales linearly
-    with C); when omitted it is calibrated once against the shell
-    quadrature (waveinform.oracle.calibrate_gaussian_prefactor) and cached.
+    ``cprime`` is the dimensionless prefactor sqrt(pi/2); the shell
+    quadrature reproduces it (waveinform.oracle.calibrate_gaussian_prefactor).
     Near |h| = 0 the difference quotient is replaced by its analytic limit.
     """
-    if cprime is None:
-        if not _GAUSSIAN_PREFACTOR_CACHE:
-            from .oracle import calibrate_gaussian_prefactor
-
-            _GAUSSIAN_PREFACTOR_CACHE.append(calibrate_gaussian_prefactor())
-        cprime = _GAUSSIAN_PREFACTOR_CACHE[0]
     st = 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
     stp = 0.0 if abs(tp) < TIME_TOL else math.copysign(1.0, tp)
     sgn = st * stp

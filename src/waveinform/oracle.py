@@ -16,7 +16,8 @@ import numpy as np
 
 from .exceptions import KernelEvaluationError
 from .fields import ScalarField3D
-from .kernels import RADIUS_CLAMP, matern52, matern52_d1, matern52_d2
+from .kernels import (RADIUS_CLAMP, matern52, matern52_d1, matern52_d2,
+                      stationary_gaussian_wave)
 
 
 @dataclass(frozen=True)
@@ -499,8 +500,6 @@ def calibrate_gaussian_prefactor(rule=None):
     base at one reference geometry; the returned constant is dimensionless
     and scales linearly with the base amplitude.
     """
-    from .kernels import stationary_gaussian_wave
-
     if rule is None:
         rule = SphericalRule.product(48)
     c, amp, length = 1.0, 1.0, 0.4

@@ -403,10 +403,16 @@ class SensorDataset:
         rows = np.asarray(rows)
         ids = np.asarray(ids)
         sensor_ids = np.unique(ids)
-        positions = np.array([rows[ids == s][0, :3] for s in sensor_ids])
-        times = rows[ids == sensor_ids[0]][:, 3]
-        values = np.concatenate([rows[ids == s][:, 4] for s in sensor_ids])
-        return cls(positions=positions, times=times, values=values)
+        blocks = [rows[ids == s] for s in sensor_ids]
+        for s, block in zip(sensor_ids, blocks):
+            if not np.array_equal(block[:, 3], blocks[0][:, 3]):
+                raise ValueError(f"sensor {s}: observation times differ from "
+                                 f"those of sensor {sensor_ids[0]}")
+            if np.any(block[:, :3] != block[0, :3]):
+                raise ValueError(f"sensor {s}: position changes between rows")
+        return cls(positions=np.array([b[0, :3] for b in blocks]),
+                   times=blocks[0][:, 3],
+                   values=np.concatenate([b[:, 4] for b in blocks]))
 
 
 def sample_sensors(history: FieldHistory, positions, sample_rate=None):

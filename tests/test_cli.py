@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_verify_report_and_mutation(tmp_path):
     blob = json.loads((tmp_path / "verify.json").read_text())
     assert blob["selector"] == "fast"
     # a sign-flipped kernel must FAIL the PSD check, reported not raised
-    bad = cmd_verify("psd-only", tamper_psd=True)
+    bad = cmd_verify("fast", tamper_psd=True)
     psd = [c for c in bad["checks"] if c["name"] == "kernel_psd"][0]
     assert not psd["passed"]
     assert not bad["passed"]
@@ -273,3 +274,35 @@ def test_pointsource_scan_nll_mode(tmp_path):
                                           str(tmp_path), mode="nll")
     assert np.all(np.isfinite(volume.values))
     assert np.abs(argmin - x_star).max() <= 0.08
+
+
+def test_config_json_refuses_unknown_keys():
+    with pytest.raises(ValueError, match="noise_sigm"):
+        ExperimentConfig.from_json('{"noise_sigm": 0.5}')
+    with pytest.raises(ValueError, match="dxx"):
+        ExperimentConfig.from_json(
+            '{"sim": {"L": 1.0, "dx": 0.05, "dt": 0.01, "c": 0.5, "T": 1.0,'
+            ' "dxx": 0.1}}')
+
+
+def test_config_refuses_unknown_test_case():
+    with pytest.raises(ValueError, match="test case"):
+        ExperimentConfig.from_json('{"test_case": 7}')
+    with pytest.raises(ValueError, match="test case"):
+        ExperimentConfig(test_case=7)
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_json(block)
+    assert cfg == ExperimentConfig()
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_verify_refuses_unknown_selector(capsys):
+    with pytest.raises(ValueError, match="bogus"):
+        cmd_verify("bogus")
+    with pytest.raises(SystemExit):
+        main(["verify", "--selector", "bogus"])
+    assert "invalid choice" in capsys.readouterr().err

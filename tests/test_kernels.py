@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from waveinform.exceptions import SingularEvaluationError
-from waveinform.kernels import (HyperParams, SourceParams, WaveKernel,
+from waveinform.experiments import case_theta
+from waveinform.kernels import (RADIUS_CLAMP, TIME_TOL, HyperParams,
+                                SourceParams, WaveKernel,
                                 ku_wave_diag, ku_wave_radial, kv_wave_diag,
                                 kv_wave_radial, matern52, matern52_d1,
                                 matern52_d2, smooth_cutoff,
@@ -253,3 +255,98 @@ def test_hyperparams_validation():
         SourceParams(x0=[0, 0, 0], radius=0.0, rho=0.1, sigma2=1.0)
     with pytest.raises(ValueError):
         HyperParams(c=1.0, lam=-0.1)
+
+
+def _sign(t):
+    return 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
+
+
+def _reference_ku(x1, t1, x2, t2, c, src, alpha):
+    """Four-term ku closed form, one entry: sum of b b' phi phi' m52 / (4 r r')."""
+    r1 = max(float(np.linalg.norm(x1 - src.x0)), RADIUS_CLAMP)
+    r2 = max(float(np.linalg.norm(x2 - src.x0)), RADIUS_CLAMP)
+    total = 0.0
+    for b1 in (r1 - c * abs(t1), r1 + c * abs(t1)):
+        for b2 in (r2 - c * abs(t2), r2 + c * abs(t2)):
+            total += (b1 * smooth_cutoff(abs(b1) / src.radius, alpha)
+                      * b2 * smooth_cutoff(abs(b2) / src.radius, alpha)
+                      * matern52(abs(b1) - abs(b2), src.rho, src.sigma2))
+    return total / (4.0 * r1 * r2)
+
+
+def _reference_kv(x1, t1, x2, t2, c, src):
+    """Four-term kv closed form, one entry, grouped for exact cone zeros."""
+    r1 = max(float(np.linalg.norm(x1 - src.x0)), RADIUS_CLAMP)
+    r2 = max(float(np.linalg.norm(x2 - src.x0)), RADIUS_CLAMP)
+    cap = src.radius**2
+    am1, ap1 = (min((r1 + e * c * abs(t1)) ** 2, cap) for e in (-1, 1))
+    am2, ap2 = (min((r2 + e * c * abs(t2)) ** 2, cap) for e in (-1, 1))
+
+    def m(a, b):
+        return matern52(a - b, src.rho, src.sigma2)
+
+    acc = (m(ap1, ap2) - m(am1, ap2)) - (m(ap1, am2) - m(am1, am2))
+    return _sign(t1) * _sign(t2) * acc / (16.0 * c * c * r1 * r2)
+
+
+def _edge_case_points(params, rng):
+    """Random points plus, per source: t = 0, r < RADIUS_CLAMP, inside the
+    hole r < c|t| - R, beyond the front r > c|t| + R, and near both edges."""
+    xs = [rng.uniform(0.0, 1.0, (12, 3))]
+    ts = [rng.uniform(-1.5, 1.5, 12)]
+    for name in params.components:
+        src = getattr(params, name)
+        c, big_r = params.c, src.radius
+        unit = rng.normal(size=(9, 3))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        t_hole = (big_r + 0.05) / c + 0.4
+        radii = [0.3, 0.5 * RADIUS_CLAMP, 0.5 * RADIUS_CLAMP, 0.05, 0.45,
+                 c * 0.8 + 0.99 * big_r, c * 0.8 - 0.99 * big_r,
+                 c * 0.8 + big_r, 0.2]
+        times = [0.0, 0.0, 0.3, t_hole, 0.1, 0.8, 0.8, 0.8, -0.6]
+        xs.append(src.x0 + np.array(radii)[:, None] * unit)
+        ts.append(np.array(times))
+    return np.vstack(xs), np.concatenate(ts)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_wave_kernel_matches_four_term_reference(case):
+    params = case_theta(case)
+    x, t = _edge_case_points(params, np.random.default_rng(20 + case))
+    got = wave_kernel(x, t, x, t, params)
+    ref = np.zeros_like(got)
+    for i in range(t.size):
+        for j in range(t.size):
+            if params.u is not None:
+                ref[i, j] += _reference_ku(x[i], t[i], x[j], t[j], params.c,
+                                           params.u, params.alpha_cut)
+            if params.v is not None:
+                ref[i, j] += _reference_kv(x[i], t[i], x[j], t[j], params.c,
+                                           params.v)
+    scale = np.abs(ref).max()
+    assert np.array_equal(got == 0.0, ref == 0.0)
+    # Within RADIUS_CLAMP of a center and at t != 0 the four terms cancel
+    # down to about 1e-6 of each term, so any two summation orders differ
+    # there by about 1e-9 of max|k| (both are that far from a 50-digit
+    # evaluation).  Those rows and columns get a rounding-level bound of
+    # their own; everything else must agree to 1e-12.
+    near = np.zeros(t.size, dtype=bool)
+    for name in params.components:
+        r = np.linalg.norm(x - getattr(params, name).x0, axis=1)
+        near |= (r < RADIUS_CLAMP) & (t != 0.0)
+    assert near.any() and (~near).sum() >= 20
+    far = np.ix_(~near, ~near)
+    assert np.abs(got[far] - ref[far]).max() <= 1e-12 * scale
+    assert np.abs(got - ref).max() <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_wave_kernel_diag_matches_pairwise_diagonal(case):
+    params = case_theta(case)
+    x, t = _edge_case_points(params, np.random.default_rng(30 + case))
+    diag = wave_kernel_diag(x, t, params)
+    full = np.diag(wave_kernel(x, t, x, t, params))
+    assert np.all(np.abs(diag - full) <= 1e-14 * np.abs(full))
+    assert np.array_equal(diag == 0.0, full == 0.0)
+    # the edge cases really cover zero and nonzero entries
+    assert np.any(diag == 0.0) and np.any(diag > 0.0)

@@ -310,10 +310,10 @@ def test_gaussian_prefactor_calibration_consistency():
     assert cprime == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-6)
 
 
-def test_gaussian_wave_default_prefactor_lazily_calibrated():
+def test_gaussian_wave_default_prefactor_is_closed_form():
     from waveinform.kernels import stationary_gaussian_wave
 
     val = stationary_gaussian_wave([0.3, 0, 0], 0.7, 0.5, 1.0, 1.0, 0.4)
     ref = stationary_gaussian_wave([0.3, 0, 0], 0.7, 0.5, 1.0, 1.0, 0.4,
                                    cprime=math.sqrt(math.pi / 2.0))
-    assert val == pytest.approx(ref, rel=1e-5)
+    assert val == ref

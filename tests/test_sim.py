@@ -263,3 +263,32 @@ def test_ic_support_outside_box_raises():
     zero = InitialCondition("zero")
     with pytest.raises(ValueError, match="support"):
         run_simulation(COARSE, u0, zero, sample_rate=20)
+
+
+def _write_sensor_csv(path, rows):
+    lines = ["sensor_id,x,y,z,t,value"]
+    lines += [",".join(str(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("times", [(0.3, 0.7), (0.1, 0.0), (0.0,),
+                                   (0.0, 0.1, 0.2)])
+def test_dataset_csv_refuses_ragged_times(tmp_path, times):
+    # sensor 0 is sampled at {0.0, 0.1}; sensor 1 at other values, in
+    # another order, or at another count
+    path = tmp_path / "sensors.csv"
+    rows = [(0, 0.2, 0.2, 0.2, 0.0, 1.0), (0, 0.2, 0.2, 0.2, 0.1, 2.0)]
+    rows += [(1, 0.5, 0.5, 0.5, t, 3.0) for t in times]
+    _write_sensor_csv(path, rows)
+    with pytest.raises(ValueError, match="sensor 1"):
+        SensorDataset.from_csv(path)
+
+
+def test_dataset_csv_refuses_moving_sensor(tmp_path):
+    path = tmp_path / "sensors.csv"
+    _write_sensor_csv(path, [(0, 0.2, 0.2, 0.2, 0.0, 1.0),
+                             (0, 0.2, 0.2, 0.2, 0.1, 2.0),
+                             (1, 0.5, 0.5, 0.5, 0.0, 3.0),
+                             (1, 0.6, 0.5, 0.5, 0.1, 4.0)])
+    with pytest.raises(ValueError, match="sensor 1"):
+        SensorDataset.from_csv(path)
