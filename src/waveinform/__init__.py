@@ -1,13 +1,15 @@
 """Wave-informed Gaussian process regression for the 3D free-space wave equation."""
 
-from . import design, experiments, fast, fields, gp, kernels, oracle, sim
+from . import (design, experiments, fast, fields, gp, kernels, linalg, oracle,
+               sim)
 from .exceptions import (KernelEvaluationError, SingularCovarianceError,
                          SingularEvaluationError)
+from .fast import fast_nll, posterior_mean, posterior_var
 from .fields import ScalarField3D
-from .gp import (PosteriorModel, assemble_covariance, fit_posterior,
-                 neg_log_marginal_likelihood, predict_mean, predict_var)
-from .kernels import (HyperParams, SourceParams, SpaceTimePoint, WaveKernel,
-                      matern52, smooth_cutoff, wave_kernel, wave_kernel_diag)
+from .gp import PosteriorModel, fit_posterior
+from .kernels import (HyperParams, SourceParams, WaveKernel, matern52,
+                      smooth_cutoff, wave_kernel, wave_kernel_diag)
+from .linalg import assemble_covariance
 from .sim import InitialCondition, SensorDataset, SimConfig, run_simulation
 
 __all__ = [
@@ -21,21 +23,21 @@ __all__ = [
     "SingularCovarianceError",
     "SingularEvaluationError",
     "SourceParams",
-    "SpaceTimePoint",
     "WaveKernel",
     "assemble_covariance",
     "design",
     "experiments",
     "fast",
+    "fast_nll",
     "fields",
     "fit_posterior",
     "gp",
     "kernels",
+    "linalg",
     "matern52",
-    "neg_log_marginal_likelihood",
     "oracle",
-    "predict_mean",
-    "predict_var",
+    "posterior_mean",
+    "posterior_var",
     "run_simulation",
     "sim",
     "smooth_cutoff",

@@ -19,7 +19,7 @@ from .experiments import (ExperimentConfig, cmd_errors, cmd_fit,
                           cmd_simulate, cmd_verify, case_theta,
                           theta_from_json)
 from .fields import ScalarField3D
-from .sim import SensorDataset
+from .sim import FieldHistory, SensorDataset
 
 
 def _load_config(args):
@@ -129,8 +129,6 @@ def main(argv=None):
 
 
 def _load_history(directory):
-    from .sim import FieldHistory
-
     stored = ExperimentConfig.load(os.path.join(directory, "config.json"))
     snaps = []
     k = 0

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
+from .exceptions import KernelEvaluationError, SingularCovarianceError
 from .fast import fast_nll
 from .fields import atomic_write_text, fmt17
 from .kernels import HyperParams, WaveKernel
@@ -109,21 +110,25 @@ def minimize_box(objective, box: HyperBox, x_start, tol=1e-6, max_evals=1000):
     Runs Nelder-Mead on a logistic bijection of the box onto R^d, so every
     iterate stays strictly inside the box; terminates when the simplex
     spread falls below ``tol`` (in transformed coordinates) or on the
-    evaluation budget.  Returns (x_best, f_best, n_evals).
+    evaluation budget.  Returns (x_best, f_best, n_evals), where n_evals
+    counts every objective call.  A non-finite value at the start point
+    (Nelder-Mead's first evaluation) raises ValueError.
     """
     x_start = np.asarray(x_start, dtype=float).reshape(-1)
     if x_start.size != box.dim:
         raise ValueError("start point dimension mismatch")
-    f0 = objective(x_start)
-    if not np.isfinite(f0):
-        raise ValueError(f"objective is non-finite at the start point {x_start}")
     evals = [0]
 
     def wrapped(z):
         evals[0] += 1
         val = objective(_to_box(z, box))
+        if np.isfinite(val):
+            return float(val)
+        if evals[0] == 1:
+            raise ValueError(
+                f"objective is non-finite at the start point {x_start}")
         # Non-finite trial values are repelled, not fatal.
-        return float(val) if np.isfinite(val) else 1e300
+        return 1e300
 
     z0 = _to_unbounded(x_start, box)
     simplex = np.vstack([z0, z0 + 0.5 * np.eye(box.dim)])
@@ -166,9 +171,12 @@ def multistart_fit(dataset, components, box: HyperBox, n_mult=100, seed=0,
 
     Runs :func:`minimize_box` from ``n_mult`` Latin-hypercube starting
     points and keeps the argmin over all runs.  Returns the best
-    HyperParams and the full trace of every start.  When a surrogate
-    ``objective`` is supplied (testing hook), the raw best vector is
-    returned instead of a decoded HyperParams.
+    HyperParams and the full trace of every start.  A start whose
+    objective raises ValueError, SingularCovarianceError or
+    KernelEvaluationError is recorded as failed (NaN values, 0
+    evaluations); RuntimeError is raised only when every start fails.
+    When a surrogate ``objective`` is supplied (testing hook), the raw best
+    vector is returned instead of a decoded HyperParams.
     """
     if n_mult < 1:
         raise ValueError("need n_mult >= 1")
@@ -183,7 +191,7 @@ def multistart_fit(dataset, components, box: HyperBox, n_mult=100, seed=0,
         try:
             x_end, f_end, evals = minimize_box(objective, box, x0,
                                                tol=tol, max_evals=max_evals)
-        except ValueError:
+        except (ValueError, SingularCovarianceError, KernelEvaluationError):
             trace.append(FitTraceRow(sid, x0, np.full_like(x0, np.nan),
                                      np.nan, 0))
             continue

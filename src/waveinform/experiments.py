@@ -18,10 +18,12 @@ import numpy as np
 from . import fast, gp
 from .design import HyperBox, lhs_design, multistart_fit, write_trace_csv
 from .fields import ScalarField3D, atomic_write_text, fmt17
-from .kernels import HyperParams, SourceParams, WaveKernel
+from .kernels import (HyperParams, SourceParams, WaveKernel, ku_wave_radial,
+                      kv_wave_radial)
+from .linalg import assemble_covariance
 from .oracle import (SphericalRule, dalembert_residuals, is_smooth_point,
                      kv_wave_quadrature, ku_wave_quadrature, lp_relative_error,
-                     matern_radial_base)
+                     lp_stability_check, matern_radial_base)
 from .sim import (FieldHistory, InitialCondition, SensorDataset, SimConfig,
                   add_noise, run_simulation, sample_sensors)
 
@@ -125,7 +127,7 @@ class ExperimentConfig:
         sim = blob.pop("sim", None)
         if sim is not None:
             _refuse_unknown_keys(sim, SimConfig, "sim")
-            blob["sim"] = SimConfig(**sim)
+            blob["sim"] = replace(DEFAULT_SIM, **sim)
         if "sensor_bounds" in blob:
             blob["sensor_bounds"] = tuple(blob["sensor_bounds"])
         if "sensor_positions" in blob:
@@ -385,7 +387,7 @@ def _verify_kernel_psd(params, seed=0, n=40, tamper=False):
     x = rng.uniform(0.0, 1.0, (n, 3))
     t = rng.uniform(0.0, 1.4, n)
     kernel = WaveKernel(params)
-    kmat = gp.assemble_covariance(kernel, x, t)
+    kmat = assemble_covariance(kernel, x, t)
     if tamper:
         kmat = -kmat
     eig_min = float(np.linalg.eigvalsh(kmat).min())
@@ -404,7 +406,6 @@ def _verify_oracle_match(params, order=24, n_pairs=6, seed=1):
                            sigma2=rng.uniform(0.5, 3.0))
         z = (x0 + rng.normal(size=3) * 0.2, rng.uniform(0.1, 1.0))
         zp = (x0 + rng.normal(size=3) * 0.2, rng.uniform(0.1, 1.0))
-        from .kernels import ku_wave_radial, kv_wave_radial
         closed_v = kv_wave_radial([z[0]], [z[1]], [zp[0]], [zp[1]],
                                   params.c, src)[0, 0]
         quad_v = kv_wave_quadrature(matern_radial_base(src, "v"), z, zp,
@@ -444,9 +445,6 @@ def _verify_pde_residual(params, seed=2, n_points=40, step=1e-3):
 
 
 def _verify_lp_stability():
-    from .oracle import lp_stability_check
-    from .sim import InitialCondition
-
     u0 = InitialCondition("raised_cosine", x0=[0, 0, 0], radii=(0.25,),
                           amplitude=5.0)
     v0 = InitialCondition("ring_cosine", x0=[0, 0, 0], radii=(0.05, 0.15),

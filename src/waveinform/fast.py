@@ -20,7 +20,13 @@ from functools import lru_cache
 import numpy as np
 
 from .kernels import HyperParams, smooth_cutoff
-from .linalg import chol_with_jitter, half_solve, logdet_from_chol
+from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
+                     logdet_from_chol)
+
+# Query points per (n_active, chunk) cross-covariance block; the variance
+# block is smaller because its triangular solve is held next to it.
+MEAN_CHUNK = 4096
+VAR_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -43,16 +49,15 @@ class ActiveSet:
         return self.permutation[self.p:]
 
 
-def detect_active(kernel, x, t, tol=0.0):
+def detect_active(kernel, x, t):
     """Active set from n diagonal kernel calls.
 
     For truncated kernels the diagonal is exactly zero outside the support,
-    so the default tolerance is exact zero; a positive tolerance is available
-    for kernels that only decay numerically.
+    so a point is active iff its diagonal entry is positive.
     """
     diag = np.asarray(kernel.diag(x, t), dtype=float)
-    active = np.flatnonzero(diag > tol)
-    inactive = np.flatnonzero(~(diag > tol))
+    live = diag > 0.0
+    active, inactive = np.flatnonzero(live), np.flatnonzero(~live)
     return ActiveSet(permutation=np.concatenate([active, inactive]),
                      p=active.size)
 
@@ -79,6 +84,7 @@ def fast_nll(kernel, x, t, y, lam):
 
     y_in^T (K~ + lam I)^{-1} y_in + |y_out|^2 / lam
     + log det(K~ + lam I) + q log lam.  Exactly equal to the dense formula.
+    A non-finite covariance entry raises KernelEvaluationError.
     """
     if not lam > 0.0:
         raise ValueError("fast_nll requires lam > 0")
@@ -91,15 +97,14 @@ def fast_nll(kernel, x, t, y, lam):
     y_out = y[act.inactive]
     total = float(y_out @ y_out) / lam + act.q * math.log(lam)
     if act.p > 0:
-        kmat = kernel.pairwise(x[idx], t[idx], x[idx], t[idx])
-        kmat = np.triu(kmat) + np.triu(kmat, 1).T
+        kmat = assemble_covariance(kernel, x[idx], t[idx])
         chol, _ = chol_with_jitter(kmat + lam * np.eye(act.p))
         v = half_solve(chol, y_in)
         total += float(v @ v) + logdet_from_chol(chol)
     return total
 
 
-def posterior_mean(model, x, t, chunk=4096):
+def posterior_mean(model, x, t):
     """Kriging mean k(X_in, z)^T alpha with light-cone pruning.
 
     Queries with zero kernel diagonal are never evaluated against the
@@ -111,14 +116,14 @@ def posterior_mean(model, x, t, chunk=4096):
     if model.active_count == 0:
         return out
     live = np.flatnonzero(np.asarray(model.kernel.diag(x, t)) > 0.0)
-    for lo in range(0, live.size, chunk):
-        sel = live[lo: lo + chunk]
+    for lo in range(0, live.size, MEAN_CHUNK):
+        sel = live[lo: lo + MEAN_CHUNK]
         cross = model.kernel.pairwise(model.x_in, model.t_in, x[sel], t[sel])
         out[sel] = cross.T @ model.alpha
     return out
 
 
-def posterior_var(model, x, t, chunk=1024):
+def posterior_var(model, x, t):
     """Kriging variance k(z,z) - k(X_in,z)^T (K~+lam I)^{-1} k(X_in,z).
 
     Clamped below at zero against floating-point cancellation.
@@ -130,17 +135,12 @@ def posterior_var(model, x, t, chunk=1024):
     if model.active_count == 0:
         return np.maximum(out, 0.0)
     live = np.flatnonzero(prior > 0.0)
-    for lo in range(0, live.size, chunk):
-        sel = live[lo: lo + chunk]
+    for lo in range(0, live.size, VAR_CHUNK):
+        sel = live[lo: lo + VAR_CHUNK]
         cross = model.kernel.pairwise(model.x_in, model.t_in, x[sel], t[sel])
         v = half_solve(model.chol_factor, cross)
         out[sel] = prior[sel] - np.einsum("ij,ij->j", v, v)
     return np.maximum(out, 0.0)
-
-
-def fast_predict(model, x, t):
-    """Kriging mean and variance with the light-cone shortcuts."""
-    return posterior_mean(model, x, t), posterior_var(model, x, t)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Dense Gaussian-process machinery against any space-time kernel object.
+"""Gaussian-process posterior for any space-time kernel object.
 
-Covariance assembly, posterior construction (through the active-set
-reduction of waveinform.fast), Kriging prediction and the negative log
-marginal likelihood.  The prior mean is fixed at zero.  A kernel object
-must provide ``pairwise(x1, t1, x2, t2) -> (n, m)`` and
-``diag(x, t) -> (n,)``.
+The posterior is built through the active-set reduction of
+waveinform.fast, on the covariance block that
+waveinform.linalg.assemble_covariance assembles.  Kriging prediction
+(``fast.posterior_mean``, ``fast.posterior_var``) and the negative log
+marginal likelihood (``fast.fast_nll``) work on the same reduction.  The
+prior mean is fixed at zero.  A kernel object must provide
+``pairwise(x1, t1, x2, t2) -> (n, m)`` and ``diag(x, t) -> (n,)``.
 
 PosteriorModel is immutable after construction and safe for concurrent
 reads.
@@ -16,31 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fast
-from .exceptions import KernelEvaluationError, SingularCovarianceError
+from .exceptions import SingularCovarianceError
 from .fast import ActiveSet, detect_active
-from .linalg import chol_solve_vec, chol_with_jitter, half_solve, logdet_from_chol
-
-
-def assemble_covariance(kernel, x, t):
-    """Covariance matrix of a kernel on one batch of space-time points.
-
-    The upper triangle is evaluated once and mirrored, so the result is
-    symmetric to exact arithmetic.  Non-finite entries raise
-    KernelEvaluationError naming the offending pair.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if t.size == 0:
-        raise ValueError("point batch must be nonempty")
-    kmat = kernel.pairwise(x, t, x, t)
-    kmat = np.triu(kmat) + np.triu(kmat, 1).T
-    if not np.all(np.isfinite(kmat)):
-        i, j = np.argwhere(~np.isfinite(kmat))[0]
-        raise KernelEvaluationError(
-            f"non-finite covariance between points {i} and {j}: "
-            f"z_i=({x[i]}, {t[i]}), z_j=({x[j]}, {t[j]})")
-    return kmat
+from .linalg import assemble_covariance, chol_solve_vec, chol_with_jitter
 
 
 @dataclass(frozen=True)
@@ -103,33 +83,3 @@ def fit_posterior(kernel, x, t, y, lam):
     return PosteriorModel(kernel=kernel, lam=lam, active_set=act,
                           x_in=x_in, t_in=t_in, y_in=y_in,
                           chol_factor=chol, alpha=alpha, jitter=jitter)
-
-
-def predict_mean(model: PosteriorModel, x, t):
-    """Kriging mean at query points (0 wherever the prior variance is 0)."""
-    return fast.posterior_mean(model, x, t)
-
-
-def predict_var(model: PosteriorModel, x, t):
-    """Kriging variance at query points, clamped below at 0."""
-    return fast.posterior_var(model, x, t)
-
-
-def neg_log_marginal_likelihood(kernel, x, t, y, lam):
-    """Negative log marginal likelihood y^T (K+lam I)^{-1} y + log det(K+lam I).
-
-    Computed from the Cholesky factor of the active block (exact shortcut
-    when the kernel has zero columns).
-    """
-    return fast.fast_nll(kernel, x, t, y, lam)
-
-
-def dense_nll(kernel, x, t, y, lam):
-    """Straight dense-solve likelihood, kept as an in-package cross-check."""
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    kmat = assemble_covariance(kernel, x, t) + lam * np.eye(t.size)
-    chol, _ = chol_with_jitter(kmat)
-    v = half_solve(chol, y)
-    return float(v @ v) + logdet_from_chol(chol)

@@ -35,12 +35,13 @@ positions with shape (n, 3) and times with shape (n,).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import math
 
 import numpy as np
 from scipy.special import ndtr
+
+from .exceptions import SingularEvaluationError
 
 # |t| below this is treated as t = 0 (sgn = 0, degenerate sphere).
 TIME_TOL = 1e-12
@@ -49,13 +50,6 @@ TIME_TOL = 1e-12
 RADIUS_CLAMP = 1e-4
 # Signs eps of the incoming (row 0) and outgoing (row 1) characteristic radii.
 _EPS = np.array([[-1.0], [1.0]])
-
-
-class SpaceTimePoint(NamedTuple):
-    """A spatial location plus a time, the index z = (x, t) of the GP."""
-
-    x: np.ndarray
-    t: float
 
 
 def matern52(h, rho, sigma2):
@@ -351,33 +345,6 @@ class WaveKernel:
         self.eval_count += out.size
         return out
 
-    def __call__(self, z1: SpaceTimePoint, z2: SpaceTimePoint) -> float:
-        return float(self.pairwise([z1.x], [z1.t], [z2.x], [z2.t])[0, 0])
-
-
-class FunctionKernel:
-    """Adapter turning a scalar two-point function into a kernel object."""
-
-    def __init__(self, func):
-        self.func = func
-        self.eval_count = 0
-
-    def pairwise(self, x1, t1, x2, t2):
-        x1, t1 = _as_points(x1, t1)
-        x2, t2 = _as_points(x2, t2)
-        out = np.empty((x1.shape[0], x2.shape[0]))
-        for i in range(x1.shape[0]):
-            for j in range(x2.shape[0]):
-                out[i, j] = self.func(x1[i], t1[i], x2[j], t2[j])
-        self.eval_count += out.size
-        return out
-
-    def diag(self, x, t):
-        x, t = _as_points(x, t)
-        out = np.array([self.func(x[i], t[i], x[i], t[i]) for i in range(len(t))])
-        self.eval_count += out.size
-        return out
-
 
 def stationary_ftft_density(hnorm, t, tp, c):
     """Density of the convolved spherical shell measures at radius hnorm.
@@ -386,8 +353,6 @@ def stationary_ftft_density(hnorm, t, tp, c):
     [c||t|-|t'||, c(|t|+|t'|)], zero outside.  Evaluating at hnorm = 0
     inside the band is singular.
     """
-    from .exceptions import SingularEvaluationError
-
     if hnorm < 0.0:
         raise ValueError("hnorm must be >= 0")
     st = 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)

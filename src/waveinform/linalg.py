@@ -1,15 +1,40 @@
-"""Dense Cholesky helpers with the jitter-escalation rescue policy."""
+"""Covariance assembly and dense Cholesky helpers.
+
+Cholesky failures are rescued by escalating jitter (the ladder below).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .exceptions import SingularCovarianceError
+from .exceptions import KernelEvaluationError, SingularCovarianceError
 
 # Jitter ladder: start at 1e-10 * mean(diag), escalate x10 up to 1e-4 * mean(diag).
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+
+
+def assemble_covariance(kernel, x, t):
+    """Covariance matrix of a kernel on one batch of space-time points.
+
+    The upper triangle is evaluated once and mirrored, so the result is
+    symmetric to exact arithmetic.  Non-finite entries raise
+    KernelEvaluationError naming the offending pair.  A kernel object
+    must provide ``pairwise(x1, t1, x2, t2) -> (n, m)``.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, 3)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if t.size == 0:
+        raise ValueError("point batch must be nonempty")
+    kmat = kernel.pairwise(x, t, x, t)
+    kmat = np.triu(kmat) + np.triu(kmat, 1).T
+    if not np.all(np.isfinite(kmat)):
+        i, j = np.argwhere(~np.isfinite(kmat))[0]
+        raise KernelEvaluationError(
+            f"non-finite covariance between points {i} and {j}: "
+            f"z_i=({x[i]}, {t[i]}), z_j=({x[j]}, {t[j]})")
+    return kmat
 
 
 def chol_with_jitter(mat):

@@ -181,11 +181,6 @@ class InitialCondition:
         return d * (slope / safe)[:, None]
 
 
-def ic_eval(ic: InitialCondition, x):
-    """Initial-condition values at points x, shape (m,)."""
-    return ic.eval(x)
-
-
 @dataclass
 class FieldHistory:
     """Stored snapshots of the simulated field at the sampling instants."""

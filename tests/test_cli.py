@@ -3,15 +3,16 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from waveinform.cli import main
-from waveinform.experiments import (ExperimentConfig, case_theta, cmd_errors, cmd_fit,
-                                    cmd_pointsource_scan, cmd_reconstruct,
-                                    cmd_simulate, cmd_verify, case_theta,
+from waveinform.experiments import (DEFAULT_SIM, ExperimentConfig, case_theta,
+                                    cmd_errors, cmd_fit, cmd_pointsource_scan,
+                                    cmd_reconstruct, cmd_simulate, cmd_verify,
                                     theta_from_json, theta_to_json)
 from waveinform.fields import ScalarField3D
 from waveinform.sim import SensorDataset, SimConfig
@@ -71,8 +72,6 @@ def test_fit_passthrough_and_trace(coarse_config, simulated, tmp_path):
 
 
 def test_fit_multistart_writes_trace(coarse_config, simulated, tmp_path):
-    from dataclasses import replace
-
     _, _, dataset = simulated
     cfg = replace(coarse_config, fit_n_mult=2, fit_max_evals=40)
     best, trace = cmd_fit(cfg, dataset.subset(2), str(tmp_path))
@@ -211,6 +210,7 @@ def test_reconstruction_at_sensors_consistency():
     # conditioning floor (~2e-4 here), so the draw comes from the prior.
     from waveinform.kernels import WaveKernel
     from waveinform import fast, gp
+    from waveinform.linalg import assemble_covariance
 
     rng = np.random.default_rng(9)
     theta = case_theta(1)
@@ -220,7 +220,7 @@ def test_reconstruction_at_sensors_consistency():
     x = np.repeat(sensors, 15, axis=0)
     t = np.tile(times, 6)
     active = kern.diag(x, t) > 0
-    kmat = gp.assemble_covariance(kern, x[active], t[active])
+    kmat = assemble_covariance(kern, x[active], t[active])
     chol = np.linalg.cholesky(kmat + 1e-12 * np.eye(active.sum()))
     y = np.zeros(len(t))
     y[active] = chol @ rng.standard_normal(active.sum())
@@ -283,6 +283,12 @@ def test_config_json_refuses_unknown_keys():
         ExperimentConfig.from_json(
             '{"sim": {"L": 1.0, "dx": 0.05, "dt": 0.01, "c": 0.5, "T": 1.0,'
             ' "dxx": 0.1}}')
+
+
+def test_config_json_fills_a_partial_sim_block():
+    cfg = ExperimentConfig.from_json('{"sim": {"dx": 0.05}}')
+    assert cfg.sim == replace(DEFAULT_SIM, dx=0.05)
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_refuses_unknown_test_case():

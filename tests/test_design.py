@@ -5,7 +5,15 @@ import pytest
 
 from waveinform.design import (HyperBox, lhs_design, minimize_box,
                                multistart_fit, nll_objective)
+from waveinform.exceptions import KernelEvaluationError, SingularCovarianceError
 from waveinform.kernels import HyperParams
+
+
+class FakeDataset:
+    def points(self):
+        return np.zeros((1, 3)), np.zeros(1)
+
+    values = np.zeros(1)
 
 
 def test_lhs_marginal_strata():
@@ -73,18 +81,26 @@ def test_minimize_box_nonfinite_start_raises():
         minimize_box(lambda x: float("nan"), box, [0.5])
 
 
+def test_minimize_box_counts_every_objective_call():
+    box = HyperBox(lower=[0.0, 0.2, 1e-8], upper=[1.0, 0.8, 1e-2])
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return float(((x - 0.3)**2).sum())
+
+    start = np.array([0.4, 0.5, 3e-3])
+    _, _, evals = minimize_box(objective, box, start, max_evals=12)
+    assert evals == len(calls) == 12
+    assert np.allclose(calls[0], start, rtol=1e-12, atol=1e-15)
+
+
 def test_multistart_surrogate_quadratic():
     box = HyperBox(lower=[0.0] * 3, upper=[1.0] * 3)
     target = np.array([0.31, 0.62, 0.48])
 
     def objective(vec):
         return float(((vec - target)**2).sum())
-
-    class FakeDataset:
-        def points(self):
-            return np.zeros((1, 3)), np.zeros(1)
-
-        values = np.zeros(1)
 
     best, trace = multistart_fit(FakeDataset(), ("u",), box, n_mult=6, seed=3,
                                  tol=1e-8, max_evals=800, objective=objective)
@@ -95,17 +111,39 @@ def test_multistart_surrogate_quadratic():
     assert np.all(np.diff(running) <= 0.0)
 
 
+@pytest.mark.parametrize("error", [SingularCovarianceError,
+                                   KernelEvaluationError])
+def test_multistart_records_a_failed_start(error):
+    box = HyperBox(lower=[0.0] * 2, upper=[1.0] * 2)
+    starts = lhs_design(3, box.lower, box.upper, restarts=10, seed=6)
+
+    def objective(vec):
+        if np.allclose(vec, starts[1]):
+            raise error("injected")
+        return float(((vec - 0.5)**2).sum())
+
+    best, trace = multistart_fit(FakeDataset(), (), box, n_mult=3, seed=6,
+                                 tol=1e-8, max_evals=200, objective=objective)
+    assert [row.start_id for row in trace] == [0, 1, 2]
+    failed = trace[1]
+    assert np.isnan(failed.nll_end) and failed.evals == 0
+    assert np.all(np.isnan(failed.theta_end))
+    assert all(row.evals > 0 for row in (trace[0], trace[2]))
+    assert np.allclose(best, 0.5, atol=1e-3)
+
+    def always(vec):
+        raise error("injected")
+
+    with pytest.raises(RuntimeError, match="all multistart runs failed"):
+        multistart_fit(FakeDataset(), (), box, n_mult=2, seed=6,
+                       objective=always)
+
+
 def test_multistart_single_start_equals_minimize_box():
     box = HyperBox(lower=[0.0] * 2, upper=[1.0] * 2)
 
     def objective(vec):
         return float(((vec - 0.5)**2).sum())
-
-    class FakeDataset:
-        def points(self):
-            return np.zeros((1, 3)), np.zeros(1)
-
-        values = np.zeros(1)
 
     best, trace = multistart_fit(FakeDataset(), (), box, n_mult=1, seed=4,
                                  tol=1e-8, max_evals=400, objective=objective)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from dense_reference import FunctionKernel, dense_nll
 from waveinform import fast, gp
 from waveinform.exceptions import KernelEvaluationError, SingularCovarianceError
-from waveinform.kernels import (FunctionKernel, HyperParams, SourceParams,
-                                WaveKernel, matern52)
+from waveinform.kernels import HyperParams, SourceParams, WaveKernel, matern52
+from waveinform.linalg import assemble_covariance
 
 
 def truncated_params(rng=None, both=True):
@@ -31,7 +32,7 @@ def draw_points(rng, params, n, active=True):
 
 
 def dense_solve(kernel, x, t, y, lam):
-    kmat = gp.assemble_covariance(kernel, x, t) + lam * np.eye(len(t))
+    kmat = assemble_covariance(kernel, x, t) + lam * np.eye(len(t))
     return np.linalg.solve(kmat, y)
 
 
@@ -43,21 +44,21 @@ def draw_conditioned(rng, params, kern, n, cond_max=1e8):
     """
     while True:
         x, t = draw_points(rng, params, n)
-        kmat = gp.assemble_covariance(kern, x, t)
+        kmat = assemble_covariance(kern, x, t)
         if np.linalg.cond(kmat) < cond_max:
             return x, t
 
 
 def test_assemble_constant_kernel():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0)
-    k = gp.assemble_covariance(kern, np.zeros((2, 3)), [0.0, 1.0])
+    k = assemble_covariance(kern, np.zeros((2, 3)), [0.0, 1.0])
     assert np.array_equal(k, np.ones((2, 2)))
 
 
 def test_assemble_single_point_matern():
     kern = FunctionKernel(
         lambda x1, t1, x2, t2: matern52(np.linalg.norm(x1 - x2), 1.0, 3.0))
-    k = gp.assemble_covariance(kern, np.zeros((1, 3)), [0.0])
+    k = assemble_covariance(kern, np.zeros((1, 3)), [0.0])
     assert k.shape == (1, 1) and k[0, 0] == pytest.approx(3.0)
 
 
@@ -67,7 +68,7 @@ def test_assemble_exact_symmetry_truncated_kernel():
     kern = WaveKernel(params)
     x = rng.uniform(0, 1, (10, 3))
     t = rng.uniform(0, 1.4, 10)
-    k = gp.assemble_covariance(kern, x, t)
+    k = assemble_covariance(kern, x, t)
     assert np.array_equal(k, k.T)
     assert np.linalg.eigvalsh(k).min() >= -1e-8 * max(k.diagonal().max(), 1e-30)
 
@@ -79,7 +80,17 @@ def test_assemble_nonfinite_raises_with_pair():
         return 1.0 if np.allclose(x1, x2) and t1 == t2 else 0.5
 
     with pytest.raises(KernelEvaluationError, match="points 1"):
-        gp.assemble_covariance(FunctionKernel(bad), np.zeros((2, 3)), [0.0, 1.0])
+        assemble_covariance(FunctionKernel(bad), np.zeros((2, 3)), [0.0, 1.0])
+
+
+def test_posterior_and_likelihood_refuse_nonfinite_covariance():
+    # finite diagonal (both points active), NaN between them
+    kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0 if t1 == t2 else np.nan)
+    x, t, y = np.zeros((2, 3)), [0.0, 1.0], [1.0, 2.0]
+    with pytest.raises(KernelEvaluationError, match="points 0 and 1"):
+        gp.fit_posterior(kern, x, t, y, 1e-3)
+    with pytest.raises(KernelEvaluationError, match="points 0 and 1"):
+        fast.fast_nll(kern, x, t, y, 1e-3)
 
 
 def test_fit_single_point_scalar():
@@ -95,7 +106,7 @@ def test_interpolation_at_lam_zero():
     x, t = draw_conditioned(rng, params, kern, 6)
     y = rng.normal(size=6)
     model = gp.fit_posterior(kern, x, t, y, 0.0)
-    mean = gp.predict_mean(model, x, t)
+    mean = fast.posterior_mean(model, x, t)
     assert np.abs(mean - y).max() <= 1e-6 * np.abs(y).max()
 
 
@@ -132,8 +143,8 @@ def test_predict_mean_outside_cone_is_zero():
     xq = np.array([[0.99, 0.99, 0.99]])
     tq = np.array([0.02])
     assert kern.diag(xq, tq)[0] == 0.0
-    assert gp.predict_mean(model, xq, tq)[0] == 0.0
-    assert gp.predict_var(model, xq, tq)[0] == 0.0
+    assert fast.posterior_mean(model, xq, tq)[0] == 0.0
+    assert fast.posterior_var(model, xq, tq)[0] == 0.0
 
 
 def test_predict_matches_dense_oracle():
@@ -145,9 +156,9 @@ def test_predict_matches_dense_oracle():
     lam = 1e-4
     model = gp.fit_posterior(kern, x, t, y, lam)
     xq, tq = draw_points(rng, params, 6, active=False)
-    mean = gp.predict_mean(model, xq, tq)
-    var = gp.predict_var(model, xq, tq)
-    kmat = gp.assemble_covariance(kern, x, t) + lam * np.eye(8)
+    mean = fast.posterior_mean(model, xq, tq)
+    var = fast.posterior_var(model, xq, tq)
+    kmat = assemble_covariance(kern, x, t) + lam * np.eye(8)
     cross = kern.pairwise(x, t, xq, tq)
     dmean = cross.T @ np.linalg.solve(kmat, y)
     prior = kern.diag(xq, tq)
@@ -163,19 +174,18 @@ def test_variance_bounds():
     x, t = draw_conditioned(rng, params, kern, 8)
     model = gp.fit_posterior(kern, x, t, rng.normal(size=8), 1e-5)
     xq, tq = draw_points(rng, params, 40, active=False)
-    var = gp.predict_var(model, xq, tq)
+    var = fast.posterior_var(model, xq, tq)
     prior = kern.diag(xq, tq)
     assert np.all(var >= 0.0)
     assert np.all(var <= prior + 1e-10)
     # training variance vanishes for noiseless conditioning
     model0 = gp.fit_posterior(kern, x, t, rng.normal(size=8), 0.0)
-    assert np.abs(gp.predict_var(model0, x, t)).max() <= 1e-8
+    assert np.abs(fast.posterior_var(model0, x, t)).max() <= 1e-8
 
 
 def test_nll_single_point_unit_kernel():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0)
-    val = gp.neg_log_marginal_likelihood(kern, np.zeros((1, 3)), [0.0], [1.0],
-                                         1e-12)
+    val = fast.fast_nll(kern, np.zeros((1, 3)), [0.0], [1.0], 1e-12)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
@@ -185,8 +195,8 @@ def test_nll_zero_data_is_logdet():
     kern = WaveKernel(params)
     x, t = draw_points(rng, params, 5)
     lam = 1e-3
-    val = gp.neg_log_marginal_likelihood(kern, x, t, np.zeros(5), lam)
-    kmat = gp.assemble_covariance(kern, x, t) + lam * np.eye(5)
+    val = fast.fast_nll(kern, x, t, np.zeros(5), lam)
+    kmat = assemble_covariance(kern, x, t) + lam * np.eye(5)
     assert val == pytest.approx(np.linalg.slogdet(kmat)[1], rel=1e-10)
 
 
@@ -201,14 +211,14 @@ def test_nll_null_column_matches_dense_6x6():
     assert kern.diag(x, t)[5] == 0.0
     y = rng.normal(size=6)
     lam = 1e-3
-    assert gp.neg_log_marginal_likelihood(kern, x, t, y, lam) == pytest.approx(
-        gp.dense_nll(kern, x, t, y, lam), rel=1e-10)
+    assert fast.fast_nll(kern, x, t, y, lam) == pytest.approx(
+        dense_nll(kern, x, t, y, lam), rel=1e-10)
 
 
 def test_nll_requires_positive_lam():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0)
     with pytest.raises(ValueError):
-        gp.neg_log_marginal_likelihood(kern, np.zeros((1, 3)), [0.0], [1.0], 0.0)
+        fast.fast_nll(kern, np.zeros((1, 3)), [0.0], [1.0], 0.0)
 
 
 def test_jitter_ladder_exhaustion():

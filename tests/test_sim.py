@@ -5,7 +5,7 @@ import pytest
 
 from waveinform.oracle import SphericalRule, kirchhoff_trace
 from waveinform.sim import (InitialCondition, SensorDataset, SimConfig,
-                            add_noise, ic_eval, run_simulation, sample_sensors)
+                            add_noise, run_simulation, sample_sensors)
 
 COARSE = SimConfig(L=1.0, dx=1.0 / 12.0, dt=1.0 / 60.0, c=0.5, T=1.0)
 
@@ -13,22 +13,22 @@ COARSE = SimConfig(L=1.0, dx=1.0 / 12.0, dt=1.0 / 60.0, c=0.5, T=1.0)
 def test_ic_raised_cosine_values():
     ic = InitialCondition("raised_cosine", x0=[0.65, 0.3, 0.5], radii=(0.25,),
                           amplitude=5.0)
-    center = ic_eval(ic, [[0.65, 0.3, 0.5]])[0]
+    center = ic.eval([[0.65, 0.3, 0.5]])[0]
     assert center == pytest.approx(10.0)  # 2A at the center
-    edge = ic_eval(ic, [[0.65 + 0.25, 0.3, 0.5]])[0]
+    edge = ic.eval([[0.65 + 0.25, 0.3, 0.5]])[0]
     assert edge == pytest.approx(0.0, abs=1e-12)
-    outside = ic_eval(ic, [[0.65 + 0.3, 0.3, 0.5]])[0]
+    outside = ic.eval([[0.65 + 0.3, 0.3, 0.5]])[0]
     assert outside == 0.0
 
 
 def test_ic_ring_cosine_values():
     ic = InitialCondition("ring_cosine", x0=[0.3, 0.6, 0.7],
                           radii=(0.05, 0.15), amplitude=50.0)
-    mid = ic_eval(ic, [[0.3 + 0.1, 0.6, 0.7]])[0]
+    mid = ic.eval([[0.3 + 0.1, 0.6, 0.7]])[0]
     assert mid == pytest.approx(100.0)  # 2A at the ring middle
-    assert ic_eval(ic, [[0.3 + 0.05, 0.6, 0.7]])[0] == pytest.approx(0.0,
-                                                                     abs=1e-12)
-    assert ic_eval(ic, [[0.3, 0.6, 0.7]])[0] == 0.0
+    assert ic.eval([[0.3 + 0.05, 0.6, 0.7]])[0] == pytest.approx(0.0,
+                                                                  abs=1e-12)
+    assert ic.eval([[0.3, 0.6, 0.7]])[0] == 0.0
 
 
 def test_ic_gradient_matches_finite_differences():
