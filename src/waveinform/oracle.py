@@ -4,7 +4,10 @@ Spherical product quadrature of the shell-measure integral forms, exact
 spherical means for radial functions, the Kirchhoff solution formula, grid
 Lp norms/errors, and a finite-difference d'Alembertian residual checker.
 These are deliberately independent evaluation paths: they never reuse the
-characteristic-radii closed forms they are used to validate.
+characteristic-radii closed forms they are used to validate.  For the
+radial Matern bases the quadrature's double sum over node pairs is taken
+exactly by sorting (``sorted_matern_sum``); the rule and its nodes are the
+same for every base.
 """
 
 from __future__ import annotations
@@ -13,11 +16,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .exceptions import KernelEvaluationError
 from .fields import ScalarField3D
 from .kernels import (RADIUS_CLAMP, matern52, matern52_d1, matern52_d2,
                       stationary_gaussian_wave)
+
+# Rows per block of the dense quadrature double sum.
+QUAD_CHUNK = 256
+# Largest spread of the radial scalar over rho (both node sets) for which
+# the radial Matern bases take the sorted sum.  Its binomial expansion
+# cancels about spread^2 eps relative (1.2e-9 at a spread of 300); the
+# criterion-1 pair rule reaches about 38.  Wider spreads take the dense sum.
+SORTED_SPREAD_MAX = 64.0
 
 
 @dataclass(frozen=True)
@@ -56,8 +68,7 @@ class SpatialBaseKernel:
 
     Subclasses provide ``value`` and either analytic directional derivatives
     or inherit the central-difference defaults.  ``terms`` bundles the four
-    quantities needed by the time-derivative shell quadrature; subclasses may
-    override it with a fused evaluation.
+    quantities needed by the time-derivative shell quadrature.
     """
 
     def value(self, y1, y2):
@@ -111,7 +122,67 @@ class NumericalBase(SpatialBaseKernel):
         return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
-class MaternSquaredBase(SpatialBaseKernel):
+def matern52_profile(rho, sigma2, order=0):
+    """The ``order``-th derivative of :func:`matern52` as ``(p, parity)``.
+
+    g(d) = exp(-d/rho) p(d/rho) for d >= 0 and g(-d) = parity g(d), with p
+    as ascending coefficients.  p keeps degree 2 at every order, since
+    d/dd [exp(-x) p(x)] = exp(-x) (p'(x) - p(x)) / rho with x = d/rho.
+    """
+    p = sigma2 * np.array([1.0, 1.0, 1.0 / 3.0])
+    parity = 1.0
+    for _ in range(order):
+        p = (np.append(P.polyder(p), 0.0) - p) / rho
+        parity = -parity
+    return p, parity
+
+
+class _RadialMatern(SpatialBaseKernel):
+    """Base kernel g(s(y) - s(y')) of one radial scalar s about ``center``.
+
+    g is a signed derivative of :func:`matern52`.  Subclasses give
+    ``radial`` (s at each node) and ``radial_slope`` ((grad s) . d at each
+    node), and may override ``_derivative``.  The dense contractions use
+    the closed derivatives of ``kernels``; ``profile`` gives the same
+    derivatives as :func:`matern52_profile` coefficients, with which the
+    shell quadratures take the sorted sum in place of the dense one.
+    """
+
+    def __init__(self, center, rho, sigma2):
+        self.center = np.asarray(center, dtype=float).reshape(3)
+        self.rho = float(rho)
+        self.sigma2 = float(sigma2)
+
+    def _derivative(self, order):
+        """(sign, k): the order-th derivative of g is sign times m52's k-th."""
+        return 1.0, order
+
+    def profile(self, order):
+        sign, k = self._derivative(order)
+        p, parity = matern52_profile(self.rho, self.sigma2, k)
+        return sign * p, parity
+
+    def _dense(self, order, y1, y2):
+        sign, k = self._derivative(order)
+        delta = self.radial(y1)[:, None] - self.radial(y2)[None, :]
+        return sign * (matern52, matern52_d1, matern52_d2)[k](delta, self.rho,
+                                                              self.sigma2)
+
+    def value(self, y1, y2):
+        return self._dense(0, y1, y2)
+
+    def grad1_dot(self, y1, y2, d1):
+        return self.radial_slope(y1, d1)[:, None] * self._dense(1, y1, y2)
+
+    def grad2_dot(self, y1, y2, d2):
+        return -self._dense(1, y1, y2) * self.radial_slope(y2, d2)[None, :]
+
+    def cross_dot(self, y1, y2, d1, d2):
+        return (-np.outer(self.radial_slope(y1, d1), self.radial_slope(y2, d2))
+                * self._dense(2, y1, y2))
+
+
+class MaternSquaredBase(_RadialMatern):
     """Radial base kernel k(y, y') = g(|y-x0|^2 - |y'-x0|^2).
 
     ``deriv_order=0`` uses the Matern-5/2 profile itself; ``deriv_order=2``
@@ -120,126 +191,37 @@ class MaternSquaredBase(SpatialBaseKernel):
     """
 
     def __init__(self, center, rho, sigma2, deriv_order=0):
-        self.center = np.asarray(center, dtype=float).reshape(3)
-        self.rho = float(rho)
-        self.sigma2 = float(sigma2)
+        super().__init__(center, rho, sigma2)
         if deriv_order not in (0, 2):
             raise ValueError("deriv_order must be 0 or 2")
         self.deriv_order = deriv_order
 
-    def _sq_radii(self, y):
+    def radial(self, y):
         d = y - self.center
         return np.einsum("ij,ij->i", d, d)
 
-    def value(self, y1, y2):
-        delta = self._sq_radii(y1)[:, None] - self._sq_radii(y2)[None, :]
+    def radial_slope(self, y, d):
+        return 2.0 * np.einsum("ij,ij->i", y - self.center, d)
+
+    def _derivative(self, order):
         if self.deriv_order == 0:
-            return matern52(delta, self.rho, self.sigma2)
-        return -matern52_d2(delta, self.rho, self.sigma2)
-
-    def grad1_dot(self, y1, y2, d1):
-        v, g1, _, _ = self.terms(y1, y2, d1, np.zeros_like(y2))
-        return g1
-
-    def grad2_dot(self, y1, y2, d2):
-        v, _, g2, _ = self.terms(y1, y2, np.zeros_like(y1), d2)
-        return g2
-
-    def cross_dot(self, y1, y2, d1, d2):
-        return self.terms(y1, y2, d1, d2)[3]
-
-    def terms(self, y1, y2, d1, d2):
-        if self.deriv_order != 0:
+            return 1.0, order
+        if order != 0:
             raise NotImplementedError("derivative terms only for the plain profile")
-        rho, s2 = self.rho, self.sigma2
-        u1 = self._sq_radii(y1)
-        u2 = self._sq_radii(y2)
-        a1 = np.einsum("ij,ij->i", y1 - self.center, d1)
-        b2 = np.einsum("ij,ij->i", y2 - self.center, d2)
-        delta = u1[:, None] - u2[None, :]
-        a = np.abs(delta) / rho
-        e = np.exp(-a)
-        g = s2 * (1.0 + a * (1.0 + a / 3.0)) * e
-        dg = -s2 * delta * (1.0 + a) * e / (3.0 * rho**2)
-        d2g = -s2 * (1.0 + a - a * a) * e / (3.0 * rho**2)
-        g1 = 2.0 * a1[:, None] * dg
-        g2 = -2.0 * dg * b2[None, :]
-        g12 = -4.0 * d2g * a1[:, None] * b2[None, :]
-        return g, g1, g2, g12
-
-    def shell_integrand(self, y1, y2, d1, d2, ct, ctp):
-        # Fused form: the gradient/Hessian contractions reduce to row factor
-        # P = -2 ct (y1-x0).d1 and column factor Q = 2 ctp (y2-x0).d2 via
-        # integrand = g + (P+Q) g' + P Q g''.
-        if self.deriv_order != 0:
-            raise NotImplementedError("derivative terms only for the plain profile")
-        rho, s2 = self.rho, self.sigma2
-        pref = s2 / (3.0 * rho**2)
-        p = (-2.0 * ct) * np.einsum("ij,ij->i", y1 - self.center, d1)
-        q = (2.0 * ctp) * np.einsum("ij,ij->i", y2 - self.center, d2)
-        delta = self._sq_radii(y1)[:, None] - self._sq_radii(y2)[None, :]
-        a = np.abs(delta) / rho
-        one_a = 1.0 + a
-        out = s2 * (one_a + a * a / 3.0)
-        out -= pref * (p[:, None] + q[None, :]) * delta * one_a
-        out -= pref * np.outer(p, q) * (one_a - a * a)
-        out *= np.exp(-a)
-        return out
+        return -1.0, 2
 
 
-class MaternRadiusBase(SpatialBaseKernel):
+class MaternRadiusBase(_RadialMatern):
     """Radial base kernel k(y, y') = m52(|y-x0| - |y'-x0|).
 
     The plain radial Matern prior of the position component.
     """
 
-    def __init__(self, center, rho, sigma2):
-        self.center = np.asarray(center, dtype=float).reshape(3)
-        self.rho = float(rho)
-        self.sigma2 = float(sigma2)
-
-    def _radii(self, y):
+    def radial(self, y):
         return np.maximum(np.linalg.norm(y - self.center, axis=1), RADIUS_CLAMP)
 
-    def value(self, y1, y2):
-        delta = self._radii(y1)[:, None] - self._radii(y2)[None, :]
-        return matern52(delta, self.rho, self.sigma2)
-
-    def grad1_dot(self, y1, y2, d1):
-        r1 = self._radii(y1)
-        ahat = np.einsum("ij,ij->i", y1 - self.center, d1) / r1
-        delta = r1[:, None] - self._radii(y2)[None, :]
-        return ahat[:, None] * matern52_d1(delta, self.rho, self.sigma2)
-
-    def grad2_dot(self, y1, y2, d2):
-        r2 = self._radii(y2)
-        bhat = np.einsum("ij,ij->i", y2 - self.center, d2) / r2
-        delta = self._radii(y1)[:, None] - r2[None, :]
-        return -matern52_d1(delta, self.rho, self.sigma2) * bhat[None, :]
-
-    def cross_dot(self, y1, y2, d1, d2):
-        r1, r2 = self._radii(y1), self._radii(y2)
-        ahat = np.einsum("ij,ij->i", y1 - self.center, d1) / r1
-        bhat = np.einsum("ij,ij->i", y2 - self.center, d2) / r2
-        delta = r1[:, None] - r2[None, :]
-        return -np.outer(ahat, bhat) * matern52_d2(delta, self.rho, self.sigma2)
-
-    def shell_integrand(self, y1, y2, d1, d2, ct, ctp):
-        # Same fused structure as the squared-radius base with row factor
-        # P = -ct (y1-x0).d1/r1 and column factor Q = ctp (y2-x0).d2/r2.
-        rho, s2 = self.rho, self.sigma2
-        r1, r2 = self._radii(y1), self._radii(y2)
-        p = (-ct) * np.einsum("ij,ij->i", y1 - self.center, d1) / r1
-        q = ctp * np.einsum("ij,ij->i", y2 - self.center, d2) / r2
-        delta = r1[:, None] - r2[None, :]
-        a = np.abs(delta) / rho
-        one_a = 1.0 + a
-        pref = s2 / (3.0 * rho**2)
-        out = s2 * (one_a + a * a / 3.0)
-        out -= pref * (p[:, None] + q[None, :]) * delta * one_a
-        out -= pref * np.outer(p, q) * (one_a - a * a)
-        out *= np.exp(-a)
-        return out
+    def radial_slope(self, y, d):
+        return np.einsum("ij,ij->i", y - self.center, d) / self.radial(y)
 
 
 class StationaryGaussianBase(SpatialBaseKernel):
@@ -261,30 +243,107 @@ def _unpack(z):
     return np.asarray(x, dtype=float).reshape(3), float(t)
 
 
-def kv_wave_quadrature(base, z, zp, c, rule, chunk=256):
+def _binomial_rows(p, x, moments):
+    """Rows sum_j v_j e_j p(x_i - x'_j) from moments[i, m] = sum_j v_j e_j x'_j^m.
+
+    Expands (x - x')^k binomially: the coefficient of (-x')^m is the m-th
+    Taylor coefficient of p at x.
+    """
+    out = np.zeros_like(x)
+    for m in range(p.size):
+        taylor = [math.comb(k, m) * p[k] for k in range(m, p.size)]
+        out += (-1.0) ** m * P.polyval(x, taylor) * moments[:, m]
+    return out
+
+
+def sorted_matern_sum(s1, s2, rho, terms):
+    """Sum of u_i v_j g(s1_i - s2_j) over i, j and each (u, v, g) in ``terms``.
+
+    Each g is a Matern-5/2 profile ``(p, parity)`` of :func:`matern52_profile`:
+    exp(-|x|) times a polynomial in x = (s1_i - s2_j)/rho, one for x >= 0
+    and its parity image for x < 0.  With s2 sorted, the x >= 0 pairs of
+    each i are a prefix, where exp(-x) = exp(hi - x1) exp(x2 - hi) splits
+    into a row and a column factor; the x < 0 pairs are the suffix, split
+    at lo.  Prefix and suffix sums of v exp(+-x2) x2^m, m <= 2, then give
+    every row exactly in O((n + m) log m) instead of the O(n m) double sum.
+    The row factors reach exp(spread), spread = (max - min of s1, s2)/rho,
+    and the binomial expansion cancels about spread^2 eps, so callers
+    bound the spread (``SORTED_SPREAD_MAX``).
+    """
+    mid = 0.5 * (min(s1.min(), s2.min()) + max(s1.max(), s2.max()))
+    order = np.argsort(s2, kind="stable")
+    x1 = (s1 - mid) / rho
+    x2 = (s2[order] - mid) / rho
+    lo, hi = x2[0], x2[-1]
+    split = np.searchsorted(x2, x1, side="right")   # x2[:split] <= x1
+    powers = x2[:, None] ** np.arange(3)
+    below = powers * np.exp(x2 - hi)[:, None]
+    above = powers * np.exp(lo - x2)[:, None]
+    row_below = np.exp(hi - x1)
+    row_above = np.exp(x1 - lo)
+    prefix = np.zeros((x2.size + 1, 3))
+    suffix = np.zeros((x2.size + 1, 3))
+    total = 0.0
+    for u, v, (p, parity) in terms:
+        v = v[order, None]
+        np.cumsum(v * below, axis=0, out=prefix[1:])
+        suffix[:-1] = np.cumsum((v * above)[::-1], axis=0)[::-1]
+        q = parity * p * (-1.0) ** np.arange(p.size)   # g(x) = exp(x) q(x), x < 0
+        rows = (row_below * _binomial_rows(p, x1, prefix[split])
+                + row_above * _binomial_rows(q, x1, suffix[split]))
+        total += u @ rows
+    return total
+
+
+def _sortable_radii(base, y1, y2):
+    """The radial scalars of both node sets, or None for the dense sum."""
+    if not isinstance(base, _RadialMatern):
+        return None
+    s1, s2 = base.radial(y1), base.radial(y2)
+    spread = max(s1.max(), s2.max()) - min(s1.min(), s2.min())
+    if spread > SORTED_SPREAD_MAX * base.rho:
+        return None
+    return s1, s2
+
+
+def _dense_sum(block, w):
+    """w^T K w, with K's rows from ``block(rows)`` in QUAD_CHUNK blocks."""
+    acc = 0.0
+    for lo in range(0, w.size, QUAD_CHUNK):
+        sl = slice(lo, lo + QUAD_CHUNK)
+        acc += w[sl] @ (block(sl) @ w)
+    return acc
+
+
+def kv_wave_quadrature(base, z, zp, c, rule):
     """Double spherical quadrature of the shell-measure convolution.
 
     t t' * sum_{g,g'} w w' k(x - c|t| g, x' - c|t'| g'); the independent
-    reference for the speed-component closed form.
+    reference for the speed-component closed form.  A radial Matern base
+    takes :func:`sorted_matern_sum`, any other base the dense sum.
     """
     x, t = _unpack(z)
     xp, tp = _unpack(zp)
     y1 = x[None, :] - c * abs(t) * rule.nodes
     y2 = xp[None, :] - c * abs(tp) * rule.nodes
     w = rule.weights
-    acc = 0.0
-    for lo in range(0, rule.size, chunk):
-        sl = slice(lo, lo + chunk)
-        acc += w[sl] @ (base.value(y1[sl], y2) @ w)
+    radii = _sortable_radii(base, y1, y2)
+    if radii is not None:
+        acc = sorted_matern_sum(*radii, base.rho, [(w, w, base.profile(0))])
+    else:
+        acc = _dense_sum(lambda sl: base.value(y1[sl], y2), w)
     return t * tp * acc
 
 
-def ku_wave_quadrature(base, z, zp, c, rule, chunk=256):
+def ku_wave_quadrature(base, z, zp, c, rule):
     """Double spherical quadrature of the differentiated-shell convolution.
 
     Integrand: k - c|t| (grad1 k . g) - c|t'| (grad2 k . g')
     + c^2 |t||t'| g^T (grad1 grad2 k) g'; the independent reference for the
-    position-component closed form.
+    position-component closed form.  For a radial Matern base it is
+    g + (P + Q) g' + P Q g'' in the radial increment, with row factor
+    P = -c|t| (grad s . g) and column factor Q = c|t'| (grad s . g'): four
+    sorted sums.  Any other base takes the dense sum.
     """
     x, t = _unpack(z)
     xp, tp = _unpack(zp)
@@ -292,13 +351,15 @@ def ku_wave_quadrature(base, z, zp, c, rule, chunk=256):
     y1 = x[None, :] - ct * rule.nodes
     y2 = xp[None, :] - ctp * rule.nodes
     w = rule.weights
-    acc = 0.0
-    for lo in range(0, rule.size, chunk):
-        sl = slice(lo, lo + chunk)
-        integrand = base.shell_integrand(y1[sl], y2, rule.nodes[sl], rule.nodes,
-                                         ct, ctp)
-        acc += w[sl] @ (integrand @ w)
-    return acc
+    radii = _sortable_radii(base, y1, y2)
+    if radii is None:
+        return _dense_sum(lambda sl: base.shell_integrand(
+            y1[sl], y2, rule.nodes[sl], rule.nodes, ct, ctp), w)
+    g, g1, g2 = (base.profile(k) for k in range(3))
+    wp = -ct * base.radial_slope(y1, rule.nodes) * w
+    wq = ctp * base.radial_slope(y2, rule.nodes) * w
+    return sorted_matern_sum(*radii, base.rho,
+                             [(w, w, g), (wp, w, g1), (w, wq, g1), (wp, wq, g2)])
 
 
 def spherical_mean_radial(antideriv, x, t, c):

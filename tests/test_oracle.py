@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from waveinform import oracle
 from waveinform.fields import ScalarField3D
 from waveinform.kernels import SourceParams, ku_wave_radial, kv_wave_radial
 from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
-                               NumericalBase, SphericalRule,
-                               StationaryGaussianBase,
+                               NumericalBase, SpatialBaseKernel,
+                               SphericalRule, StationaryGaussianBase,
                                calibrate_gaussian_prefactor,
                                dalembert_residuals, is_smooth_point,
                                kirchhoff_eval, ku_wave_quadrature,
@@ -114,6 +115,127 @@ def test_quadrature_order_convergence():
             for order in (8, 16, 32)]
     assert errs[1] <= errs[0] / 4.0 or errs[1] < 1e-12
     assert errs[2] <= errs[1] / 4.0 or errs[2] < 1e-12
+
+
+def _dense_kv(base, z, zp, c, rule):
+    """kv by the full double sum of base.value; also the sum of |terms|."""
+    (x, t), (xp, tp) = z, zp
+    y1 = np.asarray(x)[None, :] - c * abs(t) * rule.nodes
+    y2 = np.asarray(xp)[None, :] - c * abs(tp) * rule.nodes
+    kmat = t * tp * base.value(y1, y2)
+    w = rule.weights
+    return w @ kmat @ w, w @ np.abs(kmat) @ w
+
+
+def _dense_ku(base, z, zp, c, rule):
+    """ku by the full double sum of the generic ``terms`` contraction."""
+    (x, t), (xp, tp) = z, zp
+    ct, ctp = c * abs(t), c * abs(tp)
+    y1 = np.asarray(x)[None, :] - ct * rule.nodes
+    y2 = np.asarray(xp)[None, :] - ctp * rule.nodes
+    kmat = SpatialBaseKernel.shell_integrand(base, y1, y2, rule.nodes,
+                                             rule.nodes, ct, ctp)
+    w = rule.weights
+    return w @ kmat @ w, w @ np.abs(kmat) @ w
+
+
+def _matern_cases(x0, rho, sigma2):
+    """(quadrature, base, dense reference) for every supported combination."""
+    return [(kv_wave_quadrature, MaternSquaredBase(x0, rho, sigma2, 2), _dense_kv),
+            (kv_wave_quadrature, MaternSquaredBase(x0, rho, sigma2), _dense_kv),
+            (kv_wave_quadrature, MaternRadiusBase(x0, rho, sigma2), _dense_kv),
+            (ku_wave_quadrature, MaternSquaredBase(x0, rho, sigma2), _dense_ku),
+            (ku_wave_quadrature, MaternRadiusBase(x0, rho, sigma2), _dense_ku)]
+
+
+def _assert_sorted_matches_dense(x0, rho, sigma2, z, zp, c, rule):
+    # the binomial expansion cancels about spread^2 eps <= 64^2 eps ~ 1e-12
+    # of the sum of |terms|; 4e-12 leaves room for the summation order
+    for quad, base, dense in _matern_cases(x0, rho, sigma2):
+        with np.errstate(over="raise", invalid="raise"):
+            got = quad(base, z, zp, c, rule)
+        ref, scale = dense(base, z, zp, c, rule)
+        assert abs(got - ref) <= 4e-12 * scale, (quad.__name__, type(base))
+
+
+@pytest.fixture
+def no_dense_sum(monkeypatch):
+    def refuse(block, w):
+        raise AssertionError("dense sum taken")
+    monkeypatch.setattr(oracle, "_dense_sum", refuse)
+
+
+@pytest.mark.parametrize("order", [8, 16, 24])
+def test_sorted_sum_matches_dense_random_pairs(order, no_dense_sum):
+    rng = np.random.default_rng(order)
+    rule = SphericalRule.product(order)
+    for _ in range(10):
+        c = rng.uniform(0.3, 0.8)
+        x0 = rng.uniform(0.2, 0.8, 3)
+        rho, sigma2 = rng.uniform(0.1, 0.8), rng.uniform(0.5, 4.0)
+        z = (x0 + rng.normal(size=3) * 0.3, rng.uniform(-1.3, 1.3))
+        zp = (x0 + rng.normal(size=3) * 0.3, rng.uniform(0.05, 1.3))
+        _assert_sorted_matches_dense(x0, rho, sigma2, z, zp, c, rule)
+
+
+def test_sorted_sum_ties_centre_and_time_zero(no_dense_sum):
+    rule = SphericalRule.product(16)
+    x0 = np.array([0.4, 0.5, 0.6])
+    x = x0 + np.array([0.2, -0.1, 0.05])
+    c, rho, sigma2 = 0.6, 0.3, 1.7
+    cases = [((x, 0.0), (x, 0.0)),                 # t = t' = 0 at one point
+             ((x0, 0.7), (x0, 0.7)),               # both at the centre: all ties
+             ((x0, 0.0), (x0, 1e-5)),              # every radius clamped equal
+             ((x, 0.0), (x0 + 0.25, 0.9)),         # t = 0 for ku
+             ((x0 + 0.1, 0.4), (x, 0.0))]
+    for z, zp in cases:
+        _assert_sorted_matches_dense(x0, rho, sigma2, z, zp, c, rule)
+    # t = t' = 0 at one point: ku is the base value there, kv vanishes
+    got = ku_wave_quadrature(MaternRadiusBase(x0, rho, sigma2), (x, 0.0),
+                             (x, 0.0), c, rule)
+    assert got == pytest.approx(sigma2, rel=1e-14)
+    assert kv_wave_quadrature(MaternSquaredBase(x0, rho, sigma2, 2), (x, 0.0),
+                              (x, 0.0), c, rule) == 0.0
+
+
+@pytest.mark.parametrize("factor, sorted_taken", [(1.001, True), (0.999, False)])
+def test_sorted_sum_spread_bound(factor, sorted_taken, monkeypatch):
+    # rho just above / just below the one at which the radial spread over
+    # both node sets reaches SORTED_SPREAD_MAX
+    rule = SphericalRule.product(16)
+    x0 = np.array([0.5, 0.5, 0.5])
+    c = 0.5
+    z = (x0 + np.array([0.3, 0.1, -0.2]), 0.8)
+    zp = (x0 + np.array([-0.1, 0.25, 0.15]), 0.5)
+    y1 = z[0][None, :] - c * z[1] * rule.nodes
+    y2 = zp[0][None, :] - c * zp[1] * rule.nodes
+    calls = []
+    real = oracle.sorted_matern_sum
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "sorted_matern_sum", counting)
+    for quad, base, dense in _matern_cases(x0, 1.0, 2.0):
+        s = np.concatenate([base.radial(y1), base.radial(y2)])
+        base.rho = factor * (s.max() - s.min()) / oracle.SORTED_SPREAD_MAX
+        del calls[:]
+        with np.errstate(over="raise", invalid="raise"):
+            got = quad(base, z, zp, c, rule)
+        ref, scale = dense(base, z, zp, c, rule)
+        assert abs(got - ref) <= 4e-12 * scale
+        assert bool(calls) == sorted_taken
+
+
+def test_ku_quadrature_refuses_derivative_profile():
+    # ku needs g' and g''; the deriv_order=2 base has neither, on both paths
+    rule = SphericalRule.product(8)
+    x0 = np.array([0.5, 0.5, 0.5])
+    z, zp = (x0 + 0.2, 0.6), (x0 - 0.1, 0.4)
+    for rho in (0.3, 1e-4):   # sorted, then dense (spread above the bound)
+        with pytest.raises(NotImplementedError):
+            ku_wave_quadrature(MaternSquaredBase(x0, rho, 1.0, 2), z, zp, 0.5, rule)
 
 
 def test_numerical_base_matches_analytic_terms():
