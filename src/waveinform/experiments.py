@@ -453,7 +453,7 @@ def _verify_lp_stability():
     extent = 0.3 + 0.5 * t + 0.1
     n = int(2 * extent / 0.02) + 1
     grid = ScalarField3D.zeros([-extent] * 3, 2 * extent / (n - 1), (n, n, n))
-    rep = lp_stability_check(u0, v0, 0.5, t, 2, grid)
+    [rep] = lp_stability_check(u0, v0, 0.5, t, (2,), grid)
     ratio = max(rep["v_lhs"] / max(rep["v_rhs"], 1e-300),
                 rep["u_lhs"] / max(rep["u_rhs"], 1e-300))
     return {"name": "lp_stability", "measured": ratio, "tolerance": 1.02,

@@ -9,6 +9,12 @@ active-set detection, the analytic light-cone membership predicate, the
 reduced likelihood and Kriging formulas, and the rank-one point-source
 likelihood machinery (Sherman-Morrison closed form and its small-lambda /
 dense-time limits).
+
+The Kriging mean is linear in the kernel, so it is taken one kernel part at
+a time.  A wave-kernel component sees a query only through
+(|x - x0|, t) about its own center: on a grid at one time its mean is a
+function of the radius, evaluated once per distinct radius and scattered
+back to the grid.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import HyperParams, smooth_cutoff
+from .kernels import HyperParams, WaveKernel, smooth_cutoff
 from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
                      logdet_from_chol)
 
@@ -104,22 +110,83 @@ def fast_nll(kernel, x, t, y, lam):
     return total
 
 
-def posterior_mean(model, x, t):
-    """Kriging mean k(X_in, z)^T alpha with light-cone pruning.
+class _QueryPart:
+    """Any kernel object as one part that sees a query through itself."""
 
-    Queries with zero kernel diagonal are never evaluated against the
-    training set and return an exact 0.
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def key(self, x, t):
+        return np.column_stack([x, t])
+
+    def diag(self, key):
+        return self.kernel.diag(key[:, :3], key[:, 3])
+
+    def cross(self, x_in, t_in, key):
+        return self.kernel.pairwise(x_in, t_in, key[:, :3], key[:, 3])
+
+
+class _RadialPart:
+    """One WaveKernel component, which sees a query through (|x - x0|, t)."""
+
+    def __init__(self, kernel, comp):
+        self.kernel = kernel
+        self.comp = comp
+        self.x0 = getattr(kernel.params, comp).x0
+
+    def key(self, x, t):
+        return np.column_stack([np.linalg.norm(x - self.x0, axis=1), t])
+
+    def diag(self, key):
+        return self.kernel.radial(self.comp, key[:, 0], key[:, 1])
+
+    def cross(self, x_in, t_in, key):
+        r_in = np.linalg.norm(x_in - self.x0, axis=1)
+        return self.kernel.radial(self.comp, r_in, t_in, key[:, 0], key[:, 1])
+
+
+def _kernel_parts(kernel):
+    if isinstance(kernel, WaveKernel):
+        return [_RadialPart(kernel, comp) for comp in kernel.params.components]
+    return [_QueryPart(kernel)]
+
+
+def _distinct_rows(key):
+    """Index of the first of each bitwise-distinct row, and the inverse map."""
+    key = np.ascontiguousarray(key)
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))
+    _, first, inverse = np.unique(rows.ravel(), return_index=True,
+                                  return_inverse=True)
+    return first, inverse
+
+
+def posterior_mean(model, x, t):
+    """Kriging mean k(X_in, z)^T alpha, one kernel part at a time.
+
+    The kernel is a sum of parts, each of which sees a query only through a
+    key: a WaveKernel component through (|x - x0|, t) about its own center,
+    any other kernel object through the query itself.  Each part is
+    evaluated once per bitwise-distinct key, so on a grid at one time a
+    component costs one column per distinct radius.  Keys with a zero part
+    diagonal are never evaluated against the training set; queries outside
+    every part's support return an exact 0.
     """
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.zeros(t.shape)
     if model.active_count == 0:
         return out
-    live = np.flatnonzero(np.asarray(model.kernel.diag(x, t)) > 0.0)
-    for lo in range(0, live.size, MEAN_CHUNK):
-        sel = live[lo: lo + MEAN_CHUNK]
-        cross = model.kernel.pairwise(model.x_in, model.t_in, x[sel], t[sel])
-        out[sel] = cross.T @ model.alpha
+    for part in _kernel_parts(model.kernel):
+        key = part.key(x, t)
+        first, inverse = _distinct_rows(key)
+        key = key[first]
+        g = np.zeros(first.size)
+        live = np.flatnonzero(np.asarray(part.diag(key)) > 0.0)
+        for lo in range(0, live.size, MEAN_CHUNK):
+            sel = live[lo: lo + MEAN_CHUNK]
+            cross = part.cross(model.x_in, model.t_in, key[sel])
+            g[sel] = cross.T @ model.alpha
+        out += g[inverse]
     return out
 
 

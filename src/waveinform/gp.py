@@ -45,10 +45,6 @@ class PosteriorModel:
     def active_count(self):
         return self.active_set.p
 
-    @property
-    def hyperparams(self):
-        return getattr(self.kernel, "params", None)
-
 
 def fit_posterior(kernel, x, t, y, lam):
     """Condition a zero-mean GP prior on observations.

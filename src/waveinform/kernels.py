@@ -34,7 +34,7 @@ positions with shape (n, 3) and times with shape (n,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import math
 
@@ -185,9 +185,6 @@ class HyperParams:
         names.extend(["c", "lam"])
         return names
 
-    def with_lam(self, lam):
-        return replace(self, lam=lam)
-
 
 def _as_points(x, t):
     x = np.asarray(x, dtype=float).reshape(-1, 3)
@@ -197,20 +194,18 @@ def _as_points(x, t):
     return x, t
 
 
-def _clamped_radii(x, x0):
-    r = np.linalg.norm(x - x0, axis=1)
-    return np.maximum(r, RADIUS_CLAMP)
-
-
 def _time_sign(t):
     s = np.sign(t)
     s[np.abs(t) < TIME_TOL] = 0.0
     return s
 
 
-def _features(comp, x, t, c, src, alpha_cut):
-    """Features (w, s) of component "u" or "v" (module docstring), (2, n) each."""
-    r = _clamped_radii(x, src.x0)
+def _features(comp, r, t, c, src, alpha_cut):
+    """Features (w, s) of component "u" or "v" (module docstring), (2, n) each.
+
+    ``r`` holds the radii |x - x0| about the component's center.
+    """
+    r = np.maximum(r, RADIUS_CLAMP)
     ct = c * np.abs(t)
     b = np.stack([r - ct, r + ct])
     if comp == "u":
@@ -264,6 +259,20 @@ def _assemble(w1, s1, w2, s2, src):
     return acc
 
 
+def _radial(comp, src, c, alpha_cut, r1, t1, r2=None, t2=None):
+    """One component at radii r = |x - x0|; the diagonal when r2 is None."""
+    w1, s1 = _features(comp, r1, t1, c, src, alpha_cut)
+    if r2 is None:
+        return _assemble(w1, s1, w1, s1, src)
+    w2, s2 = _features(comp, r2, t2, c, src, alpha_cut)
+    return _assemble(w1[:, :, None], s1[:, :, None],
+                     w2[:, None, :], s2[:, None, :], src)
+
+
+def _radii(x, src):
+    return np.linalg.norm(x - src.x0, axis=1)
+
+
 def _kernel(c, parts, alpha_cut, x1, t1, x2=None, t2=None):
     """Sum of the (component, source) parts; the diagonal when x2 is None."""
     x1, t1 = _as_points(x1, t1)
@@ -271,13 +280,8 @@ def _kernel(c, parts, alpha_cut, x1, t1, x2=None, t2=None):
         x2, t2 = _as_points(x2, t2)
     out = np.zeros(t1.shape if x2 is None else (t1.size, t2.size))
     for comp, src in parts:
-        w1, s1 = _features(comp, x1, t1, c, src, alpha_cut)
-        if x2 is None:
-            out += _assemble(w1, s1, w1, s1, src)
-        else:
-            w2, s2 = _features(comp, x2, t2, c, src, alpha_cut)
-            out += _assemble(w1[:, :, None], s1[:, :, None],
-                             w2[:, None, :], s2[:, None, :], src)
+        r2 = None if x2 is None else _radii(x2, src)
+        out += _radial(comp, src, c, alpha_cut, _radii(x1, src), t1, r2, t2)
     return out
 
 
@@ -342,6 +346,18 @@ class WaveKernel:
 
     def diag(self, x, t):
         out = wave_kernel_diag(x, t, self.params)
+        self.eval_count += out.size
+        return out
+
+    def radial(self, comp, r1, t1, r2=None, t2=None):
+        """Component ``comp`` alone, at radii r = |x - x0| about its center.
+
+        The pairwise (len(r1), len(r2)) block, or the diagonal when r2 is
+        None.  Each component sees a point only through (r, t), so a caller
+        can evaluate it once per distinct pair.
+        """
+        out = _radial(comp, getattr(self.params, comp), self.params.c,
+                      self.params.alpha_cut, r1, t1, r2, t2)
         self.eval_count += out.size
         return out
 

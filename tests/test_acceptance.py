@@ -295,8 +295,8 @@ def test_criterion_05_lp_stability():
         n = int(2 * extent / 0.01) + 1
         grid = ScalarField3D.zeros([-extent] * 3, 2 * extent / (n - 1),
                                    (n, n, n))
-        for p in (1, 2, np.inf):
-            rep = lp_stability_check(u0, v0, c, t, p, grid, tol=0.02)
+        for rep in lp_stability_check(u0, v0, c, t, (1, 2, np.inf), grid,
+                                      tol=0.02):
             all_ok &= rep["v_ok"] and rep["u_ok"]
             worst_ratio = max(worst_ratio,
                               rep["v_lhs"] / max(rep["v_rhs"], 1e-300),

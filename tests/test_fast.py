@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import dense_nll
-from waveinform import fast, gp
+from dense_reference import FunctionKernel, dense_nll
+from waveinform import experiments, fast, gp
 from waveinform.fast import (RankOneData, detect_active, fast_nll,
                              green_traces, light_cone_contains, limit_profile,
                              posterior_mean, posterior_var, r_infinity,
                              rank_one_nll, regularized_green)
-from waveinform.kernels import HyperParams, SourceParams, WaveKernel
+from waveinform.kernels import (HyperParams, SourceParams, WaveKernel,
+                                wave_kernel)
 from waveinform.linalg import assemble_covariance
 
 
@@ -142,6 +143,77 @@ def test_fast_predict_prunes_kernel_calls():
     posterior_mean(model, grid, np.zeros(500))
     # diag costs 500 calls; cross-covariances only for the points inside
     assert kern.eval_count == 500 + model.active_count * inside
+
+
+def _in_cone_points(rng, params, n):
+    x, t = [], []
+    while len(t) < n:
+        xc = rng.uniform(0.05, 0.95, 3)
+        tc = rng.uniform(0.05, 1.4)
+        if light_cone_contains(params, [xc], [tc])[0]:
+            x.append(xc)
+            t.append(tc)
+    return np.array(x), np.array(t)
+
+
+def _assert_matches_dense(model, xq, tq):
+    """posterior_mean against k(X_in, z)^T alpha from the whole kernel.
+
+    A query with a zero whole-kernel diagonal is an exact 0 by contract.
+    (At a speed center at |t| ~ 1e-7 that diagonal rounds to 0 although
+    the cross-covariance does not, so the unmasked product differs there.)
+    """
+    mean = posterior_mean(model, xq, tq)
+    kern = model.kernel
+    dense = np.where(kern.diag(xq, tq) > 0.0, kern.pairwise(
+        model.x_in, model.t_in, xq, tq).T @ model.alpha, 0.0)
+    assert np.array_equal(mean == 0.0, dense == 0.0)
+    assert np.max(np.abs(mean - dense)) <= 1e-12 * np.max(np.abs(dense))
+    return dense
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_posterior_mean_matches_dense_cross(case):
+    rng = np.random.default_rng(40 + case)
+    params = experiments.case_theta(case)
+    x, t = _in_cone_points(rng, params, 40)
+    model = gp.fit_posterior(WaveKernel(params), x, t, rng.normal(size=40),
+                             params.lam)
+    # 0.05 spacing puts both source centers on nodes, so radii tie
+    cfg = experiments.ExperimentConfig(test_case=case, dx_grid=0.05)
+    pts = experiments.reconstruction_grid(cfg).points()
+    zero_t = np.zeros(len(pts))
+    _assert_matches_dense(model, pts, zero_t)
+    assert np.any(_assert_matches_dense(model, pts, zero_t + cfg.dt_v))
+    # random queries, mixed signs of t, both zeros, repeated rows
+    xq = rng.uniform(0, 1, (600, 3))
+    tq = rng.uniform(-1.4, 1.4, 600)
+    tq[:50], tq[50:100] = 0.0, -0.0
+    xq[100:150], tq[100:150] = xq[150:200], -tq[150:200]
+    xq[200:250], tq[200:250] = xq[250:300], tq[250:300]
+    assert np.any(_assert_matches_dense(model, xq, tq))
+
+
+def test_posterior_mean_generic_kernel_single_part():
+    rng = np.random.default_rng(44)
+    params = experiments.case_theta(3)
+
+    def func(x1, t1, x2, t2):
+        return wave_kernel(x1, [t1], x2, [t2], params)[0, 0]
+
+    kern = FunctionKernel(func)
+    x, t = _in_cone_points(rng, params, 8)
+    model = gp.fit_posterior(kern, x, t, rng.normal(size=8), params.lam)
+    xq = rng.uniform(0, 1, (120, 3))
+    tq = rng.uniform(-1.0, 1.0, 120)
+    xq[100:], tq[100:] = xq[:20], tq[:20]
+    assert np.any(_assert_matches_dense(model, xq, tq))
+    # the part's key is the query itself: one diagonal entry per distinct
+    # query, p cross entries per distinct live query
+    live = light_cone_contains(params, xq[:100], tq[:100]).sum()
+    kern.eval_count = 0
+    posterior_mean(model, xq, tq)
+    assert kern.eval_count == 100 + model.active_count * live
 
 
 def test_rank_one_reference_value():

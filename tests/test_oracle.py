@@ -398,7 +398,7 @@ def test_lp_stability_zero_speed_profile():
                           amplitude=5.0)
     v0 = InitialCondition("zero")
     grid = ScalarField3D.zeros([-0.8, -0.8, -0.8], 0.05, (33, 33, 33))
-    rep = lp_stability_check(u0, v0, 0.5, 0.5, 2, grid)
+    [rep] = lp_stability_check(u0, v0, 0.5, 0.5, (2,), grid)
     assert rep["v_lhs"] == 0.0 and rep["v_rhs"] == 0.0
     assert rep["v_ok"] and rep["u_ok"]
 
@@ -408,7 +408,7 @@ def test_lp_stability_ring_speed_bound():
     v0 = InitialCondition("ring_cosine", x0=[0, 0, 0], radii=(0.05, 0.15),
                           amplitude=50.0)
     grid = ScalarField3D.zeros([-0.6, -0.6, -0.6], 0.01, (121, 121, 121))
-    rep = lp_stability_check(u0, v0, 0.5, 0.5, 2, grid)
+    [rep] = lp_stability_check(u0, v0, 0.5, 0.5, (2,), grid)
     assert rep["v_ok"]
     assert rep["v_lhs"] <= 0.5 * grid.like(v0.eval(grid.points())).norm(2) * 1.02
 
