@@ -335,6 +335,15 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
     Evaluates the small-lambda limit profile |W|^2 (1 - r(x0)^2) (or the
     regularized rank-one likelihood when ``lam`` is given) against the
     mollified Green traces at each candidate source position.
+
+    The Green bump f_t(d) is exactly zero off the open shell
+    c|t| - R < d < c|t| + R.  So per chunk the (candidate, sensor)
+    distances are sorted once, and at each time the Green function is
+    evaluated only on the contiguous run of sorted distances inside that
+    shell, found by binary search.  <F, W> and |F|^2 are accumulated into
+    the candidates from that run.  The rounded bounds c|t| -+ R are each
+    moved out by one float, so the run holds every distance at which the
+    bump can be nonzero; an extra entry evaluates to an exact 0.
     """
     scan_points = np.asarray(scan_points, dtype=float).reshape(-1, 3)
     w = dataset.values
@@ -346,15 +355,27 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
     wmat = dataset.traces()
     for lo in range(0, scan_points.shape[0], chunk):
         block = scan_points[lo: lo + chunk]
-        # distances (m, q)
-        dist = np.linalg.norm(block[:, None, :] - dataset.positions[None, :, :],
-                              axis=2)
-        fw = np.zeros(block.shape[0])
-        f2 = np.zeros(block.shape[0])
+        m = block.shape[0]
+        # np.linalg.norm's operations in its order, one axis at a time:
+        # the same distances without a strided length-3 reduction.
+        dist = np.sqrt(sum((block[:, None, i] - dataset.positions[None, :, i])
+                           ** 2 for i in range(3))).ravel()
+        order = np.argsort(dist)
+        dist = dist[order]
+        cand, sensor = np.divmod(order, dataset.q)
+        fw = np.zeros(m)
+        f2 = np.zeros(m)
         for k, t in enumerate(times):
-            fk = fast.regularized_green(dist, t, c, radius, alpha)
-            fw += fk @ wmat[:, k]
-            f2 += np.einsum("mq,mq->m", fk, fk)
+            ct = c * abs(t)
+            lo_k = np.searchsorted(dist, np.nextafter(ct - radius, -np.inf),
+                                   side="left")
+            hi_k = np.searchsorted(dist, np.nextafter(ct + radius, np.inf),
+                                   side="right")
+            run = slice(lo_k, hi_k)
+            fk = fast.regularized_green(dist[run], t, c, radius, alpha)
+            fw += np.bincount(cand[run], weights=fk * wmat[sensor[run], k],
+                              minlength=m)
+            f2 += np.bincount(cand[run], weights=fk * fk, minlength=m)
         out[lo: lo + chunk] = fast.rank_one_objective(w2, f2, fw, dataset.n,
                                                       lam)
     return out

@@ -19,6 +19,7 @@ back to the grid.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,6 +34,8 @@ from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
 # block is smaller because its triangular solve is held next to it.
 MEAN_CHUNK = 4096
 VAR_CHUNK = 1024
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,9 @@ def fast_nll(kernel, x, t, y, lam):
 
     y_in^T (K~ + lam I)^{-1} y_in + |y_out|^2 / lam
     + log det(K~ + lam I) + q log lam.  Exactly equal to the dense formula.
-    A non-finite covariance entry raises KernelEvaluationError.
+    A non-finite covariance entry raises KernelEvaluationError.  A Cholesky
+    that needs jitter is logged at WARNING: the value returned is then the
+    likelihood of K~ + (lam + jitter) I on the active block.
     """
     if not lam > 0.0:
         raise ValueError("fast_nll requires lam > 0")
@@ -104,7 +109,10 @@ def fast_nll(kernel, x, t, y, lam):
     total = float(y_out @ y_out) / lam + act.q * math.log(lam)
     if act.p > 0:
         kmat = assemble_covariance(kernel, x[idx], t[idx])
-        chol, _ = chol_with_jitter(kmat + lam * np.eye(act.p))
+        chol, jitter = chol_with_jitter(kmat + lam * np.eye(act.p))
+        if jitter > 0.0:
+            _log.warning("likelihood Cholesky of the %d x %d active block "
+                         "needed jitter %.3g", act.p, act.p, jitter)
         v = half_solve(chol, y_in)
         total += float(v @ v) + logdet_from_chol(chol)
     return total

@@ -14,6 +14,7 @@ reads.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ import numpy as np
 from .exceptions import SingularCovarianceError
 from .fast import ActiveSet, detect_active
 from .linalg import assemble_covariance, chol_solve_vec, chol_with_jitter
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,9 @@ def fit_posterior(kernel, x, t, y, lam):
     The factorization is delegated through the active-set reduction: only
     points with nonzero kernel diagonal enter the Cholesky factor.  With
     lam = 0 the observations on inactive points must themselves be zero
-    (they are unexplainable by a prior with zero variance there).
+    (they are unexplainable by a prior with zero variance there).  A
+    Cholesky that needs jitter is logged at WARNING and kept in
+    ``PosteriorModel.jitter``.
     """
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
@@ -71,6 +76,9 @@ def fit_posterior(kernel, x, t, y, lam):
     if act.p > 0:
         kmat = assemble_covariance(kernel, x_in, t_in)
         chol, jitter = chol_with_jitter(kmat + lam * np.eye(act.p))
+        if jitter > 0.0:
+            _log.warning("posterior Cholesky of the %d x %d active block "
+                         "needed jitter %.3g", act.p, act.p, jitter)
         alpha = chol_solve_vec(chol, y_in)
     else:
         chol = np.zeros((0, 0))

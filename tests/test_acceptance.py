@@ -58,7 +58,7 @@ def case1():
 def random_untruncated_pair(rng):
     # Points keep 0.01 clear of the focusing cone r = c|t|: there the
     # integration sphere grazes the radial base's center vertex and the
-    # order-64 rule itself is the accuracy limit (its error decays with
+    # product rule itself is the accuracy limit (its error decays with
     # order while the closed form is exact; measured 1.2e-5 at 64, 1e-7
     # at 192 for a graze distance of 0.002).
     c = rng.uniform(0.3, 0.8)
@@ -79,9 +79,9 @@ def random_untruncated_pair(rng):
 
 
 def test_criterion_01_oracle_equivalence_closed_forms():
-    """kv/ku closed forms vs order-64 spherical quadrature, 100 pairs."""
+    """kv/ku closed forms vs order-128 spherical quadrature, 100 pairs."""
     t0 = time.time()
-    rule = SphericalRule.product(64)
+    rule = SphericalRule.product(128)
     rng = np.random.default_rng(20240817)
     worst_v = worst_u = 0.0
     for _ in range(100):
@@ -95,11 +95,11 @@ def test_criterion_01_oracle_equivalence_closed_forms():
         worst_v = max(worst_v, abs(quad_v - closed_v) / abs(closed_v))
         worst_u = max(worst_u, abs(quad_u - closed_u) / abs(closed_u))
     elapsed = time.time() - t0
-    passed = worst_v <= 1e-5 and worst_u <= 1e-5
+    passed = worst_v <= 1e-6 and worst_u <= 1e-6
     report(1, "closed forms vs spherical quadrature", passed,
-           f"kv {worst_v:.2e}, ku {worst_u:.2e} <= 1e-05; {elapsed:.0f}s")
-    assert worst_v <= 1e-5
-    assert worst_u <= 1e-5
+           f"kv {worst_v:.2e}, ku {worst_u:.2e} <= 1e-06; {elapsed:.0f}s")
+    assert worst_v <= 1e-6
+    assert worst_u <= 1e-6
 
 
 def _random_truncated_instance(rng, n):

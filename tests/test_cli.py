@@ -276,6 +276,52 @@ def test_pointsource_scan_nll_mode(tmp_path):
     assert np.abs(argmin - x_star).max() <= 0.08
 
 
+def _dense_scan(dataset, pts, c, radius, lam):
+    """The scan objective with the Green bump evaluated at every distance."""
+    from waveinform.fast import rank_one_objective, regularized_green
+
+    w, wmat = dataset.values, dataset.traces()
+    dist = np.linalg.norm(pts[:, None, :] - dataset.positions[None, :, :],
+                          axis=2)
+    fw = np.zeros(pts.shape[0])
+    f2 = np.zeros(pts.shape[0])
+    for k, t in enumerate(dataset.times):
+        fk = regularized_green(dist, t, c, radius)
+        fw += fk @ wmat[:, k]
+        f2 += np.einsum("mq,mq->m", fk, fk)
+    return rank_one_objective(float(w @ w), f2, fw, dataset.n, lam)
+
+
+@pytest.mark.parametrize("chunk", [7, 8192])
+@pytest.mark.parametrize("lam", [None, 1e-6])
+def test_scan_window_matches_dense_reference(lam, chunk):
+    from waveinform.experiments import scan_limit_profile
+
+    c, radius = 0.5, 0.0625
+    rng = np.random.default_rng(5)
+    sensors = np.array([[0.25, 0.25, 0.25], [0.75, 0.25, 0.5],
+                        [0.25, 0.75, 0.75], [0.75, 0.75, 0.25],
+                        [0.5, 0.5, 0.75]])
+    # c|t| = 0.0625 at t = +-0.125 and 0.1875 at t = +-0.375: dyadic, so
+    # the shell edges c|t| -+ R land exactly on the distances below.
+    edges = np.array([-0.375, -0.125, 0.0, 0.125, 0.375])
+    times = np.unique(np.concatenate([edges, rng.uniform(-1.2, 1.2, 40)]))
+    assert times.size == 45
+    ds = SensorDataset(positions=sensors, times=times,
+                       values=rng.normal(size=5 * times.size))
+    offsets = np.array([[0.0, 0.0, 0.0],      # on a sensor: d = 0
+                        [0.125, 0.0, 0.0],    # d = 0.125
+                        [0.0, 0.0625, 0.0],   # d = 0.0625
+                        [0.0, 0.0, 0.25]])    # d = 0.25
+    pts = np.vstack([sensors[0] + offsets, rng.uniform(0.1, 0.9, (60, 3))])
+    assert np.array_equal(np.linalg.norm(pts[:4] - sensors[0], axis=1),
+                          [0.0, 0.125, 0.0625, 0.25])
+    ref = _dense_scan(ds, pts, c, radius, lam)
+    got = scan_limit_profile(ds, pts, c, radius, lam=lam, chunk=chunk)
+    assert np.argmin(got) == np.argmin(ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_config_json_refuses_unknown_keys():
     with pytest.raises(ValueError, match="noise_sigm"):
         ExperimentConfig.from_json('{"noise_sigm": 0.5}')

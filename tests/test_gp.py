@@ -232,6 +232,26 @@ def test_jitter_ladder_exhaustion():
                          [1.0, 2.0, 3.0], 0.0)
 
 
+def test_jitter_rescue_is_logged(caplog):
+    # all off-diagonal entries 1 + 1e-8 against a unit diagonal: two
+    # eigenvalues of -1e-8, which lam = 1e-12 does not lift
+    def slightly_indefinite(x1, t1, x2, t2):
+        return 1.0 if t1 == t2 else 1.0 + 1e-8
+
+    kern = FunctionKernel(slightly_indefinite)
+    x, t, y = np.zeros((3, 3)), [0.0, 1.0, 2.0], [1.0, 2.0, 3.0]
+    with caplog.at_level("WARNING", logger="waveinform"):
+        model = gp.fit_posterior(kern, x, t, y, 1e-12)
+        fast.fast_nll(kern, x, t, y, 1e-12)
+    assert model.jitter > 0.0
+    records = {r.name: r for r in caplog.records}
+    assert len(caplog.records) == 2
+    assert set(records) == {"waveinform.gp", "waveinform.fast"}
+    for record in records.values():
+        assert record.levelname == "WARNING"
+        assert record.args == (3, 3, model.jitter)
+
+
 def test_posterior_model_is_frozen():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0 if t1 == t2 else 0.0)
     model = gp.fit_posterior(kern, np.zeros((2, 3)), [0.0, 1.0], [1.0, 2.0], 0.0)
