@@ -1,13 +1,14 @@
 """Command-line entry point.
 
 waveinform simulate|sample|fit|reconstruct|errors|pointsource-scan|verify
-    --config <file> [--out <dir>] [--seed <u64>] ...
+    --config <file> [--out <dir>] [--seed <u64>] [--log-level <level>] ...
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -38,6 +39,10 @@ def _add_common(parser):
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override layout/noise/fit seeds")
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="lowest level of the waveinform log records "
+                             "written to stderr")
 
 
 def main(argv=None):
@@ -76,6 +81,8 @@ def main(argv=None):
                            default="fast")
 
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("waveinform").setLevel(args.log_level)
     cfg = _load_config(args)
 
     if args.command == "simulate":

@@ -5,6 +5,14 @@ boundary conditions on the faces (first-order on edges and corners, taken
 along the inward diagonal), test-case initial conditions with analytic
 gradients and squared-radius antiderivatives, trilinear sensor sampling and
 seeded Gaussian noise injection.
+
+A time step is a handful of array operations.  The interior update writes
+2 w - w_prev + cou2 * lap(w) into the next level in place, slab by slab of
+x-planes through two cache-sized buffers, and three levels rotate.  Every
+boundary write reads only interior nodes of the new level and the two old
+levels, so the boundary nodes are independent of each other: a plan of
+flat indices, built once per run, updates all of them with one gather and
+scatter for the second-order faces and one for the first-order nodes.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ class SimConfig:
         for name in ("L", "dx", "dt", "c", "T"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.n_cells < 2:
+            raise ValueError("the grid needs two cells per side (dx < L): "
+                             "the absorbing boundary reads interior nodes")
         if self.courant > CFL_LIMIT_3D + 1e-12:
             raise ValueError(
                 f"CFL violation: c*dt/dx = {self.courant:.4f} > 1/sqrt(3)")
@@ -57,7 +68,7 @@ class SimConfig:
 
     @property
     def courant(self):
-        return self.c * self.dt / (self.L / int(math.ceil(self.L / self.dx - 1e-9)))
+        return self.c * self.dt / self.dx_eff
 
     @property
     def n_steps(self):
@@ -199,54 +210,54 @@ class FieldHistory:
         return 1.0 / (self.times[1] - self.times[0])
 
 
-def _laplacian(w):
-    """Undivided 7-point Laplacian on the interior nodes."""
-    out = np.zeros_like(w)
-    out[1:-1, 1:-1, 1:-1] = (
-        w[2:, 1:-1, 1:-1] + w[:-2, 1:-1, 1:-1]
-        + w[1:-1, 2:, 1:-1] + w[1:-1, :-2, 1:-1]
-        + w[1:-1, 1:-1, 2:] + w[1:-1, 1:-1, :-2]
-        - 6.0 * w[1:-1, 1:-1, 1:-1])
+# Bytes of one slab buffer of the interior step.  A slab's two buffers
+# and its reads of w then stay in a core's L2 cache: at 101^3 on a 2 MiB
+# L2 this was the fastest of 64 KiB - 4 MiB, 20% under one full pass.
+_SLAB_BYTES = 256 * 1024
+
+
+def _laplacian_into(w, lo, hi, out, scratch):
+    """Undivided 7-point Laplacian of w on x-planes lo..hi-1, written to out.
+
+    ``out`` and ``scratch`` have shape (hi - lo, n - 2, n - 2): the y and z
+    interior.  The sum runs x, y, z, each +1 before -1, and the centre term
+    is subtracted last.
+    """
+    np.add(w[lo + 1:hi + 1, 1:-1, 1:-1], w[lo - 1:hi - 1, 1:-1, 1:-1],
+           out=out)
+    out += w[lo:hi, 2:, 1:-1]
+    out += w[lo:hi, :-2, 1:-1]
+    out += w[lo:hi, 1:-1, 2:]
+    out += w[lo:hi, 1:-1, :-2]
+    np.multiply(w[lo:hi, 1:-1, 1:-1], 6.0, out=scratch)
+    out -= scratch
     return out
 
 
-def _face_tangential(face):
-    """Undivided tangential Laplacian on the interior of a 2D face."""
-    return (face[2:, 1:-1] + face[:-2, 1:-1] + face[1:-1, 2:]
-            + face[1:-1, :-2] - 4.0 * face[1:-1, 1:-1])
+def _boundary_plan(n, cdt, dx, order):
+    """Flat-index plan of the absorbing boundary update on an n^3 grid.
 
+    Every boundary node is written from interior nodes of the new level and
+    from the two old levels only, so the nodes are independent and one
+    gather/scatter per formula updates them all.
 
-def _apply_abc(wn, w, wm, cdt, dx, order):
-    inner_face = (slice(1, -1), slice(1, -1))
-    k1 = (cdt - dx) / (cdt + dx)
-    k2 = 2.0 * dx / (cdt + dx)
-    k3 = cdt * cdt / (2.0 * dx * (cdt + dx))
-    for axis in range(3):
-        for bidx, iidx in ((0, 1), (-1, -2)):
-            wn_v = np.moveaxis(wn, axis, 0)
-            w_v = np.moveaxis(w, axis, 0)
-            wm_v = np.moveaxis(wm, axis, 0)
-            if order == 1:
-                wn_v[(bidx,) + inner_face] = (
-                    w_v[(iidx,) + inner_face]
-                    + k1 * (wn_v[(iidx,) + inner_face]
-                            - w_v[(bidx,) + inner_face]))
-            else:
-                t2 = _face_tangential(w_v[bidx]) + _face_tangential(w_v[iidx])
-                wn_v[(bidx,) + inner_face] = (
-                    -wm_v[(iidx,) + inner_face]
-                    + k1 * (wn_v[(iidx,) + inner_face]
-                            + wm_v[(bidx,) + inner_face])
-                    + k2 * (w_v[(bidx,) + inner_face]
-                            + w_v[(iidx,) + inner_face])
-                    + k3 * t2)
-
-    # Edges and corners: first-order condition along the inward diagonal.
-    def mur1(bounds_idx, diag_idx, dist):
-        coeff = (cdt - dist) / (cdt + dist)
-        wn[bounds_idx] = w[diag_idx] + coeff * (wn[diag_idx] - w[bounds_idx])
-
-    sides = ((0, 1), (-1, -2))
+    ``face`` (None for ``order == 1``) is the second-order face formula's
+    plan: ``planes`` (6, 2, n, n) holds each face's boundary and inner
+    layer, its two tangential axes in increasing order, and ``boundary`` /
+    ``inner`` are the face interiors of those layers.  ``mur`` holds every
+    node on the first-order formula, its inward-diagonal node and the
+    coefficient (cdt - d) / (cdt + d); d is dx on the faces (order 1),
+    sqrt(2) dx on the edges and sqrt(3) dx on the corners.
+    """
+    idx = np.arange(n ** 3).reshape(n, n, n)
+    sides = ((0, 1), (-1, -2))  # (boundary index, inner index)
+    planes = np.stack([np.moveaxis(idx, axis, 0)[[b, i]]
+                       for axis in range(3) for b, i in sides])
+    boundary = planes[:, 0, 1:-1, 1:-1].copy()
+    inner = planes[:, 1, 1:-1, 1:-1].copy()
+    face = (planes, boundary, inner) if order == 2 else None
+    # (boundary nodes, inward-diagonal nodes, distance d)
+    mur = [(boundary, inner, dx)] if order == 1 else []
     for a in range(3):
         for b in range(a + 1, 3):
             for sa, ia in sides:
@@ -255,11 +266,18 @@ def _apply_abc(wn, w, wm, cdt, dx, order):
                     didx = [slice(1, -1)] * 3
                     bidx[a], bidx[b] = sa, sb
                     didx[a], didx[b] = ia, ib
-                    mur1(tuple(bidx), tuple(didx), math.sqrt(2.0) * dx)
+                    mur.append((idx[tuple(bidx)], idx[tuple(didx)],
+                                math.sqrt(2.0) * dx))
     for sa, ia in sides:
         for sb, ib in sides:
             for sc, ic in sides:
-                mur1((sa, sb, sc), (ia, ib, ic), math.sqrt(3.0) * dx)
+                mur.append((idx[sa, sb, sc], idx[ia, ib, ic],
+                            math.sqrt(3.0) * dx))
+    mur = (np.concatenate([np.ravel(b) for b, _, _ in mur]),
+           np.concatenate([np.ravel(d) for _, d, _ in mur]),
+           np.concatenate([np.full(np.size(b), (cdt - dist) / (cdt + dist))
+                           for b, _, dist in mur]))
+    return face, mur
 
 
 def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
@@ -290,6 +308,10 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
 
     cou2 = (cfg.c * cfg.dt / dx) ** 2
     cdt = cfg.c * cfg.dt
+    k1 = (cdt - dx) / (cdt + dx)
+    k2 = 2.0 * dx / (cdt + dx)
+    k3 = cdt * cdt / (2.0 * dx * (cdt + dx))
+    face, (mur_b, mur_d, mur_c) = _boundary_plan(n, cdt, dx, cfg.abc_order)
     n_samples = int(round(cfg.T * sample_rate))
     snaps = np.empty((n_samples, n, n, n))
     times = np.arange(n_samples) / sample_rate
@@ -297,7 +319,16 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
     w_prev = u_grid.copy()
     snaps[0] = w_prev
     # Second-order accurate first step.
-    w = u_grid + cfg.dt * v_grid + 0.5 * cou2 * _laplacian(u_grid)
+    lap0 = np.zeros_like(u_grid)
+    _laplacian_into(u_grid, 1, n - 1, lap0[1:-1, 1:-1, 1:-1],
+                    np.empty((n - 2,) * 3))
+    w = u_grid + cfg.dt * v_grid + 0.5 * cou2 * lap0
+    w_next = np.empty_like(w)
+    # The interior step runs over slabs of x-planes, through two buffers.
+    depth = max(1, _SLAB_BYTES // (8 * (n - 2) ** 2))
+    slabs = [(lo, min(lo + depth, n - 1)) for lo in range(1, n - 1, depth)]
+    lap_buf = np.empty((min(depth, n - 2), n - 2, n - 2))
+    tmp_buf = np.empty_like(lap_buf)
     recorded = 1
     for step in range(1, cfg.n_steps + 1):
         if step % stride == 0 and recorded < n_samples:
@@ -305,9 +336,27 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
             recorded += 1
         if recorded >= n_samples:
             break
-        w_next = 2.0 * w - w_prev + cou2 * _laplacian(w)
-        _apply_abc(w_next, w, w_prev, cdt, dx, cfg.abc_order)
-        w_prev, w = w, w_next
+        # Interior: w_next = 2 w - w_prev + cou2 * lap(w), in that order.
+        for lo, hi in slabs:
+            lap, tmp = lap_buf[:hi - lo], tmp_buf[:hi - lo]
+            _laplacian_into(w, lo, hi, lap, tmp)
+            lap *= cou2
+            np.multiply(w[lo:hi, 1:-1, 1:-1], 2.0, out=tmp)
+            tmp -= w_prev[lo:hi, 1:-1, 1:-1]
+            np.add(tmp, lap, out=w_next[lo:hi, 1:-1, 1:-1])
+        # Boundary: every node reads interior w_next and the old levels
+        # only, so w_next's stale boundary values are never read.
+        wn, wc, wm = w_next.reshape(-1), w.reshape(-1), w_prev.reshape(-1)
+        if face is not None:
+            planes, fb, fi = face
+            f = wc[planes]
+            tan = (f[..., 2:, 1:-1] + f[..., :-2, 1:-1] + f[..., 1:-1, 2:]
+                   + f[..., 1:-1, :-2] - 4.0 * f[..., 1:-1, 1:-1])
+            wn[fb] = (-wm[fi] + k1 * (wn[fi] + wm[fb])
+                      + k2 * (f[:, 0, 1:-1, 1:-1] + f[:, 1, 1:-1, 1:-1])
+                      + k3 * (tan[:, 0] + tan[:, 1]))
+        wn[mur_b] = wc[mur_d] + mur_c * (wn[mur_d] - wc[mur_b])
+        w_prev, w, w_next = w, w_next, w_prev
         if step % 25 == 0 and not np.isfinite(w).all():
             raise FloatingPointError(f"instability detected at step {step}")
     if recorded != n_samples:

@@ -1,14 +1,18 @@
 """Dense references that the GP-layer tests compare the package against.
 
 ``FunctionKernel`` evaluates a scalar two-point function entry by entry,
-and ``dense_nll`` is the likelihood of the full covariance, with no
-active-set reduction.
+``dense_nll`` is the likelihood of the full covariance, with no
+active-set reduction, and ``reference_simulation`` is the FDTD time loop
+with the absorbing boundary applied face by face.
 """
+
+import math
 
 import numpy as np
 
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
+from waveinform.sim import FieldHistory
 
 
 class FunctionKernel:
@@ -52,3 +56,121 @@ def dense_nll(kernel, x, t, y, lam):
     chol, _ = chol_with_jitter(kmat)
     v = half_solve(chol, y)
     return float(v @ v) + logdet_from_chol(chol)
+
+
+def _laplacian(w):
+    """Undivided 7-point Laplacian on the interior nodes."""
+    out = np.zeros_like(w)
+    out[1:-1, 1:-1, 1:-1] = (
+        w[2:, 1:-1, 1:-1] + w[:-2, 1:-1, 1:-1]
+        + w[1:-1, 2:, 1:-1] + w[1:-1, :-2, 1:-1]
+        + w[1:-1, 1:-1, 2:] + w[1:-1, 1:-1, :-2]
+        - 6.0 * w[1:-1, 1:-1, 1:-1])
+    return out
+
+
+def _face_tangential(face):
+    """Undivided tangential Laplacian on the interior of a 2D face."""
+    return (face[2:, 1:-1] + face[:-2, 1:-1] + face[1:-1, 2:]
+            + face[1:-1, :-2] - 4.0 * face[1:-1, 1:-1])
+
+
+def _apply_abc(wn, w, wm, cdt, dx, order):
+    inner_face = (slice(1, -1), slice(1, -1))
+    k1 = (cdt - dx) / (cdt + dx)
+    k2 = 2.0 * dx / (cdt + dx)
+    k3 = cdt * cdt / (2.0 * dx * (cdt + dx))
+    for axis in range(3):
+        for bidx, iidx in ((0, 1), (-1, -2)):
+            wn_v = np.moveaxis(wn, axis, 0)
+            w_v = np.moveaxis(w, axis, 0)
+            wm_v = np.moveaxis(wm, axis, 0)
+            if order == 1:
+                wn_v[(bidx,) + inner_face] = (
+                    w_v[(iidx,) + inner_face]
+                    + k1 * (wn_v[(iidx,) + inner_face]
+                            - w_v[(bidx,) + inner_face]))
+            else:
+                t2 = _face_tangential(w_v[bidx]) + _face_tangential(w_v[iidx])
+                wn_v[(bidx,) + inner_face] = (
+                    -wm_v[(iidx,) + inner_face]
+                    + k1 * (wn_v[(iidx,) + inner_face]
+                            + wm_v[(bidx,) + inner_face])
+                    + k2 * (w_v[(bidx,) + inner_face]
+                            + w_v[(iidx,) + inner_face])
+                    + k3 * t2)
+
+    # Edges and corners: first-order condition along the inward diagonal.
+    def mur1(bounds_idx, diag_idx, dist):
+        coeff = (cdt - dist) / (cdt + dist)
+        wn[bounds_idx] = w[diag_idx] + coeff * (wn[diag_idx] - w[bounds_idx])
+
+    sides = ((0, 1), (-1, -2))
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for sa, ia in sides:
+                for sb, ib in sides:
+                    bidx = [slice(1, -1)] * 3
+                    didx = [slice(1, -1)] * 3
+                    bidx[a], bidx[b] = sa, sb
+                    didx[a], didx[b] = ia, ib
+                    mur1(tuple(bidx), tuple(didx), math.sqrt(2.0) * dx)
+    for sa, ia in sides:
+        for sb, ib in sides:
+            for sc, ic in sides:
+                mur1((sa, sb, sc), (ia, ib, ic), math.sqrt(3.0) * dx)
+
+
+def reference_simulation(cfg, u0, v0, sample_rate=50.0):
+    """Reference FDTD loop: ``run_simulation`` must match its snapshots bitwise.
+
+    The absorbing boundary goes face by face, edge by edge and corner by
+    corner through ``_apply_abc``, after an allocating leapfrog step.
+
+    Snapshots are recorded at t_k = k / sample_rate for
+    k = 0 .. round(T * sample_rate) - 1; the sample rate must divide the
+    simulation rate.  Raises on CFL violation (at construction) and on
+    non-finite field values (instability guard).
+    """
+    stride_f = 1.0 / (cfg.dt * sample_rate)
+    stride = int(round(stride_f))
+    if abs(stride_f - stride) > 1e-9 or stride < 1:
+        raise ValueError("sample rate must divide the simulation rate")
+    for ic in (u0, v0):
+        if ic.kind in ("raised_cosine", "ring_cosine"):
+            reach = ic.support_radius
+            if np.any(ic.x0 - reach < 0.0) or np.any(ic.x0 + reach > cfg.L):
+                raise ValueError("initial condition support leaves the box")
+    n = cfg.n_nodes
+    dx = cfg.dx_eff
+    axis = np.linspace(0.0, cfg.L, n)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    u_grid = u0.eval(pts).reshape(n, n, n)
+    v_grid = v0.eval(pts).reshape(n, n, n)
+
+    cou2 = (cfg.c * cfg.dt / dx) ** 2
+    cdt = cfg.c * cfg.dt
+    n_samples = int(round(cfg.T * sample_rate))
+    snaps = np.empty((n_samples, n, n, n))
+    times = np.arange(n_samples) / sample_rate
+
+    w_prev = u_grid.copy()
+    snaps[0] = w_prev
+    # Second-order accurate first step.
+    w = u_grid + cfg.dt * v_grid + 0.5 * cou2 * _laplacian(u_grid)
+    recorded = 1
+    for step in range(1, cfg.n_steps + 1):
+        if step % stride == 0 and recorded < n_samples:
+            snaps[recorded] = w
+            recorded += 1
+        if recorded >= n_samples:
+            break
+        w_next = 2.0 * w - w_prev + cou2 * _laplacian(w)
+        _apply_abc(w_next, w, w_prev, cdt, dx, cfg.abc_order)
+        w_prev, w = w, w_next
+        if step % 25 == 0 and not np.isfinite(w).all():
+            raise FloatingPointError(f"instability detected at step {step}")
+    if recorded != n_samples:
+        raise ValueError("simulation too short for the requested samples")
+    return FieldHistory(cfg=cfg, times=times, snaps=snaps)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -357,4 +358,32 @@ def test_verify_refuses_unknown_selector(capsys):
         cmd_verify("bogus")
     with pytest.raises(SystemExit):
         main(["verify", "--selector", "bogus"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level, shown", [(None, True), ("ERROR", False)])
+def test_log_level_filters_package_warnings(tmp_path, capsys, level, shown):
+    argv = ["verify", "--out", str(tmp_path)]
+    if level is not None:
+        argv += ["--log-level", level]
+    root, package = logging.getLogger(), logging.getLogger("waveinform")
+    saved = root.handlers[:], package.level
+    # No root handler, as in a new process, so main's basicConfig adds the
+    # stderr handler that the command line would have.
+    root.handlers.clear()
+    try:
+        assert main(argv) == 0
+        capsys.readouterr()
+        logging.getLogger("waveinform.gp").warning("jitter probe")
+        err = capsys.readouterr().err
+    finally:
+        root.handlers[:] = saved[0]
+        package.setLevel(saved[1])
+    assert ("WARNING waveinform.gp: jitter probe" in err) is shown
+
+
+def test_log_level_refuses_unknown_level(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--log-level", "LOUD"])
+    assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err

@@ -1,8 +1,13 @@
 """FDTD solver, initial conditions, sensing and noise tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dense_reference import reference_simulation
+from waveinform import sim
+from waveinform.experiments import DEFAULT_SIM
 from waveinform.oracle import SphericalRule, kirchhoff_trace
 from waveinform.sim import (InitialCondition, SensorDataset, SimConfig,
                             add_noise, run_simulation, sample_sensors)
@@ -61,6 +66,11 @@ def test_cfl_violation_raises():
         SimConfig(L=1.0, dx=0.01, dt=0.05, c=1.0, T=1.0)
 
 
+def test_grid_without_interior_nodes_raises():
+    with pytest.raises(ValueError, match="two cells"):
+        SimConfig(L=1.0, dx=1.0, dt=0.1, c=0.5, T=1.0)
+
+
 def test_grid_snapping():
     cfg = SimConfig(L=1.0, dx=0.043, dt=0.005, c=0.5, T=1.5)
     assert cfg.n_cells == 24
@@ -79,6 +89,46 @@ def test_constant_field_preserved_in_interior():
     mid = hist.snaps[:, n // 2, n // 2, n // 2]
     # boundary influence reaches the center after t = 0.5 / c = 1.0 s
     assert np.abs(mid - 2.0).max() <= 1e-10
+
+
+# (config, sample rate): the 25^3 production grid, COARSE (13^3), and the
+# smallest grids the solver accepts, whose faces are one or two nodes wide.
+FDTD_GRIDS = {
+    "production": (DEFAULT_SIM, 50.0),
+    "coarse": (COARSE, 20.0),
+    "n3": (SimConfig(L=1.0, dx=0.5, dt=0.1, c=0.5, T=3.0), 10.0),
+    "n4": (SimConfig(L=1.0, dx=1.0 / 3.0, dt=0.1, c=0.5, T=3.0), 10.0),
+}
+
+
+def _fdtd_matches_reference(cfg, rate):
+    # Both components nonzero on every node, the boundary included, so the
+    # faces, edges and corners all carry signal from the first step.
+    u0 = InitialCondition(
+        "custom", func=lambda x: np.exp(-4.0 * ((x - [0.3, 0.6, 0.45])**2)
+                                        .sum(axis=1)))
+    v0 = InitialCondition(
+        "custom", func=lambda x: np.cos(3.0 * x[:, 0]) * np.sin(
+            2.0 * x[:, 1] + 1.0) * (1.0 + x[:, 2]))
+    hist = run_simulation(cfg, u0, v0, sample_rate=rate)
+    ref = reference_simulation(cfg, u0, v0, sample_rate=rate)
+    assert np.array_equal(hist.times, ref.times)
+    assert np.array_equal(hist.snaps, ref.snaps)
+    assert np.abs(ref.snaps[-1]).max() > 0.0
+
+
+@pytest.mark.parametrize("abc_order", [1, 2])
+@pytest.mark.parametrize("grid", sorted(FDTD_GRIDS))
+def test_fdtd_matches_reference_loop(grid, abc_order):
+    cfg, rate = FDTD_GRIDS[grid]
+    _fdtd_matches_reference(replace(cfg, abc_order=abc_order), rate)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_fdtd_slab_depth_leaves_snapshots_unchanged(monkeypatch, depth):
+    # COARSE has 11 interior x-planes, so depths 2 and 4 end on a short slab.
+    monkeypatch.setattr(sim, "_SLAB_BYTES", depth * 8 * 11**2)
+    _fdtd_matches_reference(COARSE, 20.0)
 
 
 def test_huygens_quiet_before_front():
