@@ -34,6 +34,13 @@ def _load_config(args):
     return cfg
 
 
+def _grid_n(text):
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 nodes, got {n}")
+    return n
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="experiment config JSON")
     parser.add_argument("--out", default="out", help="output directory")
@@ -72,7 +79,7 @@ def main(argv=None):
             p.add_argument("--radius", type=float, default=0.02)
             p.add_argument("--speed", type=float, default=0.5)
             p.add_argument("--lam", type=float, default=1e-6)
-            p.add_argument("--grid-n", type=int, default=40)
+            p.add_argument("--grid-n", type=_grid_n, default=40)
             p.add_argument("--grid-bounds", type=float, nargs=2,
                            default=(0.2, 0.8))
             p.add_argument("--mode", choices=("limit", "nll"), default="limit")

@@ -149,7 +149,7 @@ class FitTraceRow:
     evals: int
 
 
-def nll_objective(dataset, components, alpha_cut=0.8):
+def nll_objective(dataset, components):
     """Negative log marginal likelihood of a dataset as a function of theta.
 
     The flat vector layout is [x0, R, rho, sigma2] per enabled component
@@ -159,30 +159,25 @@ def nll_objective(dataset, components, alpha_cut=0.8):
     y = dataset.values
 
     def objective(vec):
-        params = HyperParams.from_vector(vec, components, alpha_cut)
+        params = HyperParams.from_vector(vec, components)
         return fast_nll(WaveKernel(params), x, t, y, params.lam)
 
     return objective
 
 
-def multistart_fit(dataset, components, box: HyperBox, n_mult=100, seed=0,
-                   tol=1e-4, max_evals=600, alpha_cut=0.8, objective=None):
-    """Multistart likelihood minimization over a hyperparameter box.
+def multistart_fit(objective, box: HyperBox, n_mult, seed, tol, max_evals):
+    """Multistart minimization of ``objective`` over a box.
 
     Runs :func:`minimize_box` from ``n_mult`` Latin-hypercube starting
-    points and keeps the argmin over all runs.  Returns the best
-    HyperParams and the full trace of every start.  A start whose
-    objective raises ValueError, SingularCovarianceError or
+    points and keeps the argmin over all runs.  Returns the best vector and
+    the full trace of every start; :func:`nll_objective` gives the
+    likelihood objective, whose vectors ``HyperParams.from_vector`` decodes.
+    A start whose objective raises ValueError, SingularCovarianceError or
     KernelEvaluationError is recorded as failed (NaN values, 0
     evaluations); RuntimeError is raised only when every start fails.
-    When a surrogate ``objective`` is supplied (testing hook), the raw best
-    vector is returned instead of a decoded HyperParams.
     """
     if n_mult < 1:
         raise ValueError("need n_mult >= 1")
-    decode = objective is None
-    if objective is None:
-        objective = nll_objective(dataset, components, alpha_cut)
     starts = lhs_design(n_mult, box.lower, box.upper, restarts=10, seed=seed)
     trace = []
     best_vec, best_val = None, np.inf
@@ -200,9 +195,7 @@ def multistart_fit(dataset, components, box: HyperBox, n_mult=100, seed=0,
             best_vec, best_val = x_end, f_end
     if best_vec is None:
         raise RuntimeError("all multistart runs failed")
-    if not decode:
-        return best_vec, trace
-    return HyperParams.from_vector(best_vec, components, alpha_cut), trace
+    return best_vec, trace
 
 
 def write_trace_csv(trace, components, path):

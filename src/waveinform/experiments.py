@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import fast, gp
-from .design import HyperBox, lhs_design, multistart_fit, write_trace_csv
+from .design import (HyperBox, lhs_design, multistart_fit, nll_objective,
+                     write_trace_csv)
 from .fields import ScalarField3D, atomic_write_text, fmt17
 from .kernels import (HyperParams, SourceParams, WaveKernel, ku_wave_radial,
                       kv_wave_radial)
@@ -36,6 +37,9 @@ SINGLE_COMPONENT_BOX = HyperBox(
 DOUBLE_COMPONENT_BOX = HyperBox(
     lower=[0.0, 0.0, 0.0, 0.05, 0.02, 0.1] * 2 + [0.2, 1e-8],
     upper=[1.0, 1.0, 1.0, 0.40, 2.00, 5.0] * 2 + [0.8, 1e-2])
+
+# Lp norms of the relative reconstruction errors written by cmd_errors.
+ERROR_NORMS = (1, 2, np.inf)
 
 
 def case_ics(case):
@@ -246,10 +250,11 @@ def cmd_fit(config: ExperimentConfig, dataset: SensorDataset, outdir,
     else:
         if box is None:
             box = default_box(components)
-        best, trace = multistart_fit(
-            dataset, components, box, n_mult=config.fit_n_mult,
+        best_vec, trace = multistart_fit(
+            nll_objective(dataset, components), box, n_mult=config.fit_n_mult,
             seed=config.fit_seed, tol=config.fit_tol,
             max_evals=config.fit_max_evals)
+        best = HyperParams.from_vector(best_vec, components)
     atomic_write_text(manifest.path("theta.json"), theta_to_json(best) + "\n")
     write_trace_csv(trace, components, manifest.path("fit_trace.csv"))
     summary = ["case,n_sensors," + ",".join(
@@ -307,8 +312,7 @@ def render_truth(config: ExperimentConfig):
     return grid.like(u0.eval(pts)), grid.like(v0.eval(pts))
 
 
-def cmd_errors(config: ExperimentConfig, u_field, v_field, outdir,
-               ps=(1, 2, np.inf)):
+def cmd_errors(config: ExperimentConfig, u_field, v_field, outdir):
     """Relative Lp errors of the reconstructed fields against the truth."""
     manifest = Manifest(outdir)
     u_truth, v_truth = render_truth(config)
@@ -316,7 +320,7 @@ def cmd_errors(config: ExperimentConfig, u_field, v_field, outdir,
     report = {}
     for name, approx, truth in (("u0", u_field, u_truth),
                                 ("v0", v_field, v_truth)):
-        for p in ps:
+        for p in ERROR_NORMS:
             if truth.norm(p) == 0.0:
                 continue
             err = lp_relative_error(approx, truth, p)
@@ -329,7 +333,7 @@ def cmd_errors(config: ExperimentConfig, u_field, v_field, outdir,
 
 
 def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
-                       lam=None, alpha=0.8, chunk=8192):
+                       lam=None, chunk=8192):
     """Point-source objective on scan candidates.
 
     Evaluates the small-lambda limit profile |W|^2 (1 - r(x0)^2) (or the
@@ -344,7 +348,16 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
     the candidates from that run.  The rounded bounds c|t| -+ R are each
     moved out by one float, so the run holds every distance at which the
     bump can be nonzero; an extra entry evaluates to an exact 0.
+
+    Raises ValueError unless ``c`` and ``radius`` are finite and positive
+    and ``lam`` is None or positive.
     """
+    for name, value in (("c", c), ("radius", radius)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"scan {name} must be finite and positive, "
+                             f"got {value}")
+    if lam is not None and not lam > 0.0:
+        raise ValueError(f"scan lam must be positive, got {lam}")
     scan_points = np.asarray(scan_points, dtype=float).reshape(-1, 3)
     w = dataset.values
     w2 = float(w @ w)
@@ -372,7 +385,7 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
             hi_k = np.searchsorted(dist, np.nextafter(ct + radius, np.inf),
                                    side="right")
             run = slice(lo_k, hi_k)
-            fk = fast.regularized_green(dist[run], t, c, radius, alpha)
+            fk = fast.regularized_green(dist[run], t, c, radius)
             fw += np.bincount(cand[run], weights=fk * wmat[sensor[run], k],
                               minlength=m)
             f2 += np.bincount(cand[run], weights=fk * fk, minlength=m)
@@ -494,8 +507,7 @@ def _verify_rank_one_limit():
                            and gaps[-1] <= 1e-4 * float(w @ w))}
 
 
-def cmd_verify(selector="fast", outdir=None, kernel_params=None,
-               quad_order=24, tamper_psd=False):
+def cmd_verify(selector="fast", outdir=None, quad_order=24, tamper_psd=False):
     """Machine-readable invariant checks (values vs tolerances).
 
     ``selector`` picks the suite depth: "fast" runs the kernel PSD, oracle
@@ -503,13 +515,11 @@ def cmd_verify(selector="fast", outdir=None, kernel_params=None,
     stability and rank-one limit checks.  Failures are reported as
     entries, never raised; an unknown selector raises ValueError.
     """
-    params = kernel_params
-    if params is None:
-        params = HyperParams(
-            c=0.5,
-            u=SourceParams(x0=[0.65, 0.3, 0.5], radius=0.3, rho=0.2, sigma2=3.0),
-            v=SourceParams(x0=[0.3, 0.6, 0.7], radius=0.15, rho=0.03, sigma2=3.0),
-            lam=0.0081)
+    params = HyperParams(
+        c=0.5,
+        u=SourceParams(x0=[0.65, 0.3, 0.5], radius=0.3, rho=0.2, sigma2=3.0),
+        v=SourceParams(x0=[0.3, 0.6, 0.7], radius=0.15, rho=0.03, sigma2=3.0),
+        lam=0.0081)
     if selector not in ("fast", "full"):
         raise ValueError(f"unknown verify selector {selector!r}; "
                          "expected 'fast' or 'full'")

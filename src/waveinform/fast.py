@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
 # block is smaller because its triangular solve is held next to it.
 MEAN_CHUNK = 4096
 VAR_CHUNK = 1024
+# The regularized Green bump is flat within GREEN_ALPHA * radius of the
+# shell and falls smoothly to zero at radius.
+GREEN_ALPHA = 0.8
 
 _log = logging.getLogger(__name__)
 
@@ -305,7 +308,7 @@ def r_infinity(traces_obs, traces_green, total_time):
     return inner(u, g) / math.sqrt(norm_u * norm_g)
 
 
-def regularized_green(dist, t, c, radius, alpha=0.8):
+def regularized_green(dist, t, c, radius):
     """Mollified spherical-shell Green evaluation f_t(d).
 
     A smooth radial bump of half-width ``radius`` centered on the shell
@@ -316,27 +319,27 @@ def regularized_green(dist, t, c, radius, alpha=0.8):
     if abs(t) < 1e-12:
         return np.zeros_like(dist)
     ct = c * abs(t)
-    bump = smooth_cutoff(np.abs(dist - ct) / radius, alpha)
-    i0, i2 = _bump_moments(alpha)
+    bump = smooth_cutoff(np.abs(dist - ct) / radius, GREEN_ALPHA)
+    i0, i2 = _bump_moments()
     mass = 4.0 * math.pi * radius * (ct * ct * i0 + radius * radius * i2)
     return (t / mass) * bump
 
 
-@lru_cache(maxsize=8)
-def _bump_moments(alpha, n=2001):
+@cache
+def _bump_moments():
     """Moments integral s^k * cutoff(|s|) ds over [-1, 1], k in {0, 2}."""
-    s = np.linspace(-1.0, 1.0, n)
-    b = smooth_cutoff(np.abs(s), alpha)
+    s = np.linspace(-1.0, 1.0, 2001)
+    b = smooth_cutoff(np.abs(s), GREEN_ALPHA)
     i0 = float(np.trapezoid(b, s))
     i2 = float(np.trapezoid(s * s * b, s))
     return i0, i2
 
 
-def green_traces(dists, times, c, radius, alpha=0.8):
+def green_traces(dists, times, c, radius):
     """Regularized Green traces f_t(d) for all distances and times, (m, N)."""
     dists = np.asarray(dists, dtype=float).reshape(-1)
     times = np.asarray(times, dtype=float).reshape(-1)
     out = np.zeros((dists.size, times.size))
     for k, t in enumerate(times):
-        out[:, k] = regularized_green(dists, t, c, radius, alpha)
+        out[:, k] = regularized_green(dists, t, c, radius)
     return out

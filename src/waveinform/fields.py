@@ -1,4 +1,4 @@
-"""Regular-grid scalar fields on a box, with binary+JSON and CSV export.
+"""Regular-grid scalar fields on a box, with binary+JSON serialization.
 
 The flat value ordering is x-fastest: entry ix + nx*(iy + ny*iz) holds the
 value at (origin + dx*[ix, iy, iz]).  Lp norms are Riemann sums with cell
@@ -61,12 +61,6 @@ class ScalarField3D:
         return cls(origin=origin, dx=dx, dims=dims,
                    values=np.zeros(int(np.prod(dims))))
 
-    @classmethod
-    def from_function(cls, func, origin, dx, dims):
-        field = cls.zeros(origin, dx, dims)
-        field.values = np.asarray(func(field.points()), dtype=float).reshape(-1)
-        return field
-
     def like(self, values):
         return ScalarField3D(origin=self.origin, dx=self.dx, dims=self.dims,
                              values=values)
@@ -113,14 +107,7 @@ class ScalarField3D:
     def load(cls, prefix):
         with open(str(prefix) + ".json", "r", encoding="utf-8") as fh:
             header = json.load(fh)
-        values = np.frombuffer(
-            open(str(prefix) + ".bin", "rb").read(), dtype="<f8")
+        with open(str(prefix) + ".bin", "rb") as fh:
+            values = np.frombuffer(fh.read(), dtype="<f8")
         return cls(origin=[float(v) for v in header["origin"]],
                    dx=float(header["dx"]), dims=header["dims"], values=values)
-
-    def export_csv(self, path):
-        pts = self.points()
-        lines = ["x,y,z,value"]
-        for row, val in zip(pts, self.values):
-            lines.append(",".join(fmt17(v) for v in (*row, val)))
-        atomic_write_text(path, "\n".join(lines) + "\n")

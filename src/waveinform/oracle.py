@@ -45,9 +45,9 @@ class SphericalRule:
     weights: np.ndarray
 
     @classmethod
-    def product(cls, n_polar, n_azimuth=None):
-        if n_azimuth is None:
-            n_azimuth = 2 * n_polar
+    def product(cls, n_polar):
+        """n_polar Gauss-Legendre nodes times 2 n_polar uniform azimuths."""
+        n_azimuth = 2 * n_polar
         cos_t, w_polar = np.polynomial.legendre.leggauss(n_polar)
         phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
         sin_t = np.sqrt(np.maximum(1.0 - cos_t**2, 0.0))
@@ -450,13 +450,7 @@ def dalembert_residuals(f, x, t, c, step):
     return np.where(scale > 0.0, np.abs(raw) / np.where(scale > 0, scale, 1.0), 0.0)
 
 
-def verify_dalembert(f, z, c, step):
-    """Scalar normalized d'Alembertian residual at one space-time point."""
-    x, t = _unpack(z)
-    return float(dalembert_residuals(f, x[None, :], [t], c, step)[0])
-
-
-def is_smooth_point(params, x, t, step, r_margin=0.05, cone_margin=None):
+def is_smooth_point(params, x, t, step):
     """Filter for PDE-residual checks near a wave kernel's kink sets.
 
     Excludes stencil centers within a few steps of the spheres
@@ -470,13 +464,12 @@ def is_smooth_point(params, x, t, step, r_margin=0.05, cone_margin=None):
     t = np.asarray(t, dtype=float).reshape(-1)
     c = params.c
     margin = 3.0 * step * (1.0 + c)
-    if cone_margin is None:
-        cone_margin = max(margin, 0.01)
+    cone_margin = max(margin, 0.01)
     ok = (np.abs(t) > 3.0 * step)
     for name in params.components:
         src = getattr(params, name)
         r = np.linalg.norm(x - src.x0, axis=1)
-        ok &= r > r_margin
+        ok &= r > 0.05
         qm = np.abs(r - c * np.abs(t))
         qp = r + c * np.abs(t)
         radii = [src.radius]

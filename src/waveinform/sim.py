@@ -12,7 +12,8 @@ x-planes through two cache-sized buffers, and three levels rotate.  Every
 boundary write reads only interior nodes of the new level and the two old
 levels, so the boundary nodes are independent of each other: a plan of
 flat indices, built once per run, updates all of them with one gather and
-scatter for the second-order faces and one for the first-order nodes.
+scatter for the second-order faces and one for the first-order edges and
+corners.
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ class SimConfig:
     dt: float
     c: float
     T: float
-    abc_order: int = 2
 
     def __post_init__(self):
-        if self.abc_order not in (1, 2):
-            raise ValueError("abc_order must be 1 or 2")
         for name in ("L", "dx", "dt", "c", "T"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -205,10 +203,6 @@ class FieldHistory:
                              dims=self.snaps.shape[1:],
                              values=self.snaps[index].ravel(order="F"))
 
-    @property
-    def sample_rate(self):
-        return 1.0 / (self.times[1] - self.times[0])
-
 
 # Bytes of one slab buffer of the interior step.  A slab's two buffers
 # and its reads of w then stay in a core's L2 cache: at 101^3 on a 2 MiB
@@ -234,30 +228,29 @@ def _laplacian_into(w, lo, hi, out, scratch):
     return out
 
 
-def _boundary_plan(n, cdt, dx, order):
+def _boundary_plan(n, cdt, dx):
     """Flat-index plan of the absorbing boundary update on an n^3 grid.
 
     Every boundary node is written from interior nodes of the new level and
     from the two old levels only, so the nodes are independent and one
     gather/scatter per formula updates them all.
 
-    ``face`` (None for ``order == 1``) is the second-order face formula's
-    plan: ``planes`` (6, 2, n, n) holds each face's boundary and inner
-    layer, its two tangential axes in increasing order, and ``boundary`` /
-    ``inner`` are the face interiors of those layers.  ``mur`` holds every
-    node on the first-order formula, its inward-diagonal node and the
-    coefficient (cdt - d) / (cdt + d); d is dx on the faces (order 1),
-    sqrt(2) dx on the edges and sqrt(3) dx on the corners.
+    ``face`` is the second-order face formula's plan (planes, boundary,
+    inner): ``planes`` (6, 2, n, n) holds each face's boundary and inner
+    layer, its two tangential axes in increasing order, and ``boundary``
+    / ``inner`` are the face interiors of those layers.  ``mur`` holds
+    every edge and corner node, its inward-diagonal node and the
+    first-order coefficient (cdt - d) / (cdt + d); d is sqrt(2) dx on the
+    edges and sqrt(3) dx on the corners.
     """
     idx = np.arange(n ** 3).reshape(n, n, n)
     sides = ((0, 1), (-1, -2))  # (boundary index, inner index)
     planes = np.stack([np.moveaxis(idx, axis, 0)[[b, i]]
                        for axis in range(3) for b, i in sides])
-    boundary = planes[:, 0, 1:-1, 1:-1].copy()
-    inner = planes[:, 1, 1:-1, 1:-1].copy()
-    face = (planes, boundary, inner) if order == 2 else None
+    face = (planes, planes[:, 0, 1:-1, 1:-1].copy(),
+            planes[:, 1, 1:-1, 1:-1].copy())
     # (boundary nodes, inward-diagonal nodes, distance d)
-    mur = [(boundary, inner, dx)] if order == 1 else []
+    mur = []
     for a in range(3):
         for b in range(a + 1, 3):
             for sa, ia in sides:
@@ -311,7 +304,7 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
     k1 = (cdt - dx) / (cdt + dx)
     k2 = 2.0 * dx / (cdt + dx)
     k3 = cdt * cdt / (2.0 * dx * (cdt + dx))
-    face, (mur_b, mur_d, mur_c) = _boundary_plan(n, cdt, dx, cfg.abc_order)
+    (planes, fb, fi), (mur_b, mur_d, mur_c) = _boundary_plan(n, cdt, dx)
     n_samples = int(round(cfg.T * sample_rate))
     snaps = np.empty((n_samples, n, n, n))
     times = np.arange(n_samples) / sample_rate
@@ -347,14 +340,12 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
         # Boundary: every node reads interior w_next and the old levels
         # only, so w_next's stale boundary values are never read.
         wn, wc, wm = w_next.reshape(-1), w.reshape(-1), w_prev.reshape(-1)
-        if face is not None:
-            planes, fb, fi = face
-            f = wc[planes]
-            tan = (f[..., 2:, 1:-1] + f[..., :-2, 1:-1] + f[..., 1:-1, 2:]
-                   + f[..., 1:-1, :-2] - 4.0 * f[..., 1:-1, 1:-1])
-            wn[fb] = (-wm[fi] + k1 * (wn[fi] + wm[fb])
-                      + k2 * (f[:, 0, 1:-1, 1:-1] + f[:, 1, 1:-1, 1:-1])
-                      + k3 * (tan[:, 0] + tan[:, 1]))
+        f = wc[planes]
+        tan = (f[..., 2:, 1:-1] + f[..., :-2, 1:-1] + f[..., 1:-1, 2:]
+               + f[..., 1:-1, :-2] - 4.0 * f[..., 1:-1, 1:-1])
+        wn[fb] = (-wm[fi] + k1 * (wn[fi] + wm[fb])
+                  + k2 * (f[:, 0, 1:-1, 1:-1] + f[:, 1, 1:-1, 1:-1])
+                  + k3 * (tan[:, 0] + tan[:, 1]))
         wn[mur_b] = wc[mur_d] + mur_c * (wn[mur_d] - wc[mur_b])
         w_prev, w, w_next = w, w_next, w_prev
         if step % 25 == 0 and not np.isfinite(w).all():
@@ -438,12 +429,17 @@ class SensorDataset:
             header = fh.readline().strip()
             if header != "sensor_id,x,y,z,t,value":
                 raise ValueError(f"unexpected sensor CSV header: {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 parts = line.strip().split(",")
-                if not parts or parts == [""]:
+                if parts == [""]:
                     continue
+                if len(parts) != 6:
+                    raise ValueError(f"{path}: line {lineno} has {len(parts)} "
+                                     "fields, expected 6")
                 ids.append(int(parts[0]))
                 rows.append([float(v) for v in parts[1:]])
+        if not rows:
+            raise ValueError(f"{path}: no observations")
         rows = np.asarray(rows)
         ids = np.asarray(ids)
         sensor_ids = np.unique(ids)
@@ -459,22 +455,12 @@ class SensorDataset:
                    values=np.concatenate([b[:, 4] for b in blocks]))
 
 
-def sample_sensors(history: FieldHistory, positions, sample_rate=None):
+def sample_sensors(history: FieldHistory, positions):
     """Trilinear interpolation of the stored snapshots at sensor positions."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     cfg = history.cfg
     if np.any(positions < 0.0) or np.any(positions > cfg.L):
         raise ValueError("sensor positions must lie inside the box")
-    if sample_rate is None:
-        stride = 1
-    else:
-        stride_f = history.sample_rate / sample_rate
-        stride = int(round(stride_f))
-        if abs(stride_f - stride) > 1e-9 or stride < 1:
-            raise ValueError("sample rate must divide the stored rate")
-    times = history.times[::stride]
-    snaps = history.snaps[::stride]
-
     n = cfg.n_nodes
     dx = cfg.dx_eff
     f = positions / dx
@@ -495,11 +481,11 @@ def sample_sensors(history: FieldHistory, positions, sample_rate=None):
                 corners.append(idx)
     weights = np.stack(weights, axis=1)
     corners = np.stack(corners, axis=1)
-    values = np.empty((positions.shape[0], times.size))
-    for k in range(times.size):
-        flat = snaps[k].ravel()
+    values = np.empty((positions.shape[0], history.times.size))
+    for k in range(history.times.size):
+        flat = history.snaps[k].ravel()
         values[:, k] = (flat[corners] * weights).sum(axis=1)
-    return SensorDataset(positions=positions, times=times,
+    return SensorDataset(positions=positions, times=history.times,
                          values=values.ravel())
 
 

@@ -75,7 +75,7 @@ def _face_tangential(face):
             + face[1:-1, :-2] - 4.0 * face[1:-1, 1:-1])
 
 
-def _apply_abc(wn, w, wm, cdt, dx, order):
+def _apply_abc(wn, w, wm, cdt, dx):
     inner_face = (slice(1, -1), slice(1, -1))
     k1 = (cdt - dx) / (cdt + dx)
     k2 = 2.0 * dx / (cdt + dx)
@@ -85,20 +85,14 @@ def _apply_abc(wn, w, wm, cdt, dx, order):
             wn_v = np.moveaxis(wn, axis, 0)
             w_v = np.moveaxis(w, axis, 0)
             wm_v = np.moveaxis(wm, axis, 0)
-            if order == 1:
-                wn_v[(bidx,) + inner_face] = (
-                    w_v[(iidx,) + inner_face]
-                    + k1 * (wn_v[(iidx,) + inner_face]
-                            - w_v[(bidx,) + inner_face]))
-            else:
-                t2 = _face_tangential(w_v[bidx]) + _face_tangential(w_v[iidx])
-                wn_v[(bidx,) + inner_face] = (
-                    -wm_v[(iidx,) + inner_face]
-                    + k1 * (wn_v[(iidx,) + inner_face]
-                            + wm_v[(bidx,) + inner_face])
-                    + k2 * (w_v[(bidx,) + inner_face]
-                            + w_v[(iidx,) + inner_face])
-                    + k3 * t2)
+            t2 = _face_tangential(w_v[bidx]) + _face_tangential(w_v[iidx])
+            wn_v[(bidx,) + inner_face] = (
+                -wm_v[(iidx,) + inner_face]
+                + k1 * (wn_v[(iidx,) + inner_face]
+                        + wm_v[(bidx,) + inner_face])
+                + k2 * (w_v[(bidx,) + inner_face]
+                        + w_v[(iidx,) + inner_face])
+                + k3 * t2)
 
     # Edges and corners: first-order condition along the inward diagonal.
     def mur1(bounds_idx, diag_idx, dist):
@@ -167,7 +161,7 @@ def reference_simulation(cfg, u0, v0, sample_rate=50.0):
         if recorded >= n_samples:
             break
         w_next = 2.0 * w - w_prev + cou2 * _laplacian(w)
-        _apply_abc(w_next, w, w_prev, cdt, dx, cfg.abc_order)
+        _apply_abc(w_next, w, w_prev, cdt, dx)
         w_prev, w = w, w_next
         if step % 25 == 0 and not np.isfinite(w).all():
             raise FloatingPointError(f"instability detected at step {step}")

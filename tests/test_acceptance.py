@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from waveinform import fast, gp
-from waveinform.design import multistart_fit
+from waveinform.design import multistart_fit, nll_objective
 from waveinform.experiments import (ExperimentConfig, case_ics, case_theta,
                                     cmd_errors, cmd_fit, cmd_reconstruct,
                                     cmd_simulate, default_box,
@@ -496,8 +496,10 @@ def test_criterion_10_hyperparameter_estimation(case1):
     t0 = time.time()
     cfg, dataset, theta, _ = case1
     subset = dataset.subset(10)
-    best, trace = multistart_fit(subset, ("u",), default_box(("u",)),
-                                 n_mult=20, seed=13, tol=1e-4, max_evals=400)
+    best_vec, trace = multistart_fit(nll_objective(subset, ("u",)),
+                                     default_box(("u",)), n_mult=20, seed=13,
+                                     tol=1e-4, max_evals=400)
+    best = HyperParams.from_vector(best_vec, ("u",))
     c_err = abs(best.c - 0.5)
     x0_err = float(np.linalg.norm(best.u.x0 - [0.65, 0.3, 0.5]))
     r_hat = best.u.radius

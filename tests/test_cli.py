@@ -323,6 +323,33 @@ def test_scan_window_matches_dense_reference(lam, chunk):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _scan_argv(simulated, outdir, *extra):
+    sensors = simulated[0] / "sensors.csv"
+    return ["pointsource-scan", "--sensors", str(sensors), "--out",
+            str(outdir), "--grid-n", "4", *extra]
+
+
+@pytest.mark.parametrize("extra, match", [
+    (("--radius", "0"), "radius"),
+    (("--radius", "-0.02"), "radius"),
+    (("--speed", "0"), "scan c"),
+    (("--mode", "nll", "--lam", "0"), "lam"),
+    (("--mode", "nll", "--lam", "-1"), "lam"),
+], ids=["radius-0", "radius-negative", "speed-0", "lam-0", "lam-negative"])
+def test_pointsource_scan_refuses_bad_input(simulated, tmp_path, extra, match):
+    with pytest.raises(ValueError, match=match):
+        main(_scan_argv(simulated, tmp_path, *extra))
+    assert not (tmp_path / "scan_argmin.json").exists()
+
+
+def test_pointsource_scan_refuses_a_one_node_grid(simulated, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_scan_argv(simulated, tmp_path, "--grid-n", "1"))
+    assert exc.value.code == 2
+    assert "--grid-n" in capsys.readouterr().err
+    assert not (tmp_path / "scan_argmin.json").exists()
+
+
 def test_config_json_refuses_unknown_keys():
     with pytest.raises(ValueError, match="noise_sigm"):
         ExperimentConfig.from_json('{"noise_sigm": 0.5}')

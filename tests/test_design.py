@@ -9,13 +9,6 @@ from waveinform.exceptions import KernelEvaluationError, SingularCovarianceError
 from waveinform.kernels import HyperParams
 
 
-class FakeDataset:
-    def points(self):
-        return np.zeros((1, 3)), np.zeros(1)
-
-    values = np.zeros(1)
-
-
 def test_lhs_marginal_strata():
     design = lhs_design(30, [0.2] * 3, [0.8] * 3, restarts=5, seed=0)
     assert design.shape == (30, 3)
@@ -102,8 +95,8 @@ def test_multistart_surrogate_quadratic():
     def objective(vec):
         return float(((vec - target)**2).sum())
 
-    best, trace = multistart_fit(FakeDataset(), ("u",), box, n_mult=6, seed=3,
-                                 tol=1e-8, max_evals=800, objective=objective)
+    best, trace = multistart_fit(objective, box, n_mult=6, seed=3, tol=1e-8,
+                                 max_evals=800)
     nlls = [row.nll_end for row in trace]
     assert min(nlls) <= 1e-7
     # monotone best-so-far
@@ -122,8 +115,8 @@ def test_multistart_records_a_failed_start(error):
             raise error("injected")
         return float(((vec - 0.5)**2).sum())
 
-    best, trace = multistart_fit(FakeDataset(), (), box, n_mult=3, seed=6,
-                                 tol=1e-8, max_evals=200, objective=objective)
+    best, trace = multistart_fit(objective, box, n_mult=3, seed=6, tol=1e-8,
+                                 max_evals=200)
     assert [row.start_id for row in trace] == [0, 1, 2]
     failed = trace[1]
     assert np.isnan(failed.nll_end) and failed.evals == 0
@@ -135,8 +128,8 @@ def test_multistart_records_a_failed_start(error):
         raise error("injected")
 
     with pytest.raises(RuntimeError, match="all multistart runs failed"):
-        multistart_fit(FakeDataset(), (), box, n_mult=2, seed=6,
-                       objective=always)
+        multistart_fit(always, box, n_mult=2, seed=6, tol=1e-4,
+                       max_evals=600)
 
 
 def test_multistart_single_start_equals_minimize_box():
@@ -145,8 +138,8 @@ def test_multistart_single_start_equals_minimize_box():
     def objective(vec):
         return float(((vec - 0.5)**2).sum())
 
-    best, trace = multistart_fit(FakeDataset(), (), box, n_mult=1, seed=4,
-                                 tol=1e-8, max_evals=400, objective=objective)
+    best, trace = multistart_fit(objective, box, n_mult=1, seed=4, tol=1e-8,
+                                 max_evals=400)
     start = lhs_design(1, box.lower, box.upper, restarts=10, seed=4)[0]
     x_ref, f_ref, _ = minimize_box(objective, box, start, tol=1e-8,
                                    max_evals=400)

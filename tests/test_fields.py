@@ -1,5 +1,8 @@
 """Grid field container and serialization tests."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,8 +31,9 @@ def test_as_array_roundtrip():
 
 
 def test_from_function():
-    field = ScalarField3D.from_function(lambda pts: pts[:, 0] + 2 * pts[:, 2],
-                                        [0, 0, 0], 1.0, (2, 2, 2))
+    grid = ScalarField3D.zeros([0, 0, 0], 1.0, (2, 2, 2))
+    pts = grid.points()
+    field = grid.like(pts[:, 0] + 2 * pts[:, 2])
     assert field.values[1] == pytest.approx(1.0)
     assert field.values[4] == pytest.approx(2.0)
 
@@ -57,15 +61,14 @@ def test_binary_json_roundtrip(tmp_path):
     assert len(raw) == 24 * 8  # little-endian float64 payload
 
 
-def test_csv_export(tmp_path):
-    field = ScalarField3D(origin=[0, 0, 0], dx=1.0, dims=(2, 2, 2),
-                          values=np.arange(8.0))
-    path = tmp_path / "field.csv"
-    field.export_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,z,value"
-    assert len(lines) == 9
-    assert lines[2].startswith("1,0,0,")
+def test_load_closes_its_files(tmp_path):
+    prefix = tmp_path / "field"
+    ScalarField3D.zeros([0, 0, 0], 0.5, (2, 2, 2)).save(prefix)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ScalarField3D.load(prefix)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_fmt17_roundtrip():

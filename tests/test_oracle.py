@@ -16,7 +16,7 @@ from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
                                kirchhoff_eval, ku_wave_quadrature,
                                kv_wave_quadrature, lp_relative_error,
                                lp_stability_check, spherical_mean_radial,
-                               spherical_mean_radial_dt, verify_dalembert)
+                               spherical_mean_radial_dt)
 from waveinform.sim import InitialCondition
 
 
@@ -331,8 +331,8 @@ def test_kirchhoff_time_zero_returns_u0():
 
 
 def test_dalembert_linear_time_exact_zero():
-    assert verify_dalembert(lambda x, t: t, (np.array([0.3, 0.3, 0.3]), 0.5),
-                            0.5, 1e-3) == 0.0
+    assert dalembert_residuals(lambda x, t: t, [[0.3, 0.3, 0.3]], [0.5],
+                               0.5, 1e-3)[0] == 0.0
 
 
 def test_dalembert_plane_wave_residual_and_decay():
@@ -341,8 +341,8 @@ def test_dalembert_plane_wave_residual_and_decay():
     def f(x, t):
         return np.sin(x[:, 0] - c * t)
 
-    z = (np.array([0.3, 0.2, 0.6]), 0.4)
-    res = [verify_dalembert(f, z, c, step) for step in (2e-3, 1e-3)]
+    res = [dalembert_residuals(f, [[0.3, 0.2, 0.6]], [0.4], c, step)[0]
+           for step in (2e-3, 1e-3)]
     assert res[0] <= (2e-3)**2 * 10.0
     assert res[1] <= res[0] / 3.0
 
@@ -356,7 +356,8 @@ def test_dalembert_batched_matches_scalar():
     xs = np.array([[0.3, 0.4, 0.5], [0.1, 0.9, 0.2]])
     ts = np.array([0.3, 0.8])
     batch = dalembert_residuals(f, xs, ts, c, 1e-3)
-    singles = [verify_dalembert(f, (xs[i], ts[i]), c, 1e-3) for i in range(2)]
+    singles = [dalembert_residuals(f, xs[i:i + 1], ts[i:i + 1], c, 1e-3)[0]
+               for i in range(2)]
     assert np.allclose(batch, singles)
 
 
