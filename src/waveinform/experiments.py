@@ -191,10 +191,10 @@ class Manifest:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             self.entries[name] = digest
 
-    def write(self, name="manifest.json"):
+    def write(self):
         blob = {"files": self.entries, **self.meta}
-        atomic_write_text(self.path(name), json.dumps(blob, sort_keys=True,
-                                                      indent=1) + "\n")
+        atomic_write_text(self.path("manifest.json"),
+                          json.dumps(blob, sort_keys=True, indent=1) + "\n")
 
 
 def cmd_simulate(config: ExperimentConfig, outdir):
@@ -397,10 +397,11 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
 def cmd_pointsource_scan(dataset: SensorDataset, scan_grid: ScalarField3D,
                          radius, c, lam, outdir, mode="limit"):
     """Scan the point-source likelihood over a grid and locate the argmin."""
-    manifest = Manifest(outdir)
     pts = scan_grid.points()
     vals = scan_limit_profile(dataset, pts, c, radius,
                               lam=None if mode == "limit" else lam)
+    # Only now: a scan that refuses its inputs leaves no directory behind.
+    manifest = Manifest(outdir)
     volume = scan_grid.like(vals)
     volume.save(manifest.path("scan_volume"))
     best = int(np.argmin(vals))

@@ -112,7 +112,8 @@ def fast_nll(kernel, x, t, y, lam):
     total = float(y_out @ y_out) / lam + act.q * math.log(lam)
     if act.p > 0:
         kmat = assemble_covariance(kernel, x[idx], t[idx])
-        chol, jitter = chol_with_jitter(kmat + lam * np.eye(act.p))
+        kmat.flat[::act.p + 1] += lam
+        chol, jitter = chol_with_jitter(kmat)
         if jitter > 0.0:
             _log.warning("likelihood Cholesky of the %d x %d active block "
                          "needed jitter %.3g", act.p, act.p, jitter)

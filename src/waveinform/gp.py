@@ -75,7 +75,8 @@ def fit_posterior(kernel, x, t, y, lam):
     x_in, t_in, y_in = x[idx], t[idx], y[idx]
     if act.p > 0:
         kmat = assemble_covariance(kernel, x_in, t_in)
-        chol, jitter = chol_with_jitter(kmat + lam * np.eye(act.p))
+        kmat.flat[::act.p + 1] += lam
+        chol, jitter = chol_with_jitter(kmat)
         if jitter > 0.0:
             _log.warning("posterior Cholesky of the %d x %d active block "
                          "needed jitter %.3g", act.p, act.p, jitter)

@@ -436,8 +436,12 @@ class SensorDataset:
                 if len(parts) != 6:
                     raise ValueError(f"{path}: line {lineno} has {len(parts)} "
                                      "fields, expected 6")
-                ids.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
+                try:
+                    ids.append(int(parts[0]))
+                    rows.append([float(v) for v in parts[1:]])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno} has a "
+                                     f"non-numeric field: {exc}") from None
         if not rows:
             raise ValueError(f"{path}: no observations")
         rows = np.asarray(rows)

@@ -342,6 +342,13 @@ def test_pointsource_scan_refuses_bad_input(simulated, tmp_path, extra, match):
     assert not (tmp_path / "scan_argmin.json").exists()
 
 
+def test_refused_pointsource_scan_leaves_no_directory(simulated, tmp_path):
+    outdir = tmp_path / "refused"
+    with pytest.raises(ValueError, match="radius"):
+        main(_scan_argv(simulated, outdir, "--radius", "0"))
+    assert not outdir.exists()
+
+
 def test_pointsource_scan_refuses_a_one_node_grid(simulated, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(_scan_argv(simulated, tmp_path, "--grid-n", "1"))

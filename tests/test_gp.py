@@ -6,8 +6,9 @@ import pytest
 from dense_reference import FunctionKernel, dense_nll
 from waveinform import fast, gp
 from waveinform.exceptions import KernelEvaluationError, SingularCovarianceError
+from waveinform.experiments import case_theta
 from waveinform.kernels import HyperParams, SourceParams, WaveKernel, matern52
-from waveinform.linalg import assemble_covariance
+from waveinform.linalg import BAND, assemble_covariance
 
 
 def truncated_params(rng=None, both=True):
@@ -81,6 +82,59 @@ def test_assemble_nonfinite_raises_with_pair():
 
     with pytest.raises(KernelEvaluationError, match="points 1"):
         assemble_covariance(FunctionKernel(bad), np.zeros((2, 3)), [0.0, 1.0])
+
+
+BAND_SIZES = [1, BAND - 1, BAND, BAND + 1, 2 * BAND + 7]
+
+
+def single_call_assembly(kernel, x, t):
+    """One pairwise call on the whole block, upper triangle mirrored."""
+    k = kernel.pairwise(x, t, x, t)
+    return np.triu(k) + np.triu(k, 1).T
+
+
+def mixed_points(rng, params, n):
+    """n points, about half inside the light cones and half anywhere."""
+    x_in, t_in = draw_points(rng, params, (n + 1) // 2)
+    x_any, t_any = draw_points(rng, params, n // 2, active=False)
+    order = rng.permutation(n)
+    x = np.vstack([x_in, x_any.reshape(-1, 3)])
+    return x[order], np.concatenate([t_in, t_any])[order]
+
+
+@pytest.mark.parametrize("n", BAND_SIZES)
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_banded_assembly_is_bitwise_the_single_call(case, n):
+    rng = np.random.default_rng(100 * case + n)
+    params = case_theta(case)
+    x, t = mixed_points(rng, params, n)
+    kern = WaveKernel(params)
+    k = assemble_covariance(kern, x, t)
+    assert k.tobytes() == single_call_assembly(kern, x, t).tobytes()
+    if n > BAND:
+        inside = fast.light_cone_contains(params, x, t)
+        assert inside.any() and not inside.all() and np.any(k == 0.0)
+
+
+@pytest.mark.parametrize("n", BAND_SIZES)
+def test_banded_assembly_evaluates_the_upper_band_only(n):
+    kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0 + t1 * t2)
+    t = np.linspace(0.0, 1.0, n)
+    k = assemble_covariance(kern, np.zeros((n, 3)), t)
+    assert np.array_equal(k, 1.0 + np.outer(t, t))
+    starts = range(0, n, BAND)
+    assert kern.eval_count == sum(min(BAND, n - a) * (n - a) for a in starts)
+
+
+def test_banded_assembly_names_a_nonfinite_pair_in_a_later_band():
+    n, i, j = 2 * BAND + 7, BAND + 1, BAND + 2
+
+    def nan_at_pair(x1, t1, x2, t2):
+        return np.nan if {t1, t2} == {i, j} else float(t1 == t2)
+
+    with pytest.raises(KernelEvaluationError, match=f"points {i} and {j}:"):
+        assemble_covariance(FunctionKernel(nan_at_pair), np.zeros((n, 3)),
+                            np.arange(n, dtype=float))
 
 
 def test_posterior_and_likelihood_refuse_nonfinite_covariance():

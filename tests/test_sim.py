@@ -353,3 +353,16 @@ def test_dataset_csv_refuses_a_row_with_five_fields(tmp_path):
                              (0, 0.2, 0.2, 0.2, 0.1)])
     with pytest.raises(ValueError, match="line 3 has 5 fields"):
         SensorDataset.from_csv(path)
+
+
+@pytest.mark.parametrize("bad_row, field", [
+    ((0, 0.2, 0.2, "x", 0.1, 2.0), "x"),
+    (("s1", 0.5, 0.5, 0.5, 0.0, 3.0), "s1"),
+], ids=["value", "sensor-id"])
+def test_dataset_csv_names_the_line_of_a_non_numeric_field(tmp_path, bad_row,
+                                                           field):
+    path = tmp_path / "sensors.csv"
+    _write_sensor_csv(path, [(0, 0.2, 0.2, 0.2, 0.0, 1.0), bad_row])
+    with pytest.raises(ValueError, match=r"sensors\.csv: line 3 has a "
+                       rf"non-numeric field: .*'{field}'"):
+        SensorDataset.from_csv(path)
