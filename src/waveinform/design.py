@@ -41,10 +41,9 @@ class HyperBox:
     def dim(self):
         return self.lower.size
 
-    def contains(self, x, atol=0.0):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - atol)
-                    and np.all(x <= self.upper + atol))
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
 def _lhs_candidate(n, dim, rng):
@@ -65,7 +64,7 @@ def _min_pairwise_distance(pts):
     return float(dist[iu].min())
 
 
-def lhs_design(n, lower, upper, restarts=20, seed=0, return_criteria=False):
+def lhs_design(n, lower, upper, restarts=20, seed=0):
     """Latin hypercube design improved by maximin over seeded restarts.
 
     Among ``restarts`` candidates, keeps the one with the largest minimum
@@ -79,17 +78,12 @@ def lhs_design(n, lower, upper, restarts=20, seed=0, return_criteria=False):
     rng = np.random.default_rng(int(seed))
     best = None
     best_crit = -np.inf
-    criteria = []
     for _ in range(max(1, restarts)):
         cand = _lhs_candidate(n, lower.size, rng)
         crit = _min_pairwise_distance(cand)
-        criteria.append(crit)
         if crit > best_crit:
             best, best_crit = cand, crit
-    design = lower + best * (upper - lower)
-    if return_criteria:
-        return design, np.array(criteria), best_crit
-    return design
+    return lower + best * (upper - lower)
 
 
 _LOGIT_EPS = 1e-12

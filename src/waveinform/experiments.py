@@ -146,13 +146,21 @@ class ExperimentConfig:
 
 
 def _refuse_unknown_keys(blob, cls, where):
+    if not isinstance(blob, dict):
+        raise ValueError(f"{where} must be a JSON object")
     unknown = sorted(set(blob) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _refuse_missing_keys(blob, names, where):
+    missing = [name for name in names if name not in blob]
+    if missing:
+        raise ValueError(f"missing {where} keys: {', '.join(missing)}")
+
+
 def theta_to_json(params: HyperParams):
-    blob = {"c": params.c, "lam": params.lam, "alpha_cut": params.alpha_cut}
+    blob = {"c": params.c, "lam": params.lam}
     for name in params.components:
         src = getattr(params, name)
         blob[name] = {"x0": list(src.x0), "radius": src.radius,
@@ -161,16 +169,19 @@ def theta_to_json(params: HyperParams):
 
 
 def theta_from_json(text):
+    """Parse ``theta.json``; refuse unknown and missing keys by name."""
     blob = json.loads(text)
-    def block(name):
-        if name not in blob:
-            return None
-        b = blob[name]
-        return SourceParams(x0=b["x0"], radius=b["radius"], rho=b["rho"],
-                            sigma2=b["sigma2"])
-    return HyperParams(c=blob["c"], u=block("u"), v=block("v"),
-                       lam=blob.get("lam", 0.0),
-                       alpha_cut=blob.get("alpha_cut", 0.8))
+    _refuse_unknown_keys(blob, HyperParams, "theta")
+    _refuse_missing_keys(blob, ("c", "lam"), "theta")
+    blocks = {}
+    for name in ("u", "v"):
+        if name in blob:
+            where = f"theta {name}"
+            _refuse_unknown_keys(blob[name], SourceParams, where)
+            _refuse_missing_keys(blob[name],
+                                 [f.name for f in fields(SourceParams)], where)
+            blocks[name] = SourceParams(**blob[name])
+    return HyperParams(c=blob["c"], lam=blob["lam"], **blocks)
 
 
 class Manifest:
@@ -233,13 +244,13 @@ def cmd_sample(config: ExperimentConfig, history: FieldHistory, manifest=None,
 
 
 def cmd_fit(config: ExperimentConfig, dataset: SensorDataset, outdir,
-            theta_true: HyperParams = None, box: HyperBox = None):
+            theta_true: HyperParams = None):
     """Hyperparameter estimation (or pass-through when n_mult = 0).
 
     With ``fit_n_mult = 0`` the supplied theta is passed through unchanged
     (the known-theta mode); otherwise multistart likelihood minimization
-    runs over the box.  Writes the trace CSV, the selected theta, and a
-    summary row of the estimated base-kernel hyperparameters.
+    runs over ``default_box``.  Writes the trace CSV, the selected theta,
+    and a summary row of the estimated base-kernel hyperparameters.
     """
     manifest = Manifest(outdir)
     components = config.components()
@@ -248,12 +259,10 @@ def cmd_fit(config: ExperimentConfig, dataset: SensorDataset, outdir,
             raise ValueError("pass-through fit requires a supplied theta")
         best, trace = theta_true, []
     else:
-        if box is None:
-            box = default_box(components)
         best_vec, trace = multistart_fit(
-            nll_objective(dataset, components), box, n_mult=config.fit_n_mult,
-            seed=config.fit_seed, tol=config.fit_tol,
-            max_evals=config.fit_max_evals)
+            nll_objective(dataset, components), default_box(components),
+            n_mult=config.fit_n_mult, seed=config.fit_seed,
+            tol=config.fit_tol, max_evals=config.fit_max_evals)
         best = HyperParams.from_vector(best_vec, components)
     atomic_write_text(manifest.path("theta.json"), theta_to_json(best) + "\n")
     write_trace_csv(trace, components, manifest.path("fit_trace.csv"))
@@ -446,7 +455,7 @@ def _verify_oracle_match(params, order=24, n_pairs=6, seed=1):
         quad_v = kv_wave_quadrature(matern_radial_base(src, "v"), z, zp,
                                     params.c, rule)
         closed_u = ku_wave_radial([z[0]], [z[1]], [zp[0]], [zp[1]],
-                                  params.c, src, params.alpha_cut)[0, 0]
+                                  params.c, src)[0, 0]
         quad_u = ku_wave_quadrature(matern_radial_base(src, "u"), z, zp,
                                     params.c, rule)
         for closed, quad in ((closed_v, quad_v), (closed_u, quad_u)):

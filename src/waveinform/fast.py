@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .kernels import HyperParams, WaveKernel, smooth_cutoff
+from .kernels import TIME_TOL, HyperParams, WaveKernel, smooth_cutoff
 from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
                      logdet_from_chol)
 
@@ -34,9 +34,6 @@ from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
 # block is smaller because its triangular solve is held next to it.
 MEAN_CHUNK = 4096
 VAR_CHUNK = 1024
-# The regularized Green bump is flat within GREEN_ALPHA * radius of the
-# shell and falls smoothly to zero at radius.
-GREEN_ALPHA = 0.8
 
 _log = logging.getLogger(__name__)
 
@@ -317,10 +314,10 @@ def regularized_green(dist, t, c, radius):
     the shell measure it regularizes).  Vectorized over distances.
     """
     dist = np.asarray(dist, dtype=float)
-    if abs(t) < 1e-12:
+    if abs(t) < TIME_TOL:
         return np.zeros_like(dist)
     ct = c * abs(t)
-    bump = smooth_cutoff(np.abs(dist - ct) / radius, GREEN_ALPHA)
+    bump = smooth_cutoff(np.abs(dist - ct) / radius)
     i0, i2 = _bump_moments()
     mass = 4.0 * math.pi * radius * (ct * ct * i0 + radius * radius * i2)
     return (t / mass) * bump
@@ -330,7 +327,7 @@ def regularized_green(dist, t, c, radius):
 def _bump_moments():
     """Moments integral s^k * cutoff(|s|) ds over [-1, 1], k in {0, 2}."""
     s = np.linspace(-1.0, 1.0, 2001)
-    b = smooth_cutoff(np.abs(s), GREEN_ALPHA)
+    b = smooth_cutoff(np.abs(s))
     i0 = float(np.trapezoid(b, s))
     i2 = float(np.trapezoid(s * s * b, s))
     return i0, i2

@@ -15,9 +15,10 @@ Both components share one form.  Each point z gets radial features
 - speed (v): s_eps = min(b_eps^2, R^2), w_eps = eps sgn(t) / (4cr).
 
 This module implements the feature map and its assembly, the Matern-5/2
-base profile, the smooth compact-support cutoff, and the two
+base profile, the smooth compact-support cutoff phi, and the two
 stationary-prior closed forms (singular shell density and the
-Gaussian-base formula).
+Gaussian-base formula).  phi's plateau is one constant, ``CUTOFF_ALPHA``,
+shared with the regularized Green bump of the point-source scan.
 
 Base-kernel conventions.  The position prior puts a plain radial Matern on
 u0: correlation m52(r - r'), so ``rho_u`` is a length in meters.  The speed
@@ -45,6 +46,8 @@ from .exceptions import SingularEvaluationError
 
 # |t| below this is treated as t = 0 (sgn = 0, degenerate sphere).
 TIME_TOL = 1e-12
+# Plateau of the smooth cutoff phi: phi = 1 on [0, CUTOFF_ALPHA).
+CUTOFF_ALPHA = 0.8
 # Small-r clamp for the 1/r quotients; the quotients are even in r so the
 # clamp error is O(RADIUS_CLAMP**2).
 RADIUS_CLAMP = 1e-4
@@ -73,17 +76,15 @@ def matern52_d2(h, rho, sigma2):
     return -sigma2 * (1.0 + a - a * a) * np.exp(-a) / (3.0 * rho**2)
 
 
-def smooth_cutoff(s, alpha=0.8):
-    """C-infinity decreasing cutoff: 1 on [0, alpha), 0 on [1, inf).
+def smooth_cutoff(s):
+    """C-infinity decreasing cutoff phi: 1 on [0, a), 0 on [1, inf).
 
-    On [alpha, 1) uses the standard smooth partition
+    a = CUTOFF_ALPHA.  On [a, 1) uses the standard smooth partition
     psi(1-u) / (psi(u) + psi(1-u)) with psi(u) = exp(-1/u) and
-    u = (s - alpha)/(1 - alpha).
+    u = (s - a)/(1 - a).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     s_arr = np.asarray(s, dtype=float)
-    u = (s_arr - alpha) / (1.0 - alpha)
+    u = (s_arr - CUTOFF_ALPHA) / (1.0 - CUTOFF_ALPHA)
     out = np.where(u <= 0.0, 1.0, 0.0)
     inner = (u > 0.0) & (u < 1.0)
     if np.any(inner):
@@ -135,15 +136,12 @@ class HyperParams:
     u: SourceParams | None = None
     v: SourceParams | None = None
     lam: float = 0.0
-    alpha_cut: float = 0.8
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"wave speed must be positive, got {self.c}")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"noise variance must be >= 0, got {self.lam}")
-        if not 0.0 < self.alpha_cut < 1.0:
-            raise ValueError(f"alpha_cut must lie in (0,1), got {self.alpha_cut}")
 
     @property
     def components(self):
@@ -164,7 +162,7 @@ class HyperParams:
         return np.array(parts, dtype=float)
 
     @classmethod
-    def from_vector(cls, vec, components, alpha_cut=0.8):
+    def from_vector(cls, vec, components):
         vec = np.asarray(vec, dtype=float).reshape(-1)
         expected = 6 * len(components) + 2
         if vec.size != expected:
@@ -173,8 +171,7 @@ class HyperParams:
         for i, name in enumerate(components):
             b = vec[6 * i : 6 * i + 6]
             blocks[name] = SourceParams(x0=b[:3], radius=b[3], rho=b[4], sigma2=b[5])
-        return cls(c=vec[-2], u=blocks["u"], v=blocks["v"], lam=vec[-1],
-                   alpha_cut=alpha_cut)
+        return cls(c=vec[-2], u=blocks["u"], v=blocks["v"], lam=vec[-1])
 
     @staticmethod
     def vector_names(components):
@@ -200,7 +197,12 @@ def _time_sign(t):
     return s
 
 
-def _features(comp, r, t, c, src, alpha_cut):
+def _scalar_time_sign(t):
+    """sgn(t) of one time, 0 within TIME_TOL of t = 0, as ``_time_sign``."""
+    return 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
+
+
+def _features(comp, r, t, c, src):
     """Features (w, s) of component "u" or "v" (module docstring), (2, n) each.
 
     ``r`` holds the radii |x - x0| about the component's center.
@@ -210,7 +212,7 @@ def _features(comp, r, t, c, src, alpha_cut):
     b = np.stack([r - ct, r + ct])
     if comp == "u":
         s = np.abs(b)
-        return b * smooth_cutoff(s / src.radius, alpha_cut) / (2.0 * r), s
+        return b * smooth_cutoff(s / src.radius) / (2.0 * r), s
     w = _EPS * (_time_sign(t) / (4.0 * c * r))
     return w, np.minimum(b * b, src.radius**2)
 
@@ -259,12 +261,12 @@ def _assemble(w1, s1, w2, s2, src):
     return acc
 
 
-def _radial(comp, src, c, alpha_cut, r1, t1, r2=None, t2=None):
+def _radial(comp, src, c, r1, t1, r2=None, t2=None):
     """One component at radii r = |x - x0|; the diagonal when r2 is None."""
-    w1, s1 = _features(comp, r1, t1, c, src, alpha_cut)
+    w1, s1 = _features(comp, r1, t1, c, src)
     if r2 is None:
         return _assemble(w1, s1, w1, s1, src)
-    w2, s2 = _features(comp, r2, t2, c, src, alpha_cut)
+    w2, s2 = _features(comp, r2, t2, c, src)
     return _assemble(w1[:, :, None], s1[:, :, None],
                      w2[:, None, :], s2[:, None, :], src)
 
@@ -273,7 +275,7 @@ def _radii(x, src):
     return np.linalg.norm(x - src.x0, axis=1)
 
 
-def _kernel(c, parts, alpha_cut, x1, t1, x2=None, t2=None):
+def _kernel(c, parts, x1, t1, x2=None, t2=None):
     """Sum of the (component, source) parts; the diagonal when x2 is None."""
     x1, t1 = _as_points(x1, t1)
     if x2 is not None:
@@ -281,7 +283,7 @@ def _kernel(c, parts, alpha_cut, x1, t1, x2=None, t2=None):
     out = np.zeros(t1.shape if x2 is None else (t1.size, t2.size))
     for comp, src in parts:
         r2 = None if x2 is None else _radii(x2, src)
-        out += _radial(comp, src, c, alpha_cut, _radii(x1, src), t1, r2, t2)
+        out += _radial(comp, src, c, _radii(x1, src), t1, r2, t2)
     return out
 
 
@@ -291,27 +293,27 @@ def kv_wave_radial(x1, t1, x2, t2, c, src):
     sgn(t t') / (16 c^2 r r') * sum_{eps,eps'} eps eps' m52(a_eps - a'_eps')
     with a_eps = min((r + eps c|t|)^2, R^2).  Exact 0 outside the light cone.
     """
-    return _kernel(c, [("v", src)], None, x1, t1, x2, t2)
+    return _kernel(c, [("v", src)], x1, t1, x2, t2)
 
 
 def kv_wave_diag(x, t, c, src):
     """Diagonal kv_wave_radial(z, z); exact zeros outside the light cone."""
-    return _kernel(c, [("v", src)], None, x, t)
+    return _kernel(c, [("v", src)], x, t)
 
 
-def ku_wave_radial(x1, t1, x2, t2, c, src, alpha_cut=0.8):
+def ku_wave_radial(x1, t1, x2, t2, c, src):
     """Position-component wave kernel (smoothly truncated radial base), pairwise.
 
     1/(4 r r') * sum_{eps,eps'} b_eps b'_eps' phi(|b_eps|/R) phi(|b'_eps'|/R)
     m52(|b_eps| - |b'_eps'|) with b_eps = r + eps c|t|: a plain radial
     Matern prior on u0 cut off by phi.
     """
-    return _kernel(c, [("u", src)], alpha_cut, x1, t1, x2, t2)
+    return _kernel(c, [("u", src)], x1, t1, x2, t2)
 
 
-def ku_wave_diag(x, t, c, src, alpha_cut=0.8):
+def ku_wave_diag(x, t, c, src):
     """Diagonal ku_wave_radial(z, z)."""
-    return _kernel(c, [("u", src)], alpha_cut, x, t)
+    return _kernel(c, [("u", src)], x, t)
 
 
 def _parts(params):
@@ -320,12 +322,12 @@ def _parts(params):
 
 def wave_kernel(x1, t1, x2, t2, params: HyperParams):
     """Full space-time wave kernel: sum of the enabled u and v components."""
-    return _kernel(params.c, _parts(params), params.alpha_cut, x1, t1, x2, t2)
+    return _kernel(params.c, _parts(params), x1, t1, x2, t2)
 
 
 def wave_kernel_diag(x, t, params: HyperParams):
     """Diagonal of :func:`wave_kernel`; exact zeros outside both light cones."""
-    return _kernel(params.c, _parts(params), params.alpha_cut, x, t)
+    return _kernel(params.c, _parts(params), x, t)
 
 
 class WaveKernel:
@@ -357,7 +359,7 @@ class WaveKernel:
         can evaluate it once per distinct pair.
         """
         out = _radial(comp, getattr(self.params, comp), self.params.c,
-                      self.params.alpha_cut, r1, t1, r2, t2)
+                      r1, t1, r2, t2)
         self.eval_count += out.size
         return out
 
@@ -371,9 +373,7 @@ def stationary_ftft_density(hnorm, t, tp, c):
     """
     if hnorm < 0.0:
         raise ValueError("hnorm must be >= 0")
-    st = 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
-    stp = 0.0 if abs(tp) < TIME_TOL else math.copysign(1.0, tp)
-    sgn = st * stp
+    sgn = _scalar_time_sign(t) * _scalar_time_sign(tp)
     if sgn == 0.0:
         return 0.0
     lo = c * abs(abs(t) - abs(tp))
@@ -396,9 +396,7 @@ def stationary_gaussian_wave(h, t, tp, c, C, L, cprime=math.sqrt(math.pi / 2)):
     quadrature reproduces it (waveinform.oracle.calibrate_gaussian_prefactor).
     Near |h| = 0 the difference quotient is replaced by its analytic limit.
     """
-    st = 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
-    stp = 0.0 if abs(tp) < TIME_TOL else math.copysign(1.0, tp)
-    sgn = st * stp
+    sgn = _scalar_time_sign(t) * _scalar_time_sign(tp)
     if sgn == 0.0:
         return 0.0
     hn = float(np.linalg.norm(np.asarray(h, dtype=float).reshape(-1)))

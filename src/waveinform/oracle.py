@@ -20,8 +20,8 @@ from numpy.polynomial import polynomial as P
 
 from .exceptions import KernelEvaluationError
 from .fields import ScalarField3D
-from .kernels import (RADIUS_CLAMP, matern52, matern52_d1, matern52_d2,
-                      stationary_gaussian_wave)
+from .kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, TIME_TOL, matern52,
+                      matern52_d1, matern52_d2, stationary_gaussian_wave)
 
 # Rows per block of the dense quadrature double sum.
 QUAD_CHUNK = 256
@@ -372,7 +372,7 @@ def spherical_mean_radial(antideriv, x, t, c):
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     r = np.maximum(np.linalg.norm(x, axis=1), RADIUS_CLAMP)
     ct = c * abs(t)
-    sgn = 0.0 if abs(t) < 1e-12 else math.copysign(1.0, t)
+    sgn = 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
     vals = sgn * (antideriv((r + ct) ** 2) - antideriv((r - ct) ** 2)) / (4.0 * c * r)
     return vals
 
@@ -474,7 +474,7 @@ def is_smooth_point(params, x, t, step):
         qp = r + c * np.abs(t)
         radii = [src.radius]
         if name == "u":
-            radii.append(params.alpha_cut * src.radius)
+            radii.append(CUTOFF_ALPHA * src.radius)
             ok &= qm > cone_margin
         for kink in radii:
             ok &= np.abs(qm - kink) > margin

@@ -204,6 +204,46 @@ def test_theta_json_roundtrip():
     assert back.components == ("u", "v")
 
 
+def _theta_blob():
+    return json.loads(theta_to_json(case_theta(3)))
+
+
+def test_theta_json_refuses_unknown_keys():
+    # a theta.json written before the cutoff plateau became a constant
+    blob = _theta_blob()
+    blob["alpha_cut"] = 0.8
+    with pytest.raises(ValueError, match="unknown theta keys: alpha_cut"):
+        theta_from_json(json.dumps(blob))
+
+
+def test_theta_json_refuses_unknown_block_keys():
+    blob = _theta_blob()
+    blob["v"]["radiuss"] = 0.2
+    with pytest.raises(ValueError, match="unknown theta v keys: radiuss"):
+        theta_from_json(json.dumps(blob))
+
+
+def test_json_refuses_a_non_object():
+    blob = _theta_blob()
+    blob["u"] = 5
+    with pytest.raises(ValueError, match="theta u must be a JSON object"):
+        theta_from_json(json.dumps(blob))
+    with pytest.raises(ValueError, match="theta must be a JSON object"):
+        theta_from_json("[1]")
+    with pytest.raises(ValueError, match="sim must be a JSON object"):
+        ExperimentConfig.from_json('{"sim": 3}')
+
+
+@pytest.mark.parametrize("path", [("c",), ("lam",), ("u", "x0"),
+                                  ("v", "sigma2")], ids=".".join)
+def test_theta_json_refuses_missing_keys(path):
+    blob = _theta_blob()
+    *block, key = path
+    del (blob[block[0]] if block else blob)[key]
+    with pytest.raises(ValueError, match=f"missing theta .*keys: {key}$"):
+        theta_from_json(json.dumps(blob))
+
+
 def test_reconstruction_at_sensors_consistency():
     # noiseless (model-consistent) data with lam -> 0: the Kriging mean
     # reproduces the observations at the observation space-time points.

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from waveinform.design import (HyperBox, lhs_design, minimize_box,
-                               multistart_fit, nll_objective)
+from waveinform.design import (HyperBox, _lhs_candidate, lhs_design,
+                               minimize_box, multistart_fit, nll_objective)
 from waveinform.exceptions import KernelEvaluationError, SingularCovarianceError
 from waveinform.kernels import HyperParams
 
@@ -24,10 +25,14 @@ def test_lhs_single_point():
 
 
 def test_lhs_maximin_selection():
-    design, criteria, best = lhs_design(12, [0.0] * 2, [1.0] * 2, restarts=15,
-                                        seed=2, return_criteria=True)
-    assert best == pytest.approx(criteria.max())
-    assert np.all(best >= criteria - 1e-15)
+    design = lhs_design(12, [0.0] * 2, [1.0] * 2, restarts=15, seed=2)
+    # the same seeded stream, drawn candidate by candidate
+    rng = np.random.default_rng(2)
+    candidates = [_lhs_candidate(12, 2, rng) for _ in range(15)]
+    criteria = [pdist(cand).min() for cand in candidates]
+    best = int(np.argmax(criteria))
+    assert best > 0
+    assert np.array_equal(design, candidates[best])
 
 
 def test_lhs_deterministic():

@@ -7,8 +7,8 @@ import pytest
 
 from waveinform.exceptions import SingularEvaluationError
 from waveinform.experiments import case_theta
-from waveinform.kernels import (RADIUS_CLAMP, TIME_TOL, HyperParams,
-                                SourceParams, WaveKernel,
+from waveinform.kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, TIME_TOL,
+                                HyperParams, SourceParams, WaveKernel,
                                 ku_wave_diag, ku_wave_radial, kv_wave_diag,
                                 kv_wave_radial, matern52, matern52_d1,
                                 matern52_d2, smooth_cutoff,
@@ -52,20 +52,19 @@ def test_matern52_derivatives_match_finite_differences():
 
 
 def test_smooth_cutoff_plateau_and_support():
-    assert smooth_cutoff(0.0, 0.8) == 1.0
-    assert smooth_cutoff(0.5, 0.8) == 1.0
-    assert smooth_cutoff(1.5, 0.8) == 0.0
-    assert smooth_cutoff(1.0, 0.8) == 0.0
+    assert smooth_cutoff(0.0) == 1.0
+    assert smooth_cutoff(0.5) == 1.0
+    assert smooth_cutoff(1.5) == 0.0
+    assert smooth_cutoff(1.0) == 0.0
 
 
 def test_smooth_cutoff_midpoint_symmetry():
-    for alpha in (0.3, 0.5, 0.8):
-        assert smooth_cutoff((1.0 + alpha) / 2.0, alpha) == pytest.approx(0.5)
+    assert smooth_cutoff((1.0 + CUTOFF_ALPHA) / 2.0) == pytest.approx(0.5)
 
 
 def test_smooth_cutoff_monotone_nonincreasing():
     s = np.linspace(0.0, 1.2, 400)
-    vals = smooth_cutoff(s, 0.8)
+    vals = smooth_cutoff(s)
     assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -100,15 +99,14 @@ def test_ku_huygens_exact_zero_outside_shell():
 def test_ku_reduces_to_truncated_base_at_time_zero():
     rng = np.random.default_rng(5)
     src = random_source(rng, radius=0.35)
-    alpha = 0.8
     x1 = src.x0 + rng.normal(size=(5, 3)) * 0.1
     x2 = src.x0 + rng.normal(size=(6, 3)) * 0.1
-    got = ku_wave_radial(x1, np.zeros(5), x2, np.zeros(6), 0.7, src, alpha)
+    got = ku_wave_radial(x1, np.zeros(5), x2, np.zeros(6), 0.7, src)
     r1 = np.linalg.norm(x1 - src.x0, axis=1)
     r2 = np.linalg.norm(x2 - src.x0, axis=1)
     base = matern52(r1[:, None] - r2[None, :], src.rho, src.sigma2)
-    base *= np.outer(smooth_cutoff(r1 / src.radius, alpha),
-                     smooth_cutoff(r2 / src.radius, alpha))
+    base *= np.outer(smooth_cutoff(r1 / src.radius),
+                     smooth_cutoff(r2 / src.radius))
     assert np.allclose(got, base, rtol=1e-10)
 
 
@@ -176,7 +174,7 @@ def test_wave_kernel_component_sum():
     t1 = rng.uniform(0, 1, 4)
     t2 = rng.uniform(0, 1, 3)
     total = wave_kernel(x1, t1, x2, t2, params)
-    split = (ku_wave_radial(x1, t1, x2, t2, 0.5, u, 0.8)
+    split = (ku_wave_radial(x1, t1, x2, t2, 0.5, u)
              + kv_wave_radial(x1, t1, x2, t2, 0.5, v))
     assert np.allclose(total, split)
 
@@ -261,15 +259,15 @@ def _sign(t):
     return 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
 
 
-def _reference_ku(x1, t1, x2, t2, c, src, alpha):
+def _reference_ku(x1, t1, x2, t2, c, src):
     """Four-term ku closed form, one entry: sum of b b' phi phi' m52 / (4 r r')."""
     r1 = max(float(np.linalg.norm(x1 - src.x0)), RADIUS_CLAMP)
     r2 = max(float(np.linalg.norm(x2 - src.x0)), RADIUS_CLAMP)
     total = 0.0
     for b1 in (r1 - c * abs(t1), r1 + c * abs(t1)):
         for b2 in (r2 - c * abs(t2), r2 + c * abs(t2)):
-            total += (b1 * smooth_cutoff(abs(b1) / src.radius, alpha)
-                      * b2 * smooth_cutoff(abs(b2) / src.radius, alpha)
+            total += (b1 * smooth_cutoff(abs(b1) / src.radius)
+                      * b2 * smooth_cutoff(abs(b2) / src.radius)
                       * matern52(abs(b1) - abs(b2), src.rho, src.sigma2))
     return total / (4.0 * r1 * r2)
 
@@ -319,7 +317,7 @@ def test_wave_kernel_matches_four_term_reference(case):
         for j in range(t.size):
             if params.u is not None:
                 ref[i, j] += _reference_ku(x[i], t[i], x[j], t[j], params.c,
-                                           params.u, params.alpha_cut)
+                                           params.u)
             if params.v is not None:
                 ref[i, j] += _reference_kv(x[i], t[i], x[j], t[j], params.c,
                                            params.v)

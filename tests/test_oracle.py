@@ -7,7 +7,8 @@ import pytest
 
 from waveinform import oracle
 from waveinform.fields import ScalarField3D
-from waveinform.kernels import SourceParams, ku_wave_radial, kv_wave_radial
+from waveinform.kernels import (CUTOFF_ALPHA, HyperParams, SourceParams,
+                                ku_wave_radial, kv_wave_radial)
 from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
                                NumericalBase, SpatialBaseKernel,
                                SphericalRule, StationaryGaussianBase,
@@ -362,8 +363,6 @@ def test_dalembert_batched_matches_scalar():
 
 
 def test_smooth_point_filter_excludes_kinks():
-    from waveinform.kernels import HyperParams
-
     params = HyperParams(
         c=0.5,
         v=SourceParams(x0=[0.5, 0.5, 0.5], radius=0.2, rho=0.05, sigma2=1.0))
@@ -375,6 +374,17 @@ def test_smooth_point_filter_excludes_kinks():
     x_ok = np.array([0.5 + r_kink - 0.1, 0.5, 0.5])
     assert is_smooth_point(params, [x_ok], [t], 1e-3)[0]
     assert not is_smooth_point(params, [x_ok], [1e-4], 1e-3)[0]
+    # position component: the cutoff knee |r - c t| = CUTOFF_ALPHA R, on
+    # both sides of the cone, and the focusing cone r = c t itself
+    params = HyperParams(
+        c=0.5,
+        u=SourceParams(x0=[0.5, 0.5, 0.5], radius=0.2, rho=0.05, sigma2=1.0))
+    ct, knee = params.c * t, CUTOFF_ALPHA * params.u.radius
+    for r in (ct + knee, ct - knee, ct):
+        x = np.array([0.5 + r, 0.5, 0.5])
+        assert not is_smooth_point(params, [x], [t], 1e-3)[0]
+    x_ok = np.array([0.5 + ct + 0.5 * knee, 0.5, 0.5])
+    assert is_smooth_point(params, [x_ok], [t], 1e-3)[0]
 
 
 def test_lp_relative_error_basics():
