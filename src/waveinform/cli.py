@@ -98,7 +98,7 @@ def main(argv=None):
               f"{dataset.n} observations -> {args.out}")
     elif args.command == "sample":
         history = _load_history(args.history)
-        dataset = cmd_sample(cfg, history, outdir=args.out)
+        dataset = cmd_sample(cfg, history, args.out)
         print(f"sampled {dataset.n} observations -> {args.out}")
     elif args.command == "fit":
         dataset = SensorDataset.from_csv(args.sensors)

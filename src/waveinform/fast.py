@@ -5,10 +5,9 @@ zero; a necessary and sufficient condition for column j to vanish is a zero
 diagonal entry.  Permuting the active (nonzero-diagonal) columns first puts
 the covariance in block form, so the Tikhonov-regularized inverse reduces to
 the active block plus a 1/lambda identity.  This module implements the
-active-set detection, the analytic light-cone membership predicate, the
-reduced likelihood and Kriging formulas, and the rank-one point-source
-likelihood machinery (Sherman-Morrison closed form and its small-lambda /
-dense-time limits).
+active-set detection, the reduced likelihood and Kriging formulas, and the
+rank-one point-source likelihood machinery (Sherman-Morrison closed form
+and its small-lambda limit).
 
 The Kriging mean is linear in the kernel, so it is taken one kernel part at
 a time.  A wave-kernel component sees a query only through
@@ -26,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .kernels import TIME_TOL, HyperParams, WaveKernel, smooth_cutoff
+from .kernels import TIME_TOL, WaveKernel, smooth_cutoff
 from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
                      logdet_from_chol)
 
@@ -69,23 +68,6 @@ def detect_active(kernel, x, t):
     active, inactive = np.flatnonzero(live), np.flatnonzero(~live)
     return ActiveSet(permutation=np.concatenate([active, inactive]),
                      p=active.size)
-
-
-def light_cone_contains(params: HyperParams, x, t):
-    """Analytic membership in the union of the enabled components' shells.
-
-    True iff c|t| - R <= |x - x0| <= c|t| + R for at least one enabled
-    component (closed shell).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    out = np.zeros(t.shape, dtype=bool)
-    ct = params.c * np.abs(t)
-    for name in params.components:
-        src = getattr(params, name)
-        r = np.linalg.norm(x - src.x0, axis=1)
-        out |= (r >= ct - src.radius) & (r <= ct + src.radius)
-    return out
 
 
 def fast_nll(kernel, x, t, y, lam):
@@ -278,32 +260,6 @@ def rank_one_nll(data: RankOneData):
 def limit_profile(data: RankOneData):
     """Small-lambda limit |W|^2 (1 - r^2), r = <F,W>/(|F||W|), r = 0 if F = 0."""
     return float(rank_one_objective(*_sums(data)))
-
-
-def r_infinity(traces_obs, traces_green, total_time):
-    """Dense-time correlation of sensor traces over [0, T].
-
-    Time-trapezoid approximation of <I_u, I_x0> / (|I_u| |I_x0|) in
-    L2([0,T], R^q); traces are (q, N) arrays sampled at equally spaced
-    times spanning [0, T].
-    """
-    u = np.asarray(traces_obs, dtype=float)
-    g = np.asarray(traces_green, dtype=float)
-    if u.shape != g.shape or u.ndim != 2 or u.shape[1] < 2:
-        raise ValueError("traces must be matching (q, N) arrays with N >= 2")
-    dt = total_time / (u.shape[1] - 1)
-
-    def inner(a, b):
-        prod = a * b
-        return float(np.trapezoid(prod, dx=dt, axis=1).sum())
-
-    norm_g = inner(g, g)
-    if norm_g == 0.0:
-        raise ValueError("correlation undefined: green traces are zero")
-    norm_u = inner(u, u)
-    if norm_u == 0.0:
-        raise ValueError("correlation undefined: observation traces are zero")
-    return inner(u, g) / math.sqrt(norm_u * norm_g)
 
 
 def regularized_green(dist, t, c, radius):

@@ -86,7 +86,7 @@ class ScalarField3D:
 
     def norm(self, p):
         """Riemann-sum Lp norm (max norm for p = inf)."""
-        if p == np.inf or p == "inf":
+        if p == np.inf:
             return float(np.abs(self.values).max())
         p = float(p)
         return float((np.abs(self.values) ** p).sum() * self.dx**3) ** (1.0 / p)

@@ -30,6 +30,8 @@ QUAD_CHUNK = 256
 # cancels about spread^2 eps relative (1.2e-9 at a spread of 300); the
 # criterion-1 pair rule reaches about 38.  Wider spreads take the dense sum.
 SORTED_SPREAD_MAX = 64.0
+# Relative slack of the Lp stability bounds for the Riemann-sum norms.
+LP_STABILITY_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,9 @@ class SphericalRule:
 class SpatialBaseKernel:
     """Two-point spatial kernel with directional-derivative contractions.
 
-    Subclasses provide ``value`` and either analytic directional derivatives
-    or inherit the central-difference defaults.  ``terms`` bundles the four
-    quantities needed by the time-derivative shell quadrature.
+    Subclasses provide ``value`` and, for the time-derivative shell
+    quadrature, the directional-derivative contractions; ``terms`` bundles
+    the four quantities that quadrature needs.
     """
 
     def value(self, y1, y2):
@@ -93,33 +95,6 @@ class SpatialBaseKernel:
         """k - ct (grad1 k . d1) - ctp (grad2 k . d2) + ct ctp d1' H d2."""
         v, g1, g2, g12 = self.terms(y1, y2, d1, d2)
         return v - ct * g1 - ctp * g2 + (ct * ctp) * g12
-
-
-class NumericalBase(SpatialBaseKernel):
-    """Wraps a pairwise kernel function; derivatives by central differences."""
-
-    def __init__(self, func, step=1e-5):
-        self.func = func
-        self.step = step
-
-    def value(self, y1, y2):
-        return self.func(y1, y2)
-
-    def grad1_dot(self, y1, y2, d1):
-        h = self.step
-        return (self.func(y1 + h * d1, y2) - self.func(y1 - h * d1, y2)) / (2.0 * h)
-
-    def grad2_dot(self, y1, y2, d2):
-        h = self.step
-        return (self.func(y1, y2 + h * d2) - self.func(y1, y2 - h * d2)) / (2.0 * h)
-
-    def cross_dot(self, y1, y2, d1, d2):
-        h = self.step
-        pp = self.func(y1 + h * d1, y2 + h * d2)
-        pm = self.func(y1 + h * d1, y2 - h * d2)
-        mp = self.func(y1 - h * d1, y2 + h * d2)
-        mm = self.func(y1 - h * d1, y2 - h * d2)
-        return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
 def matern52_profile(rho, sigma2, order=0):
@@ -494,15 +469,14 @@ def lp_relative_error(approx: ScalarField3D, truth: ScalarField3D, p):
     return diff.norm(p) / denom
 
 
-def lp_stability_check(u0_ic, v0_ic, c, t, norms, grid: ScalarField3D,
-                       tol=0.02):
+def lp_stability_check(u0_ic, v0_ic, c, t, norms, grid: ScalarField3D):
     """Check the Lp stability bounds of the propagated initial conditions.
 
     Verifies ||shell_mean(v0)||_p <= |t| ||v0||_p and
     ||d/dt shell_mean(u0)||_p <= ||u0||_p + 3 c |t| ||grad u0||_p, each with
-    a multiplicative grid tolerance, for every p in ``norms``.  The fields
-    are built once and shared by the norms.  Returns one report dict with
-    both sides per norm, in the order given.
+    the multiplicative grid tolerance ``LP_STABILITY_TOL``, for every p in
+    ``norms``.  The fields are built once and shared by the norms.  Returns
+    one report dict with both sides per norm, in the order given.
     """
     pts = grid.points()
     v_field = grid.like(spherical_mean_radial(
@@ -523,11 +497,11 @@ def lp_stability_check(u0_ic, v0_ic, c, t, norms, grid: ScalarField3D,
         lhs_u = u_field.norm(p)
         rhs_u = u_truth.norm(p) + 3.0 * c * abs(t) * grid.like(grad_mag).norm(p)
         reports.append({
-            "t": t, "p": p, "tol": tol,
+            "t": t, "p": p, "tol": LP_STABILITY_TOL,
             "v_lhs": lhs_v, "v_rhs": rhs_v,
-            "v_ok": bool(lhs_v <= rhs_v * (1.0 + tol) + 1e-12),
+            "v_ok": bool(lhs_v <= rhs_v * (1.0 + LP_STABILITY_TOL) + 1e-12),
             "u_lhs": lhs_u, "u_rhs": rhs_u,
-            "u_ok": bool(lhs_u <= rhs_u * (1.0 + tol) + 1e-12)})
+            "u_ok": bool(lhs_u <= rhs_u * (1.0 + LP_STABILITY_TOL) + 1e-12)})
     return reports
 
 

@@ -79,20 +79,18 @@ class InitialCondition:
 
     raised_cosine: A * 1_[0,R](r) * (1 + cos(pi r / R))
     ring_cosine:   A * 1_[R1,R2](r) * (1 + cos(2 pi (r - (R1+R2)/2)/(R2-R1)))
-    plus ``zero`` and ``custom`` (callable value/gradient).
+    plus ``zero``.
     """
 
     kind: str
     x0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     radii: tuple = ()
     amplitude: float = 0.0
-    func: object = None
-    grad_func: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(3))
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        if self.kind not in ("raised_cosine", "ring_cosine", "zero", "custom"):
+        if self.kind not in ("raised_cosine", "ring_cosine", "zero"):
             raise ValueError(f"unknown initial condition kind {self.kind!r}")
         if self.kind == "raised_cosine" and len(self.radii) != 1:
             raise ValueError("raised_cosine takes one radius")
@@ -101,8 +99,6 @@ class InitialCondition:
                 raise ValueError("ring_cosine takes radii (R1, R2) with R1 < R2")
         if any(r <= 0 for r in self.radii):
             raise ValueError("radii must be positive")
-        if self.kind == "custom" and self.func is None:
-            raise ValueError("custom initial condition needs a callable")
 
     @property
     def support_radius(self):
@@ -124,15 +120,12 @@ class InitialCondition:
             return np.where(inside,
                             self.amplitude * (1.0 + np.cos(np.pi * r / big_r)),
                             0.0)
-        if self.kind == "ring_cosine":
-            r1, r2 = self.radii
-            mid = 0.5 * (r1 + r2)
-            k = 2.0 * np.pi / (r2 - r1)
-            inside = (r >= r1) & (r <= r2)
-            return np.where(inside,
-                            self.amplitude * (1.0 + np.cos(k * (r - mid))),
-                            0.0)
-        raise NotImplementedError("custom profiles are not radial by contract")
+        r1, r2 = self.radii
+        mid = 0.5 * (r1 + r2)
+        k = 2.0 * np.pi / (r2 - r1)
+        inside = (r >= r1) & (r <= r2)
+        return np.where(inside, self.amplitude * (1.0 + np.cos(k * (r - mid))),
+                        0.0)
 
     def profile_antideriv(self, s):
         """Antiderivative of :meth:`profile` from 0, in the squared radius."""
@@ -146,32 +139,24 @@ class InitialCondition:
             val = (u * u + 2.0 * factor * u * np.sin(np.pi * u / big_r)
                    + 2.0 * factor**2 * (np.cos(np.pi * u / big_r) - 1.0))
             return self.amplitude * val
-        if self.kind == "ring_cosine":
-            r1, r2 = self.radii
-            mid = 0.5 * (r1 + r2)
-            k = 2.0 * np.pi / (r2 - r1)
+        r1, r2 = self.radii
+        mid = 0.5 * (r1 + r2)
+        k = 2.0 * np.pi / (r2 - r1)
 
-            def inner(r):
-                return (r * r + 2.0 * r * np.sin(k * (r - mid)) / k
-                        + 2.0 * np.cos(k * (r - mid)) / k**2)
+        def inner(r):
+            return (r * r + 2.0 * r * np.sin(k * (r - mid)) / k
+                    + 2.0 * np.cos(k * (r - mid)) / k**2)
 
-            u = np.sqrt(np.clip(s, r1 * r1, r2 * r2))
-            return self.amplitude * (inner(u) - inner(r1))
-        raise NotImplementedError("custom profiles are not radial by contract")
+        u = np.sqrt(np.clip(s, r1 * r1, r2 * r2))
+        return self.amplitude * (inner(u) - inner(r1))
 
     def eval(self, x):
         x = np.asarray(x, dtype=float).reshape(-1, 3)
-        if self.kind == "custom":
-            return np.asarray(self.func(x), dtype=float).reshape(-1)
         d = x - self.x0
         return self.profile(np.einsum("ij,ij->i", d, d))
 
     def grad(self, x):
         x = np.asarray(x, dtype=float).reshape(-1, 3)
-        if self.kind == "custom":
-            if self.grad_func is None:
-                raise ValueError("custom initial condition has no gradient")
-            return np.asarray(self.grad_func(x), dtype=float).reshape(-1, 3)
         d = x - self.x0
         r = np.linalg.norm(d, axis=1)
         slope = np.zeros_like(r)
@@ -287,10 +272,10 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
     if abs(stride_f - stride) > 1e-9 or stride < 1:
         raise ValueError("sample rate must divide the simulation rate")
     for ic in (u0, v0):
-        if ic.kind in ("raised_cosine", "ring_cosine"):
-            reach = ic.support_radius
-            if np.any(ic.x0 - reach < 0.0) or np.any(ic.x0 + reach > cfg.L):
-                raise ValueError("initial condition support leaves the box")
+        reach = ic.support_radius
+        if reach > 0.0 and (np.any(ic.x0 - reach < 0.0)
+                            or np.any(ic.x0 + reach > cfg.L)):
+            raise ValueError("initial condition support leaves the box")
     n = cfg.n_nodes
     dx = cfg.dx_eff
     axis = np.linspace(0.0, cfg.L, n)
@@ -400,17 +385,8 @@ class SensorDataset:
         t = np.tile(self.times, self.q)
         return x, t
 
-    def trace(self, i):
-        return self.values[i * self.n_times:(i + 1) * self.n_times]
-
     def traces(self):
         return self.values.reshape(self.q, self.n_times)
-
-    def subset(self, n_sensors):
-        """Restriction to the first n_sensors sensors of the layout."""
-        return SensorDataset(positions=self.positions[:n_sensors],
-                             times=self.times,
-                             values=self.values[: n_sensors * self.n_times])
 
     def to_csv(self, path):
         lines = ["sensor_id,x,y,z,t,value"]

@@ -1,9 +1,15 @@
-"""Dense references that the GP-layer tests compare the package against.
+"""Dense references and test-only helpers that the tests compare against.
 
 ``FunctionKernel`` evaluates a scalar two-point function entry by entry,
 ``dense_nll`` is the likelihood of the full covariance, with no
 active-set reduction, and ``reference_simulation`` is the FDTD time loop
-with the absorbing boundary applied face by face.
+with the absorbing boundary applied face by face.  ``FunctionIC`` turns a
+function (and optionally its gradient) into an initial condition,
+``NumericalBase`` gives any spatial kernel central-difference derivative
+contractions for the shell quadratures, ``light_cone_contains`` is the
+analytic membership in a wave kernel's support shells, ``r_infinity`` the
+dense-time correlation of sensor traces, and ``subset`` restricts a
+sensor dataset to its first sensors.
 """
 
 import math
@@ -12,7 +18,8 @@ import numpy as np
 
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
-from waveinform.sim import FieldHistory
+from waveinform.oracle import SpatialBaseKernel
+from waveinform.sim import FieldHistory, SensorDataset
 
 
 class FunctionKernel:
@@ -37,6 +44,108 @@ class FunctionKernel:
         out = np.array([self.func(x[i], t[i], x[i], t[i]) for i in range(len(t))])
         self.eval_count += out.size
         return out
+
+
+class FunctionIC:
+    """Adapter turning a value function, and optionally its gradient, into
+    an initial condition.
+
+    It has no radial support, so no simulation checks that it stays inside
+    the box.
+    """
+
+    support_radius = 0.0
+
+    def __init__(self, func, grad_func=None):
+        self.func = func
+        self.grad_func = grad_func
+
+    def eval(self, x):
+        x = np.asarray(x, dtype=float).reshape(-1, 3)
+        return np.asarray(self.func(x), dtype=float).reshape(-1)
+
+    def grad(self, x):
+        if self.grad_func is None:
+            raise ValueError("this initial condition has no gradient")
+        x = np.asarray(x, dtype=float).reshape(-1, 3)
+        return np.asarray(self.grad_func(x), dtype=float).reshape(-1, 3)
+
+
+class NumericalBase(SpatialBaseKernel):
+    """Wraps a pairwise kernel function; derivatives by central differences."""
+
+    def __init__(self, func, step=1e-5):
+        self.func = func
+        self.step = step
+
+    def value(self, y1, y2):
+        return self.func(y1, y2)
+
+    def grad1_dot(self, y1, y2, d1):
+        h = self.step
+        return (self.func(y1 + h * d1, y2) - self.func(y1 - h * d1, y2)) / (2.0 * h)
+
+    def grad2_dot(self, y1, y2, d2):
+        h = self.step
+        return (self.func(y1, y2 + h * d2) - self.func(y1, y2 - h * d2)) / (2.0 * h)
+
+    def cross_dot(self, y1, y2, d1, d2):
+        h = self.step
+        pp = self.func(y1 + h * d1, y2 + h * d2)
+        pm = self.func(y1 + h * d1, y2 - h * d2)
+        mp = self.func(y1 - h * d1, y2 + h * d2)
+        mm = self.func(y1 - h * d1, y2 - h * d2)
+        return (pp - pm - mp + mm) / (4.0 * h * h)
+
+
+def light_cone_contains(params, x, t):
+    """Analytic membership in the union of the enabled components' shells.
+
+    True iff c|t| - R <= |x - x0| <= c|t| + R for at least one enabled
+    component (closed shell).
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, 3)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    out = np.zeros(t.shape, dtype=bool)
+    ct = params.c * np.abs(t)
+    for name in params.components:
+        src = getattr(params, name)
+        r = np.linalg.norm(x - src.x0, axis=1)
+        out |= (r >= ct - src.radius) & (r <= ct + src.radius)
+    return out
+
+
+def r_infinity(traces_obs, traces_green, total_time):
+    """Dense-time correlation of sensor traces over [0, T].
+
+    Time-trapezoid approximation of <I_u, I_x0> / (|I_u| |I_x0|) in
+    L2([0,T], R^q); traces are (q, N) arrays sampled at equally spaced
+    times spanning [0, T].
+    """
+    u = np.asarray(traces_obs, dtype=float)
+    g = np.asarray(traces_green, dtype=float)
+    if u.shape != g.shape or u.ndim != 2 or u.shape[1] < 2:
+        raise ValueError("traces must be matching (q, N) arrays with N >= 2")
+    dt = total_time / (u.shape[1] - 1)
+
+    def inner(a, b):
+        prod = a * b
+        return float(np.trapezoid(prod, dx=dt, axis=1).sum())
+
+    norm_g = inner(g, g)
+    if norm_g == 0.0:
+        raise ValueError("correlation undefined: green traces are zero")
+    norm_u = inner(u, u)
+    if norm_u == 0.0:
+        raise ValueError("correlation undefined: observation traces are zero")
+    return inner(u, g) / math.sqrt(norm_u * norm_g)
+
+
+def subset(dataset, n_sensors):
+    """Restriction of a sensor dataset to the first n_sensors sensors."""
+    return SensorDataset(positions=dataset.positions[:n_sensors],
+                         times=dataset.times,
+                         values=dataset.values[: n_sensors * dataset.n_times])
 
 
 def _as_points(x, t):
@@ -131,10 +240,10 @@ def reference_simulation(cfg, u0, v0, sample_rate=50.0):
     if abs(stride_f - stride) > 1e-9 or stride < 1:
         raise ValueError("sample rate must divide the simulation rate")
     for ic in (u0, v0):
-        if ic.kind in ("raised_cosine", "ring_cosine"):
-            reach = ic.support_radius
-            if np.any(ic.x0 - reach < 0.0) or np.any(ic.x0 + reach > cfg.L):
-                raise ValueError("initial condition support leaves the box")
+        reach = ic.support_radius
+        if reach > 0.0 and (np.any(ic.x0 - reach < 0.0)
+                            or np.any(ic.x0 + reach > cfg.L)):
+            raise ValueError("initial condition support leaves the box")
     n = cfg.n_nodes
     dx = cfg.dx_eff
     axis = np.linspace(0.0, cfg.L, n)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_reference import subset
 from waveinform.cli import main
 from waveinform.experiments import (DEFAULT_SIM, ExperimentConfig, case_theta,
                                     cmd_errors, cmd_fit, cmd_pointsource_scan,
@@ -75,7 +76,7 @@ def test_fit_passthrough_and_trace(coarse_config, simulated, tmp_path):
 def test_fit_multistart_writes_trace(coarse_config, simulated, tmp_path):
     _, _, dataset = simulated
     cfg = replace(coarse_config, fit_n_mult=2, fit_max_evals=40)
-    best, trace = cmd_fit(cfg, dataset.subset(2), str(tmp_path))
+    best, trace = cmd_fit(cfg, subset(dataset, 2), str(tmp_path))
     assert len(trace) == 2
     lines = (tmp_path / "fit_trace.csv").read_text().splitlines()
     assert len(lines) == 3
@@ -242,6 +243,11 @@ def test_theta_json_refuses_missing_keys(path):
     del (blob[block[0]] if block else blob)[key]
     with pytest.raises(ValueError, match=f"missing theta .*keys: {key}$"):
         theta_from_json(json.dumps(blob))
+
+
+def test_theta_json_refuses_a_theta_without_components():
+    with pytest.raises(ValueError, match="neither a u nor a v block"):
+        theta_from_json('{"c": 0.5, "lam": 0.001}')
 
 
 def test_reconstruction_at_sensors_consistency():
@@ -417,6 +423,21 @@ def test_config_refuses_unknown_test_case():
         ExperimentConfig.from_json('{"test_case": 7}')
     with pytest.raises(ValueError, match="test case"):
         ExperimentConfig(test_case=7)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dx_grid", 0.0), ("dx_grid", -0.1), ("dt_v", 0.0), ("sample_rate", -1.0),
+    ("fit_tol", float("nan")), ("noise_sigma", -0.1), ("n_sensors", 0),
+    ("fit_max_evals", 0), ("layout_restarts", 0), ("fit_n_mult", -1),
+    ("sensor_bounds", (0.8, 0.2)), ("sensor_bounds", (0.2, float("inf"))),
+    ("sensor_bounds", (0.2,))])
+def test_config_refuses_malformed_numbers(key, value):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{key: value})
+    blob = json.loads(ExperimentConfig().to_json())
+    blob[key] = value
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_json(json.dumps(blob))
 
 
 def test_readme_example_config_loads():

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import FunctionKernel, dense_nll
+from dense_reference import (FunctionKernel, dense_nll, light_cone_contains,
+                             r_infinity)
 from waveinform import experiments, fast, gp
 from waveinform.fast import (RankOneData, detect_active, fast_nll,
-                             green_traces, light_cone_contains, limit_profile,
-                             posterior_mean, posterior_var, r_infinity,
-                             rank_one_nll, regularized_green)
+                             green_traces, limit_profile, posterior_mean,
+                             posterior_var, rank_one_nll, regularized_green)
 from waveinform.kernels import (HyperParams, SourceParams, WaveKernel,
                                 wave_kernel)
 from waveinform.linalg import assemble_covariance

@@ -1,9 +1,15 @@
-"""Every settable value of the package, listed by name.
+"""Every settable value and every uncalled public name of the package.
 
 A settable value is a parameter with a default or a dataclass field with a
 default, anywhere in ``src/waveinform``.  The literal below is the whole
 list, so the option count is reproducible and a new option shows up in
 review as a one-line edit here.
+
+An uncalled public name is a module-level function, class or constant of
+``src/waveinform`` that no code of the package (``__init__.py`` aside) or
+of ``perfbench/`` references.  Such a name serves only the tests, so it
+belongs in ``tests/dense_reference.py`` unless ``UNCALLED`` gives the
+reason it stays.
 """
 
 import ast
@@ -12,6 +18,7 @@ from pathlib import Path
 import waveinform
 
 PACKAGE = Path(waveinform.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _is_dataclass(node):
@@ -79,21 +86,12 @@ OPTIONS = [
     "experiments.ExperimentConfig.fit_tol",
     "experiments.ExperimentConfig.dx_grid",
     "experiments.ExperimentConfig.dt_v",
-    "experiments.cmd_sample(manifest)",
-    "experiments.cmd_sample(outdir)",
     "experiments.cmd_fit(theta_true)",
     "experiments.scan_limit_profile(lam)",
     "experiments.scan_limit_profile(chunk)",
     "experiments.cmd_pointsource_scan(mode)",
-    "experiments._verify_kernel_psd(seed)",
-    "experiments._verify_kernel_psd(n)",
     "experiments._verify_kernel_psd(tamper)",
     "experiments._verify_oracle_match(order)",
-    "experiments._verify_oracle_match(n_pairs)",
-    "experiments._verify_oracle_match(seed)",
-    "experiments._verify_pde_residual(seed)",
-    "experiments._verify_pde_residual(n_points)",
-    "experiments._verify_pde_residual(step)",
     "experiments.cmd_verify(selector)",
     "experiments.cmd_verify(outdir)",
     "experiments.cmd_verify(quad_order)",
@@ -110,19 +108,69 @@ OPTIONS = [
     "kernels.WaveKernel.radial(r2)",
     "kernels.WaveKernel.radial(t2)",
     "kernels.stationary_gaussian_wave(cprime)",
-    "oracle.NumericalBase.__init__(step)",
     "oracle.matern52_profile(order)",
     "oracle.MaternSquaredBase.__init__(deriv_order)",
-    "oracle.lp_stability_check(tol)",
     "oracle.calibrate_gaussian_prefactor(rule)",
     "sim.InitialCondition.x0",
     "sim.InitialCondition.radii",
     "sim.InitialCondition.amplitude",
-    "sim.InitialCondition.func",
-    "sim.InitialCondition.grad_func",
     "sim.run_simulation(sample_rate)",
 ]
 
 
 def test_options_are_the_listed_ones():
     assert package_options() == OPTIONS
+
+
+UNCALLED = {
+    "fast.posterior_var":
+        "Kriging variance; its radial path or its move to the dense "
+        "reference is still open",
+    "kernels.ku_wave_diag": "named as a string by perfbench/tracing.py",
+    "kernels.kv_wave_diag": "named as a string by perfbench/tracing.py",
+    "kernels.stationary_ftft_density":
+        "the paper's stationary spectral closed form",
+    "oracle.calibrate_gaussian_prefactor":
+        "calibrates the paper's stationary Gaussian closed form",
+    "oracle.kirchhoff_trace": "the Kirchhoff solution oracle",
+}
+
+
+def _module_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            yield node.target.id
+
+
+def _referenced(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def uncalled_public_names():
+    modules = {path.stem: _parse(path) for path in PACKAGE.glob("*.py")
+               if path.name != "__init__.py"}
+    callers = [*modules.values(), *map(_parse, PERFBENCH.glob("*.py"))]
+    used = {name for tree in callers for name in _referenced(tree)}
+    return sorted(f"{stem}.{name}" for stem, tree in modules.items()
+                  for name in _module_names(tree)
+                  if not name.startswith("_") and name not in used)
+
+
+def test_public_names_have_a_caller():
+    assert uncalled_public_names() == sorted(UNCALLED)

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import NumericalBase
 from waveinform import oracle
 from waveinform.fields import ScalarField3D
 from waveinform.kernels import (CUTOFF_ALPHA, HyperParams, SourceParams,
                                 ku_wave_radial, kv_wave_radial)
 from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
-                               NumericalBase, SpatialBaseKernel,
-                               SphericalRule, StationaryGaussianBase,
+                               SpatialBaseKernel, SphericalRule,
+                               StationaryGaussianBase,
                                calibrate_gaussian_prefactor,
                                dalembert_residuals, is_smooth_point,
                                kirchhoff_eval, ku_wave_quadrature,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import reference_simulation
+from dense_reference import FunctionIC, reference_simulation
 from waveinform import sim
 from waveinform.experiments import DEFAULT_SIM
 from waveinform.oracle import SphericalRule, kirchhoff_trace
@@ -78,8 +78,8 @@ def test_grid_snapping():
 def test_constant_field_preserved_in_interior():
     # constant u0 filling the box: interior nodes away from the boundary
     # stay constant until boundary effects arrive
-    ic = InitialCondition("custom", func=lambda x: np.full(len(x), 2.0),
-                          grad_func=lambda x: np.zeros((len(x), 3)))
+    ic = FunctionIC(lambda x: np.full(len(x), 2.0),
+                    grad_func=lambda x: np.zeros((len(x), 3)))
     zero = InitialCondition("zero")
     cfg = SimConfig(L=1.0, dx=1.0 / 16.0, dt=1.0 / 80.0, c=0.5, T=0.5)
     hist = run_simulation(cfg, ic, zero, sample_rate=20)
@@ -102,12 +102,10 @@ FDTD_GRIDS = {
 def _fdtd_matches_reference(cfg, rate):
     # Both components nonzero on every node, the boundary included, so the
     # faces, edges and corners all carry signal from the first step.
-    u0 = InitialCondition(
-        "custom", func=lambda x: np.exp(-4.0 * ((x - [0.3, 0.6, 0.45])**2)
-                                        .sum(axis=1)))
-    v0 = InitialCondition(
-        "custom", func=lambda x: np.cos(3.0 * x[:, 0]) * np.sin(
-            2.0 * x[:, 1] + 1.0) * (1.0 + x[:, 2]))
+    u0 = FunctionIC(lambda x: np.exp(-4.0 * ((x - [0.3, 0.6, 0.45])**2)
+                                     .sum(axis=1)))
+    v0 = FunctionIC(lambda x: np.cos(3.0 * x[:, 0]) * np.sin(
+        2.0 * x[:, 1] + 1.0) * (1.0 + x[:, 2]))
     hist = run_simulation(cfg, u0, v0, sample_rate=rate)
     ref = reference_simulation(cfg, u0, v0, sample_rate=rate)
     assert np.array_equal(hist.times, ref.times)
@@ -188,7 +186,7 @@ def test_smooth_ic_second_order_convergence():
         d = x - x0
         return bump(x)[:, None] * (-d / length**2)
 
-    u0 = InitialCondition("custom", func=bump, grad_func=bump_grad)
+    u0 = FunctionIC(bump, grad_func=bump_grad)
     zero = InitialCondition("zero")
     probe = np.array([0.25, 0.5, 0.5])
     rule = SphericalRule.product(24)
@@ -240,7 +238,7 @@ def test_sensor_outside_box_raises():
 
 
 def test_constant_field_constant_traces():
-    ic = InitialCondition("custom", func=lambda x: np.full(len(x), 1.5))
+    ic = FunctionIC(lambda x: np.full(len(x), 1.5))
     zero = InitialCondition("zero")
     cfg = SimConfig(L=1.0, dx=1.0 / 12.0, dt=1.0 / 60.0, c=0.5, T=0.3)
     hist = run_simulation(cfg, ic, zero, sample_rate=20)
@@ -285,7 +283,7 @@ def test_dataset_points_ordering():
     # sensor-major: entry i*N + k is sensor i at time t_k
     assert np.array_equal(x[:2], np.zeros((2, 3)))
     assert np.array_equal(t, [0.0, 0.5, 0.0, 0.5])
-    assert np.array_equal(ds.trace(1), [20.0, 21.0])
+    assert np.array_equal(ds.traces()[1], [20.0, 21.0])
 
 
 def test_dataset_csv_roundtrip(tmp_path):
@@ -309,6 +307,24 @@ def test_ic_support_outside_box_raises():
     zero = InitialCondition("zero")
     with pytest.raises(ValueError, match="support"):
         run_simulation(COARSE, u0, zero, sample_rate=20)
+    # the ring's inner radius fits; its outer radius leaves the box
+    ring = InitialCondition("ring_cosine", x0=[0.5, 0.5, 0.15],
+                            radii=(0.05, 0.2), amplitude=1.0)
+    for run in (run_simulation, reference_simulation):
+        with pytest.raises(ValueError, match="support"):
+            run(COARSE, zero, ring, sample_rate=20)
+
+
+def test_ic_without_support_is_not_checked():
+    # a zero condition's x0 and a function's values say nothing about a
+    # support, so neither is refused
+    off_box = InitialCondition("zero", x0=[1.5, -0.5, 0.5])
+    everywhere = FunctionIC(lambda x: np.full(len(x), 1.0))
+    zero = InitialCondition("zero")
+    for u0, v0 in ((off_box, off_box), (everywhere, zero)):
+        hist = run_simulation(COARSE, u0, v0, sample_rate=20)
+        ref = reference_simulation(COARSE, u0, v0, sample_rate=20)
+        assert np.array_equal(hist.snaps, ref.snaps)
 
 
 def _write_sensor_csv(path, rows):
