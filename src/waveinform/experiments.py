@@ -506,10 +506,8 @@ def _verify_pde_residual(params):
 
 
 def _verify_lp_stability():
-    u0 = InitialCondition("raised_cosine", x0=[0, 0, 0], radii=(0.25,),
-                          amplitude=5.0)
-    v0 = InitialCondition("ring_cosine", x0=[0, 0, 0], radii=(0.05, 0.15),
-                          amplitude=50.0)
+    u0 = replace(case_ics(1)[0], x0=[0, 0, 0])
+    v0 = replace(case_ics(2)[1], x0=[0, 0, 0])
     t = 0.5
     extent = 0.3 + 0.5 * t + 0.1
     n = int(2 * extent / 0.02) + 1
@@ -526,8 +524,9 @@ def _verify_rank_one_limit():
     rng = np.random.default_rng(4)
     f = rng.normal(size=30)
     w = rng.normal(size=30)
-    lim = fast.limit_profile(fast.RankOneData(f, w, 1.0))
-    gaps = [abs(lam * fast.rank_one_nll(fast.RankOneData(f, w, lam)) - lim)
+    sums = float(w @ w), float(f @ f), float(f @ w), w.size
+    lim = float(fast.rank_one_objective(*sums))
+    gaps = [abs(lam * float(fast.rank_one_objective(*sums, lam)) - lim)
             for lam in (1e-2, 1e-4, 1e-6)]
     return {"name": "rank_one_limit", "measured": gaps[-1],
             "tolerance": 1e-4 * float(w @ w),
@@ -543,11 +542,8 @@ def cmd_verify(selector="fast", outdir=None, quad_order=24, tamper_psd=False):
     stability and rank-one limit checks.  Failures are reported as
     entries, never raised; an unknown selector raises ValueError.
     """
-    params = HyperParams(
-        c=0.5,
-        u=SourceParams(x0=[0.65, 0.3, 0.5], radius=0.3, rho=0.2, sigma2=3.0),
-        v=SourceParams(x0=[0.3, 0.6, 0.7], radius=0.15, rho=0.03, sigma2=3.0),
-        lam=0.0081)
+    params = HyperParams(c=0.5, u=case_theta(1).u, v=case_theta(2).v,
+                         lam=0.09**2)
     if selector not in ("fast", "full"):
         raise ValueError(f"unknown verify selector {selector!r}; "
                          "expected 'fast' or 'full'")

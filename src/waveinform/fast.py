@@ -5,9 +5,10 @@ zero; a necessary and sufficient condition for column j to vanish is a zero
 diagonal entry.  Permuting the active (nonzero-diagonal) columns first puts
 the covariance in block form, so the Tikhonov-regularized inverse reduces to
 the active block plus a 1/lambda identity.  This module implements the
-active-set detection, the reduced likelihood and Kriging formulas, and the
-rank-one point-source likelihood machinery (Sherman-Morrison closed form
-and its small-lambda limit).
+active-set detection, the factorization of the active block that the
+likelihood and the posterior share, the reduced likelihood and Kriging
+formulas, and the rank-one point-source likelihood (Sherman-Morrison
+closed form and its small-lambda limit).
 
 The Kriging mean is linear in the kernel, so it is taken one kernel part at
 a time.  A wave-kernel component sees a query only through
@@ -25,6 +26,7 @@ from functools import cache
 
 import numpy as np
 
+from .exceptions import SingularCovarianceError
 from .kernels import TIME_TOL, WaveKernel, smooth_cutoff
 from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
                      logdet_from_chol)
@@ -70,35 +72,74 @@ def detect_active(kernel, x, t):
                      p=active.size)
 
 
-def fast_nll(kernel, x, t, y, lam):
-    """Negative log marginal likelihood through the active-set reduction.
+@dataclass(frozen=True)
+class ActiveFactor:
+    """K~ + lam I factored on the active points; the data split by activity.
 
-    y_in^T (K~ + lam I)^{-1} y_in + |y_out|^2 / lam
-    + log det(K~ + lam I) + q log lam.  Exactly equal to the dense formula.
-    A non-finite covariance entry raises KernelEvaluationError.  A Cholesky
-    that needs jitter is logged at WARNING: the value returned is then the
-    likelihood of K~ + (lam + jitter) I on the active block.
+    ``chol`` is the lower Cholesky factor of the active block (0 x 0 when
+    p = 0) and ``jitter`` what its rescue added to the diagonal.
     """
-    if not lam > 0.0:
-        raise ValueError("fast_nll requires lam > 0")
+
+    active_set: ActiveSet
+    x_active: np.ndarray
+    t_active: np.ndarray
+    y_active: np.ndarray
+    y_inactive: np.ndarray
+    chol: np.ndarray
+    jitter: float
+
+
+def factor_active(kernel, x, t, y, lam):
+    """Active set and Cholesky factor of K~ + lam I on the active block.
+
+    The step shared by ``fast_nll`` and ``gp.fit_posterior``.  Refuses an
+    observation vector whose length is not the point count, and lam = 0
+    with nonzero observations outside the support (the reduced form has no
+    variance to explain them), both before any covariance is assembled.  A
+    non-finite covariance entry raises KernelEvaluationError.  A Cholesky
+    that needs jitter is logged at WARNING with p and the jitter.
+    """
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     t = np.asarray(t, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size != t.size:
+        raise ValueError("observation vector length must match point count")
     act = detect_active(kernel, x, t)
-    idx = act.active
-    y_in = y[idx]
-    y_out = y[act.inactive]
-    total = float(y_out @ y_out) / lam + act.q * math.log(lam)
+    x_active, t_active = x[act.active], t[act.active]
+    y_inactive = y[act.inactive]
+    if lam == 0.0 and np.any(y_inactive != 0.0):
+        raise SingularCovarianceError(
+            "lam = 0 with nonzero observations outside the kernel support")
+    chol, jitter = np.zeros((0, 0)), 0.0
     if act.p > 0:
-        kmat = assemble_covariance(kernel, x[idx], t[idx])
+        kmat = assemble_covariance(kernel, x_active, t_active)
         kmat.flat[::act.p + 1] += lam
         chol, jitter = chol_with_jitter(kmat)
         if jitter > 0.0:
-            _log.warning("likelihood Cholesky of the %d x %d active block "
-                         "needed jitter %.3g", act.p, act.p, jitter)
-        v = half_solve(chol, y_in)
-        total += float(v @ v) + logdet_from_chol(chol)
-    return total
+            _log.warning("Cholesky of the %d x %d active block needed "
+                         "jitter %.3g", act.p, act.p, jitter)
+    return ActiveFactor(active_set=act, x_active=x_active, t_active=t_active,
+                        y_active=y[act.active], y_inactive=y_inactive,
+                        chol=chol, jitter=jitter)
+
+
+def fast_nll(kernel, x, t, y, lam):
+    """Negative log marginal likelihood through the active-set reduction.
+
+    y_a^T (K~ + lam I)^{-1} y_a + |y_i|^2 / lam + log det(K~ + lam I)
+    + q log lam, with y_a and y_i the observations at the active and the
+    inactive points.  Exactly equal to the dense formula.
+    Refusals, errors and the jitter log are those of ``factor_active``; a
+    rescued value is the likelihood of K~ + (lam + jitter) I on the active
+    block.
+    """
+    if not lam > 0.0:
+        raise ValueError("fast_nll requires lam > 0")
+    fac = factor_active(kernel, x, t, y, lam)
+    v = half_solve(fac.chol, fac.y_active)
+    return (float(fac.y_inactive @ fac.y_inactive) / lam
+            + fac.active_set.q * math.log(lam)
+            + (float(v @ v) + logdet_from_chol(fac.chol)))
 
 
 class _QueryPart:
@@ -201,30 +242,6 @@ def posterior_var(model, x, t):
     return np.maximum(out, 0.0)
 
 
-@dataclass(frozen=True)
-class RankOneData:
-    """Inputs of the regularized point-source likelihood.
-
-    ``green``: regularized Green evaluations F stacked sensor-major;
-    ``obs``: the approximated observation vector W in the same ordering;
-    ``lam``: Tikhonov regularization (noise variance), > 0.
-    """
-
-    green: np.ndarray
-    obs: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        green = np.asarray(self.green, dtype=float).reshape(-1)
-        obs = np.asarray(self.obs, dtype=float).reshape(-1)
-        if green.size != obs.size:
-            raise ValueError("green and obs must have the same length")
-        object.__setattr__(self, "green", green)
-        object.__setattr__(self, "obs", obs)
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
-
-
 def rank_one_objective(w2, f2, fw, n, lam=None):
     """Rank-one objective from |W|^2, |F|^2, <F,W> and n; vectorised in F.
 
@@ -245,21 +262,6 @@ def rank_one_objective(w2, f2, fw, n, lam=None):
     if w2 > 0.0:
         quad = quad * (1.0 - fw * fw / (w2 * (lam + f2)))
     return quad + (n - 1) * math.log(lam) + np.log(lam + f2)
-
-
-def _sums(data: RankOneData):
-    f, w = data.green, data.obs
-    return float(w @ w), float(f @ f), float(f @ w), w.size
-
-
-def rank_one_nll(data: RankOneData):
-    """Likelihood of F F^T + lam I in O(n), no matrix formed."""
-    return float(rank_one_objective(*_sums(data), data.lam))
-
-
-def limit_profile(data: RankOneData):
-    """Small-lambda limit |W|^2 (1 - r^2), r = <F,W>/(|F||W|), r = 0 if F = 0."""
-    return float(rank_one_objective(*_sums(data)))
 
 
 def regularized_green(dist, t, c, radius):

@@ -20,8 +20,9 @@ from numpy.polynomial import polynomial as P
 
 from .exceptions import KernelEvaluationError
 from .fields import ScalarField3D
-from .kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, TIME_TOL, matern52,
-                      matern52_d1, matern52_d2, stationary_gaussian_wave)
+from .kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, _scalar_time_sign,
+                      matern52, matern52_d1, matern52_d2,
+                      stationary_gaussian_wave)
 
 # Rows per block of the dense quadrature double sum.
 QUAD_CHUNK = 256
@@ -347,7 +348,7 @@ def spherical_mean_radial(antideriv, x, t, c):
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     r = np.maximum(np.linalg.norm(x, axis=1), RADIUS_CLAMP)
     ct = c * abs(t)
-    sgn = 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
+    sgn = _scalar_time_sign(t)
     vals = sgn * (antideriv((r + ct) ** 2) - antideriv((r - ct) ** 2)) / (4.0 * c * r)
     return vals
 

@@ -8,14 +8,16 @@ function (and optionally its gradient) into an initial condition,
 ``NumericalBase`` gives any spatial kernel central-difference derivative
 contractions for the shell quadratures, ``light_cone_contains`` is the
 analytic membership in a wave kernel's support shells, ``r_infinity`` the
-dense-time correlation of sensor traces, and ``subset`` restricts a
-sensor dataset to its first sensors.
+dense-time correlation of sensor traces, ``subset`` restricts a sensor
+dataset to its first sensors, and ``rank_one`` states the point-source
+likelihood in the vectors F and W.
 """
 
 import math
 
 import numpy as np
 
+from waveinform.fast import rank_one_objective
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
 from waveinform.oracle import SpatialBaseKernel
@@ -146,6 +148,13 @@ def subset(dataset, n_sensors):
     return SensorDataset(positions=dataset.positions[:n_sensors],
                          times=dataset.times,
                          values=dataset.values[: n_sensors * dataset.n_times])
+
+
+def rank_one(f, w, lam=None):
+    """``rank_one_objective`` on |W|^2, |F|^2, <F,W> and n, as a float."""
+    f, w = np.asarray(f, dtype=float), np.asarray(w, dtype=float)
+    return float(rank_one_objective(float(w @ w), float(f @ f), float(f @ w),
+                                    w.size, lam))
 
 
 def _as_points(x, t):

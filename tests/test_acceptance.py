@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from dense_reference import r_infinity, subset
+from dense_reference import r_infinity, rank_one, subset
 from waveinform import fast, gp
 from waveinform.design import multistart_fit, nll_objective
 from waveinform.experiments import (ExperimentConfig, case_ics, case_theta,
@@ -362,8 +362,8 @@ def test_criterion_07_rank_one_asymptotics():
                           radius).ravel()
     f = fast.green_traces(np.linalg.norm(sensors - probe, axis=1), times, c,
                           radius).ravel()
-    lim = fast.limit_profile(fast.RankOneData(f, w, 1.0))
-    gaps = [abs(lam * fast.rank_one_nll(fast.RankOneData(f, w, lam)) - lim)
+    lim = rank_one(f, w)
+    gaps = [abs(lam * rank_one(f, w, lam) - lim)
             for lam in (1e-2, 1e-4, 1e-6)]
     lam_ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 1e-4 * float(w @ w)
 
@@ -392,7 +392,7 @@ def test_criterion_07_rank_one_asymptotics():
         tn = np.arange(n_t) / (n_t - 1) * total_t
         wn = fast.green_traces(d_star, tn, c, radius_n).ravel()
         fn = fast.green_traces(d_probe, tn, c, radius_n).ravel()
-        val = lam / n_t * fast.rank_one_nll(fast.RankOneData(fn, wn, lam))
+        val = lam / n_t * rank_one(fn, wn, lam)
         discrepancy[n_t] = abs(val - limit)
     ratios = [discrepancy[2 * n] / discrepancy[n] for n in (64, 128, 256)]
     n_ok = all(0.4 <= r <= 0.6 for r in ratios)

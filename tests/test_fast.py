@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from dense_reference import (FunctionKernel, dense_nll, light_cone_contains,
-                             r_infinity)
+                             r_infinity, rank_one)
 from waveinform import experiments, fast, gp
-from waveinform.fast import (RankOneData, detect_active, fast_nll,
-                             green_traces, limit_profile, posterior_mean,
-                             posterior_var, rank_one_nll, regularized_green)
+from waveinform.fast import (detect_active, fast_nll, green_traces,
+                             posterior_mean, posterior_var, regularized_green)
 from waveinform.kernels import (HyperParams, SourceParams, WaveKernel,
                                 wave_kernel)
 from waveinform.linalg import assemble_covariance
@@ -217,16 +216,15 @@ def test_posterior_mean_generic_kernel_single_part():
 
 
 def test_rank_one_reference_value():
-    data = RankOneData(green=[1.0, 0.0], obs=[1.0, 1.0], lam=1.0)
-    assert rank_one_nll(data) == pytest.approx(1.5 + math.log(2.0))
+    assert rank_one([1.0, 0.0], [1.0, 1.0], 1.0) == pytest.approx(
+        1.5 + math.log(2.0))
     assert 1.5 + math.log(2.0) == pytest.approx(2.1931, abs=1e-4)
 
 
 def test_rank_one_zero_green():
     w = np.array([0.3, -0.4, 1.2])
     lam = 1e-2
-    data = RankOneData(green=np.zeros(3), obs=w, lam=lam)
-    assert rank_one_nll(data) == pytest.approx(
+    assert rank_one(np.zeros(3), w, lam) == pytest.approx(
         float(w @ w) / lam + 2 * math.log(lam) + math.log(lam))
 
 
@@ -238,8 +236,7 @@ def test_rank_one_matches_dense_two_by_two():
         lam = 10.0 ** rng.uniform(-4, 0)
         kmat = np.outer(f, f) + lam * np.eye(4)
         dense = float(w @ np.linalg.solve(kmat, w)) + np.linalg.slogdet(kmat)[1]
-        assert rank_one_nll(RankOneData(f, w, lam)) == pytest.approx(
-            dense, rel=1e-12)
+        assert rank_one(f, w, lam) == pytest.approx(dense, rel=1e-12)
 
 
 def test_rank_one_rotation_invariance():
@@ -247,29 +244,26 @@ def test_rank_one_rotation_invariance():
     f = rng.normal(size=6)
     w = rng.normal(size=6)
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    a = rank_one_nll(RankOneData(f, w, 1e-3))
-    b = rank_one_nll(RankOneData(q @ f, q @ w, 1e-3))
+    a = rank_one(f, w, 1e-3)
+    b = rank_one(q @ f, q @ w, 1e-3)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_limit_profile_cases():
     w = np.array([1.0, 2.0, -1.0])
-    assert limit_profile(RankOneData(2.5 * w, w, 1.0)) == pytest.approx(0.0,
-                                                                        abs=1e-12)
+    assert rank_one(2.5 * w, w) == pytest.approx(0.0, abs=1e-12)
     f_orth = np.array([2.0, -1.0, 0.0])
     assert abs(f_orth @ w) < 1e-12
-    assert limit_profile(RankOneData(f_orth, w, 1.0)) == pytest.approx(
-        float(w @ w))
-    assert limit_profile(RankOneData(np.zeros(3), w, 1.0)) == pytest.approx(
-        float(w @ w))
+    assert rank_one(f_orth, w) == pytest.approx(float(w @ w))
+    assert rank_one(np.zeros(3), w) == pytest.approx(float(w @ w))
 
 
 def test_rank_one_limit_lambda_path():
     rng = np.random.default_rng(8)
     f = rng.normal(size=20)
     w = rng.normal(size=20)
-    lim = limit_profile(RankOneData(f, w, 1.0))
-    gaps = [abs(lam * rank_one_nll(RankOneData(f, w, lam)) - lim)
+    lim = rank_one(f, w)
+    gaps = [abs(lam * rank_one(f, w, lam) - lim)
             for lam in (1e-2, 1e-4, 1e-6)]
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -277,8 +271,7 @@ def test_rank_one_limit_lambda_path():
 def test_proportional_case_small_lambda():
     w = np.array([0.5, 1.0, -2.0])
     f = 3.0 * w
-    vals = [lam * rank_one_nll(RankOneData(f, w, lam))
-            for lam in (1e-2, 1e-4, 1e-6)]
+    vals = [lam * rank_one(f, w, lam) for lam in (1e-2, 1e-4, 1e-6)]
     assert abs(vals[-1]) < 1e-3
 
 
