@@ -25,8 +25,8 @@ from .linalg import assemble_covariance
 from .oracle import (LP_STABILITY_TOL, SphericalRule, dalembert_residuals,
                      is_smooth_point, kv_wave_quadrature, ku_wave_quadrature,
                      lp_relative_error, lp_stability_check, matern_radial_base)
-from .sim import (FieldHistory, InitialCondition, SensorDataset, SimConfig,
-                  add_noise, run_simulation, sample_sensors)
+from .sim import (ZERO_IC, FieldHistory, InitialCondition, SensorDataset,
+                  SimConfig, add_noise, run_simulation, sample_sensors)
 
 DEFAULT_SIM = SimConfig(L=1.0, dx=0.043, dt=1.0 / 200.0, c=0.5, T=1.5)
 
@@ -41,22 +41,24 @@ DOUBLE_COMPONENT_BOX = HyperBox(
 # Lp norms of the relative reconstruction errors written by cmd_errors.
 ERROR_NORMS = (1, 2, np.inf)
 
+# Candidates per block of the point-source scan, and the order of the
+# spherical product rule in verify's oracle check.
+SCAN_CHUNK = 8192
+VERIFY_QUAD_ORDER = 24
+
 
 def case_ics(case):
     """Initial conditions (u0, v0) of the three standard test cases."""
+    raised = dict(x0=[0.65, 0.3, 0.5], mid=0.0, half=0.25)
+    ring = dict(x0=[0.3, 0.6, 0.7], mid=(0.05 + 0.15) / 2,
+                half=(0.15 - 0.05) / 2)
     if case == 1:
-        return (InitialCondition("raised_cosine", x0=[0.65, 0.3, 0.5],
-                                 radii=(0.25,), amplitude=5.0),
-                InitialCondition("zero"))
+        return InitialCondition(**raised, amplitude=5.0), ZERO_IC
     if case == 2:
-        return (InitialCondition("zero"),
-                InitialCondition("ring_cosine", x0=[0.3, 0.6, 0.7],
-                                 radii=(0.05, 0.15), amplitude=50.0))
+        return ZERO_IC, InitialCondition(**ring, amplitude=50.0)
     if case == 3:
-        return (InitialCondition("raised_cosine", x0=[0.65, 0.3, 0.5],
-                                 radii=(0.25,), amplitude=2.5),
-                InitialCondition("ring_cosine", x0=[0.3, 0.6, 0.7],
-                                 radii=(0.05, 0.15), amplitude=30.0))
+        return (InitialCondition(**raised, amplitude=2.5),
+                InitialCondition(**ring, amplitude=30.0))
     raise ValueError(f"unknown test case {case}")
 
 
@@ -358,7 +360,7 @@ def cmd_errors(config: ExperimentConfig, u_field, v_field, outdir):
 
 
 def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
-                       lam=None, chunk=8192):
+                       lam=None):
     """Point-source objective on scan candidates.
 
     Evaluates the small-lambda limit profile |W|^2 (1 - r(x0)^2) (or the
@@ -391,8 +393,8 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
     times = dataset.times
     out = np.empty(scan_points.shape[0])
     wmat = dataset.traces()
-    for lo in range(0, scan_points.shape[0], chunk):
-        block = scan_points[lo: lo + chunk]
+    for lo in range(0, scan_points.shape[0], SCAN_CHUNK):
+        block = scan_points[lo: lo + SCAN_CHUNK]
         m = block.shape[0]
         # np.linalg.norm's operations in its order, one axis at a time:
         # the same distances without a strided length-3 reduction.
@@ -414,8 +416,8 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
             fw += np.bincount(cand[run], weights=fk * wmat[sensor[run], k],
                               minlength=m)
             f2 += np.bincount(cand[run], weights=fk * fk, minlength=m)
-        out[lo: lo + chunk] = fast.rank_one_objective(w2, f2, fw, dataset.n,
-                                                      lam)
+        out[lo: lo + SCAN_CHUNK] = fast.rank_one_objective(w2, f2, fw,
+                                                           dataset.n, lam)
     return out
 
 
@@ -442,7 +444,7 @@ def cmd_pointsource_scan(dataset: SensorDataset, scan_grid: ScalarField3D,
     return volume, pts[best]
 
 
-def _verify_kernel_psd(params, tamper=False):
+def _verify_kernel_psd(params, tamper):
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, (40, 3))
     t = rng.uniform(0.0, 1.4, 40)
@@ -456,9 +458,9 @@ def _verify_kernel_psd(params, tamper=False):
             "passed": bool(eig_min >= bound)}
 
 
-def _verify_oracle_match(params, order=24):
+def _verify_oracle_match(params):
     rng = np.random.default_rng(1)
-    rule = SphericalRule.product(order)
+    rule = SphericalRule.product(VERIFY_QUAD_ORDER)
     worst = 0.0
     for _ in range(6):
         x0 = rng.uniform(0.3, 0.7, 3)
@@ -534,21 +536,23 @@ def _verify_rank_one_limit():
                            and gaps[-1] <= 1e-4 * float(w @ w))}
 
 
-def cmd_verify(selector="fast", outdir=None, quad_order=24, tamper_psd=False):
+def cmd_verify(selector="fast", outdir=None, tamper_psd=False):
     """Machine-readable invariant checks (values vs tolerances).
 
     ``selector`` picks the suite depth: "fast" runs the kernel PSD, oracle
     equivalence and PDE residual checks at small sizes; "full" adds the Lp
     stability and rank-one limit checks.  Failures are reported as
     entries, never raised; an unknown selector raises ValueError.
+    ``tamper_psd`` negates the PSD check's covariance, so that check fails
+    (``perfbench``'s self-tests count such a run as a failed op).
     """
     params = HyperParams(c=0.5, u=case_theta(1).u, v=case_theta(2).v,
                          lam=0.09**2)
     if selector not in ("fast", "full"):
         raise ValueError(f"unknown verify selector {selector!r}; "
                          "expected 'fast' or 'full'")
-    checks = [_verify_kernel_psd(params, tamper=tamper_psd),
-              _verify_oracle_match(params, order=quad_order),
+    checks = [_verify_kernel_psd(params, tamper_psd),
+              _verify_oracle_match(params),
               _verify_pde_residual(params)]
     if selector == "full":
         checks.append(_verify_lp_stability())

@@ -49,6 +49,10 @@ class ScalarField3D:
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
+        if not np.isfinite(self.origin).all():
+            raise ValueError(f"origin must be finite, got {self.origin}")
+        if not (np.isfinite(self.dx) and self.dx > 0.0):
+            raise ValueError(f"dx must be finite and positive, got {self.dx}")
         self.dims = tuple(int(d) for d in self.dims)
         if any(d < 2 for d in self.dims):
             raise ValueError(f"dims must all be >= 2, got {self.dims}")

@@ -19,7 +19,7 @@ corners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,80 +75,61 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Radial initial-condition families of the experiments.
+    """Radial cosine shell: A (1 + cos(pi (r - mid) / half)) on the support.
 
-    raised_cosine: A * 1_[0,R](r) * (1 + cos(pi r / R))
-    ring_cosine:   A * 1_[R1,R2](r) * (1 + cos(2 pi (r - (R1+R2)/2)/(R2-R1)))
-    plus ``zero``.
+    The support is |r - mid| <= half, r = |x - x0|.  A raised cosine of
+    radius R is (mid 0, half R), a ring on [R1, R2] is (mid (R1 + R2) / 2,
+    half (R2 - R1) / 2), and amplitude 0 is the zero condition, whose
+    support is empty.
     """
 
-    kind: str
-    x0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    radii: tuple = ()
-    amplitude: float = 0.0
+    x0: np.ndarray
+    mid: float
+    half: float
+    amplitude: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(3))
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        if self.kind not in ("raised_cosine", "ring_cosine", "zero"):
-            raise ValueError(f"unknown initial condition kind {self.kind!r}")
-        if self.kind == "raised_cosine" and len(self.radii) != 1:
-            raise ValueError("raised_cosine takes one radius")
-        if self.kind == "ring_cosine":
-            if len(self.radii) != 2 or not self.radii[0] < self.radii[1]:
-                raise ValueError("ring_cosine takes radii (R1, R2) with R1 < R2")
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be positive")
+        # A copy that cannot be written: ZERO_IC is shared by every caller.
+        x0 = np.array(self.x0, dtype=float).reshape(3)
+        x0.flags.writeable = False
+        object.__setattr__(self, "x0", x0)
+        values = [*self.x0, self.mid, self.half, self.amplitude]
+        # A ball (mid 0) or a ring whose inner radius mid - half is > 0.
+        if not (np.isfinite(values).all() and self.half > 0.0
+                and (self.mid == 0.0 or self.mid > self.half)):
+            raise ValueError(
+                "an initial condition needs finite values, half > 0 and mid 0 "
+                f"or above half; got x0 {self.x0}, mid {self.mid}, half "
+                f"{self.half}, amplitude {self.amplitude}")
 
     @property
     def support_radius(self):
-        if self.kind == "raised_cosine":
-            return self.radii[0]
-        if self.kind == "ring_cosine":
-            return self.radii[1]
-        return 0.0
+        """Outer radius of the support; 0 for the zero condition."""
+        return self.mid + self.half if self.amplitude != 0.0 else 0.0
+
+    def _on_support(self, r):
+        return (r >= self.mid - self.half) & (r <= self.support_radius)
 
     def profile(self, s):
         """Radial profile in squared radius: value = profile(|x - x0|^2)."""
-        s = np.asarray(s, dtype=float)
-        r = np.sqrt(np.maximum(s, 0.0))
-        if self.kind == "zero":
-            return np.zeros_like(r)
-        if self.kind == "raised_cosine":
-            big_r = self.radii[0]
-            inside = r <= big_r
-            return np.where(inside,
-                            self.amplitude * (1.0 + np.cos(np.pi * r / big_r)),
-                            0.0)
-        r1, r2 = self.radii
-        mid = 0.5 * (r1 + r2)
-        k = 2.0 * np.pi / (r2 - r1)
-        inside = (r >= r1) & (r <= r2)
-        return np.where(inside, self.amplitude * (1.0 + np.cos(k * (r - mid))),
-                        0.0)
+        r = np.sqrt(np.maximum(np.asarray(s, dtype=float), 0.0))
+        out = np.zeros_like(r)
+        inside = self._on_support(r)
+        out[inside] = self.amplitude * (1.0 + np.cos(
+            np.pi * (r[inside] - self.mid) / self.half))
+        return out
 
     def profile_antideriv(self, s):
         """Antiderivative of :meth:`profile` from 0, in the squared radius."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(s)
-        if self.kind == "raised_cosine":
-            big_r = self.radii[0]
-            u = np.sqrt(np.clip(s, 0.0, big_r * big_r))
-            factor = big_r / np.pi
-            val = (u * u + 2.0 * factor * u * np.sin(np.pi * u / big_r)
-                   + 2.0 * factor**2 * (np.cos(np.pi * u / big_r) - 1.0))
-            return self.amplitude * val
-        r1, r2 = self.radii
-        mid = 0.5 * (r1 + r2)
-        k = 2.0 * np.pi / (r2 - r1)
+        lo = max(self.mid - self.half, 0.0)
+        k = np.pi / self.half
 
         def inner(r):
-            return (r * r + 2.0 * r * np.sin(k * (r - mid)) / k
-                    + 2.0 * np.cos(k * (r - mid)) / k**2)
+            return (r * r + 2.0 * r * np.sin(k * (r - self.mid)) / k
+                    + 2.0 * np.cos(k * (r - self.mid)) / k**2)
 
-        u = np.sqrt(np.clip(s, r1 * r1, r2 * r2))
-        return self.amplitude * (inner(u) - inner(r1))
+        u = np.sqrt(np.clip(s, lo * lo, self.support_radius ** 2))
+        return self.amplitude * (inner(u) - inner(lo))
 
     def eval(self, x):
         x = np.asarray(x, dtype=float).reshape(-1, 3)
@@ -159,20 +140,14 @@ class InitialCondition:
         x = np.asarray(x, dtype=float).reshape(-1, 3)
         d = x - self.x0
         r = np.linalg.norm(d, axis=1)
-        slope = np.zeros_like(r)
-        if self.kind == "raised_cosine":
-            big_r = self.radii[0]
-            inside = (r > 0.0) & (r <= big_r)
-            slope[inside] = -self.amplitude * np.pi / big_r * np.sin(
-                np.pi * r[inside] / big_r)
-        elif self.kind == "ring_cosine":
-            r1, r2 = self.radii
-            mid = 0.5 * (r1 + r2)
-            k = 2.0 * np.pi / (r2 - r1)
-            inside = (r >= r1) & (r <= r2)
-            slope[inside] = -self.amplitude * k * np.sin(k * (r[inside] - mid))
-        safe = np.where(r > 0.0, r, 1.0)
-        return d * (slope / safe)[:, None]
+        inside = (r > 0.0) & self._on_support(r)
+        slope_over_r = np.zeros_like(r)
+        slope_over_r[inside] = -self.amplitude * np.pi / self.half * np.sin(
+            np.pi * (r[inside] - self.mid) / self.half) / r[inside]
+        return d * slope_over_r[:, None]
+
+
+ZERO_IC = InitialCondition(x0=np.zeros(3), mid=0.0, half=1.0, amplitude=0.0)
 
 
 @dataclass
@@ -418,6 +393,9 @@ class SensorDataset:
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno} has a "
                                      f"non-numeric field: {exc}") from None
+                if not all(map(math.isfinite, rows[-1])):
+                    raise ValueError(f"{path}: line {lineno} has a "
+                                     "non-finite field")
         if not rows:
             raise ValueError(f"{path}: no observations")
         rows = np.asarray(rows)

@@ -284,10 +284,10 @@ def test_criterion_04_stationary_density():
 def test_criterion_05_lp_stability():
     """Lp bounds of the propagated initial conditions, 2% grid tolerance."""
     t0 = time.time()
-    u0 = InitialCondition("raised_cosine", x0=[0.0, 0.0, 0.0], radii=(0.25,),
+    u0 = InitialCondition(x0=[0.0, 0.0, 0.0], mid=0.0, half=0.25,
                           amplitude=5.0)
-    v0 = InitialCondition("ring_cosine", x0=[0.0, 0.0, 0.0],
-                          radii=(0.05, 0.15), amplitude=50.0)
+    v0 = InitialCondition(x0=[0.0, 0.0, 0.0], mid=(0.05 + 0.15) / 2,
+                          half=(0.15 - 0.05) / 2, amplitude=50.0)
     c = 0.5
     all_ok = True
     worst_ratio = 0.0

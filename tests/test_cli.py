@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dense_reference import subset
+from waveinform import experiments
 from waveinform.cli import main
 from waveinform.experiments import (DEFAULT_SIM, ExperimentConfig, case_theta,
                                     cmd_errors, cmd_fit, cmd_pointsource_scan,
@@ -151,9 +152,10 @@ def test_verify_report_and_mutation(tmp_path):
     assert not bad["passed"]
 
 
-def test_verify_reduced_quadrature_reported(tmp_path):
+def test_verify_reduced_quadrature_reported(tmp_path, monkeypatch):
     # a crude quadrature order exceeds the oracle tolerance: reported
-    report = cmd_verify("fast", quad_order=4)
+    monkeypatch.setattr(experiments, "VERIFY_QUAD_ORDER", 4)
+    report = cmd_verify("fast")
     oracle = [c for c in report["checks"]
               if c["name"] == "oracle_equivalence"][0]
     assert not oracle["passed"]
@@ -341,9 +343,10 @@ def _dense_scan(dataset, pts, c, radius, lam):
 
 @pytest.mark.parametrize("chunk", [7, 8192])
 @pytest.mark.parametrize("lam", [None, 1e-6])
-def test_scan_window_matches_dense_reference(lam, chunk):
+def test_scan_window_matches_dense_reference(lam, chunk, monkeypatch):
     from waveinform.experiments import scan_limit_profile
 
+    monkeypatch.setattr(experiments, "SCAN_CHUNK", chunk)
     c, radius = 0.5, 0.0625
     rng = np.random.default_rng(5)
     sensors = np.array([[0.25, 0.25, 0.25], [0.75, 0.25, 0.5],
@@ -364,7 +367,7 @@ def test_scan_window_matches_dense_reference(lam, chunk):
     assert np.array_equal(np.linalg.norm(pts[:4] - sensors[0], axis=1),
                           [0.0, 0.125, 0.0625, 0.25])
     ref = _dense_scan(ds, pts, c, radius, lam)
-    got = scan_limit_profile(ds, pts, c, radius, lam=lam, chunk=chunk)
+    got = scan_limit_profile(ds, pts, c, radius, lam=lam)
     assert np.argmin(got) == np.argmin(ref)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -400,6 +403,15 @@ def test_pointsource_scan_refuses_a_one_node_grid(simulated, tmp_path, capsys):
         main(_scan_argv(simulated, tmp_path, "--grid-n", "1"))
     assert exc.value.code == 2
     assert "--grid-n" in capsys.readouterr().err
+    assert not (tmp_path / "scan_argmin.json").exists()
+
+
+@pytest.mark.parametrize("bounds", [("0.5", "0.5"), ("0.8", "0.2")],
+                         ids=["zero-dx", "negative-dx"])
+def test_pointsource_scan_refuses_a_non_positive_spacing(simulated, tmp_path,
+                                                         bounds):
+    with pytest.raises(ValueError, match="dx must be finite and positive"):
+        main(_scan_argv(simulated, tmp_path, "--grid-bounds", *bounds))
     assert not (tmp_path / "scan_argmin.json").exists()
 
 

@@ -286,12 +286,14 @@ def test_r_infinity_cases():
 
 
 def test_regularized_green_mass_and_support():
+    # the mass is t once the bump clears the origin: c|t| >= radius
     dist = np.linspace(0.0, 2.0, 4001)
-    c, radius, t = 1.0, 0.1, 0.7
-    vals = regularized_green(dist, t, c, radius)
-    assert np.all(vals[np.abs(dist - c * t) >= radius] == 0.0)
-    mass = np.trapezoid(4 * np.pi * dist**2 * vals, dist)
-    assert mass == pytest.approx(t, rel=1e-3)
+    c, radius = 1.0, 0.1
+    for t in (0.7, 0.1, 0.15):
+        vals = regularized_green(dist, t, c, radius)
+        assert np.all(vals[np.abs(dist - c * t) >= radius] == 0.0)
+        mass = np.trapezoid(4 * np.pi * dist**2 * vals, dist)
+        assert mass == pytest.approx(t, rel=1e-3)
     assert np.all(regularized_green(dist, 0.0, c, radius) == 0.0)
 
 

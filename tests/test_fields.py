@@ -1,6 +1,7 @@
 """Grid field container and serialization tests."""
 
 import gc
+import json
 import warnings
 
 import numpy as np
@@ -83,3 +84,17 @@ def test_dims_validation():
     with pytest.raises(ValueError):
         ScalarField3D(origin=[0, 0, 0], dx=0.1, dims=(2, 2, 2),
                       values=np.zeros(7))
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("dx", "0", "dx"), ("dx", "-0.1", "dx"), ("dx", "nan", "dx"),
+    ("dx", "inf", "dx"), ("origin", ["0", "inf", "0"], "origin"),
+], ids=["dx-0", "dx-negative", "dx-nan", "dx-inf", "origin-inf"])
+def test_load_refuses_a_bad_spacing_or_origin(tmp_path, key, value, match):
+    prefix = tmp_path / "field"
+    ScalarField3D.zeros([0.0, 0.0, 0.0], 0.5, (2, 2, 2)).save(prefix)
+    header = json.loads((tmp_path / "field.json").read_text())
+    header[key] = value
+    (tmp_path / "field.json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=match):
+        ScalarField3D.load(prefix)

@@ -88,13 +88,9 @@ OPTIONS = [
     "experiments.ExperimentConfig.dt_v",
     "experiments.cmd_fit(theta_true)",
     "experiments.scan_limit_profile(lam)",
-    "experiments.scan_limit_profile(chunk)",
     "experiments.cmd_pointsource_scan(mode)",
-    "experiments._verify_kernel_psd(tamper)",
-    "experiments._verify_oracle_match(order)",
     "experiments.cmd_verify(selector)",
     "experiments.cmd_verify(outdir)",
-    "experiments.cmd_verify(quad_order)",
     "experiments.cmd_verify(tamper_psd)",
     "fast.rank_one_objective(lam)",
     "gp.PosteriorModel.jitter",
@@ -111,9 +107,6 @@ OPTIONS = [
     "oracle.matern52_profile(order)",
     "oracle.MaternSquaredBase.__init__(deriv_order)",
     "oracle.calibrate_gaussian_prefactor(rule)",
-    "sim.InitialCondition.x0",
-    "sim.InitialCondition.radii",
-    "sim.InitialCondition.amplitude",
     "sim.run_simulation(sample_rate)",
 ]
 

@@ -19,7 +19,7 @@ from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
                                kv_wave_quadrature, lp_relative_error,
                                lp_stability_check, spherical_mean_radial,
                                spherical_mean_radial_dt)
-from waveinform.sim import InitialCondition
+from waveinform.sim import ZERO_IC, InitialCondition
 
 
 class ConstantBase:
@@ -324,8 +324,7 @@ def test_kirchhoff_linear_in_time():
 
 def test_kirchhoff_time_zero_returns_u0():
     rule = SphericalRule.product(8)
-    u0 = InitialCondition("raised_cosine", x0=[0.5, 0.5, 0.5], radii=(0.3,),
-                          amplitude=2.0)
+    u0 = InitialCondition(x0=[0.5, 0.5, 0.5], mid=0.0, half=0.3, amplitude=2.0)
     x = np.array([0.55, 0.5, 0.45])
     val = kirchhoff_eval(u0.eval, u0.grad, lambda y: np.zeros(len(y)),
                          x, 0.0, 0.5, rule)
@@ -406,9 +405,8 @@ def test_lp_relative_error_basics():
 
 
 def test_lp_stability_zero_speed_profile():
-    u0 = InitialCondition("raised_cosine", x0=[0, 0, 0], radii=(0.25,),
-                          amplitude=5.0)
-    v0 = InitialCondition("zero")
+    u0 = InitialCondition(x0=[0, 0, 0], mid=0.0, half=0.25, amplitude=5.0)
+    v0 = ZERO_IC
     grid = ScalarField3D.zeros([-0.8, -0.8, -0.8], 0.05, (33, 33, 33))
     [rep] = lp_stability_check(u0, v0, 0.5, 0.5, (2,), grid)
     assert rep["v_lhs"] == 0.0 and rep["v_rhs"] == 0.0
@@ -416,9 +414,9 @@ def test_lp_stability_zero_speed_profile():
 
 
 def test_lp_stability_ring_speed_bound():
-    u0 = InitialCondition("zero")
-    v0 = InitialCondition("ring_cosine", x0=[0, 0, 0], radii=(0.05, 0.15),
-                          amplitude=50.0)
+    u0 = ZERO_IC
+    v0 = InitialCondition(x0=[0, 0, 0], mid=(0.05 + 0.15) / 2,
+                          half=(0.15 - 0.05) / 2, amplitude=50.0)
     grid = ScalarField3D.zeros([-0.6, -0.6, -0.6], 0.01, (121, 121, 121))
     [rep] = lp_stability_check(u0, v0, 0.5, 0.5, (2,), grid)
     assert rep["v_ok"]

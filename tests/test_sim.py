@@ -7,14 +7,15 @@ from dense_reference import FunctionIC, reference_simulation
 from waveinform import sim
 from waveinform.experiments import DEFAULT_SIM
 from waveinform.oracle import SphericalRule, kirchhoff_trace
-from waveinform.sim import (InitialCondition, SensorDataset, SimConfig,
-                            add_noise, run_simulation, sample_sensors)
+from waveinform.sim import (ZERO_IC, InitialCondition, SensorDataset,
+                            SimConfig, add_noise, run_simulation,
+                            sample_sensors)
 
 COARSE = SimConfig(L=1.0, dx=1.0 / 12.0, dt=1.0 / 60.0, c=0.5, T=1.0)
 
 
 def test_ic_raised_cosine_values():
-    ic = InitialCondition("raised_cosine", x0=[0.65, 0.3, 0.5], radii=(0.25,),
+    ic = InitialCondition(x0=[0.65, 0.3, 0.5], mid=0.0, half=0.25,
                           amplitude=5.0)
     center = ic.eval([[0.65, 0.3, 0.5]])[0]
     assert center == pytest.approx(10.0)  # 2A at the center
@@ -25,8 +26,8 @@ def test_ic_raised_cosine_values():
 
 
 def test_ic_ring_cosine_values():
-    ic = InitialCondition("ring_cosine", x0=[0.3, 0.6, 0.7],
-                          radii=(0.05, 0.15), amplitude=50.0)
+    ic = InitialCondition(x0=[0.3, 0.6, 0.7], mid=(0.05 + 0.15) / 2,
+                          half=(0.15 - 0.05) / 2, amplitude=50.0)
     mid = ic.eval([[0.3 + 0.1, 0.6, 0.7]])[0]
     assert mid == pytest.approx(100.0)  # 2A at the ring middle
     assert ic.eval([[0.3 + 0.05, 0.6, 0.7]])[0] == pytest.approx(0.0,
@@ -36,10 +37,10 @@ def test_ic_ring_cosine_values():
 
 def test_ic_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    for ic in (InitialCondition("raised_cosine", x0=[0.5, 0.5, 0.5],
-                                radii=(0.3,), amplitude=2.0),
-               InitialCondition("ring_cosine", x0=[0.5, 0.5, 0.5],
-                                radii=(0.1, 0.3), amplitude=4.0)):
+    for ic in (InitialCondition(x0=[0.5, 0.5, 0.5], mid=0.0, half=0.3,
+                                amplitude=2.0),
+               InitialCondition(x0=[0.5, 0.5, 0.5], mid=(0.1 + 0.3) / 2,
+                                half=(0.3 - 0.1) / 2, amplitude=4.0)):
         x = 0.5 + rng.uniform(-0.28, 0.28, (20, 3))
         grad = ic.grad(x)
         eps = 1e-7
@@ -51,12 +52,45 @@ def test_ic_gradient_matches_finite_differences():
 
 
 def test_ic_profile_antiderivative_consistency():
-    ic = InitialCondition("ring_cosine", x0=[0, 0, 0], radii=(0.05, 0.15),
-                          amplitude=50.0)
+    ic = InitialCondition(x0=[0, 0, 0], mid=(0.05 + 0.15) / 2,
+                          half=(0.15 - 0.05) / 2, amplitude=50.0)
     s = np.linspace(0.0, 0.05, 2001)
     num = np.concatenate([[0.0], np.cumsum(
         0.5 * (ic.profile(s[1:]) + ic.profile(s[:-1])) * np.diff(s))])
     assert np.allclose(ic.profile_antideriv(s), num, atol=1e-6)
+
+
+@pytest.mark.parametrize("x0, mid, half, amplitude", [
+    ([0.5, 0.5, 0.5], 0.0, 0.0, 1.0), ([0.5, 0.5, 0.5], 0.0, -0.1, 1.0),
+    ([0.5, 0.5, 0.5], 0.05, 0.1, 1.0), ([0.5, 0.5, 0.5], 0.1, 0.1, 1.0),
+    ([0.5, 0.5, 0.5], -0.1, 0.2, 1.0), ([0.5, 0.5, 0.5], np.nan, 0.1, 1.0),
+    ([0.5, 0.5, 0.5], 0.0, np.inf, 1.0), ([0.5, 0.5, 0.5], 0.0, 0.1, np.nan),
+    ([0.5, np.inf, 0.5], 0.0, 0.1, 1.0),
+], ids=["half-0", "half-negative", "mid-inside-half", "mid-equals-half",
+        "mid-negative", "mid-nan", "half-inf", "amplitude-nan", "x0-inf"])
+def test_ic_refuses_a_shape_outside_the_family(x0, mid, half, amplitude):
+    with pytest.raises(ValueError, match="an initial condition needs"):
+        InitialCondition(x0=x0, mid=mid, half=half, amplitude=amplitude)
+
+
+def test_zero_ic_has_no_support():
+    ring = InitialCondition(x0=[0.5, 0.5, 0.5], mid=0.2, half=0.1,
+                            amplitude=0.0)
+    x = np.random.default_rng(4).uniform(0.0, 1.0, (50, 3))
+    for ic in (ZERO_IC, ring):
+        assert ic.support_radius == 0.0
+        assert np.all(ic.eval(x) == 0.0)
+        assert np.all(ic.grad(x) == 0.0)
+        assert np.all(ic.profile_antideriv(np.linspace(0.0, 1.0, 11)) == 0.0)
+
+
+def test_ic_center_is_a_read_only_copy():
+    x0 = np.array([0.5, 0.5, 0.5])
+    ic = InitialCondition(x0=x0, mid=0.0, half=0.1, amplitude=1.0)
+    x0[0] = 0.0
+    assert ic.x0[0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        ZERO_IC.x0[0] = 1.0
 
 
 def test_cfl_violation_raises():
@@ -80,7 +114,7 @@ def test_constant_field_preserved_in_interior():
     # stay constant until boundary effects arrive
     ic = FunctionIC(lambda x: np.full(len(x), 2.0),
                     grad_func=lambda x: np.zeros((len(x), 3)))
-    zero = InitialCondition("zero")
+    zero = ZERO_IC
     cfg = SimConfig(L=1.0, dx=1.0 / 16.0, dt=1.0 / 80.0, c=0.5, T=0.5)
     hist = run_simulation(cfg, ic, zero, sample_rate=20)
     n = cfg.n_nodes
@@ -126,9 +160,8 @@ def test_fdtd_slab_depth_leaves_snapshots_unchanged(monkeypatch, depth):
 
 
 def test_huygens_quiet_before_front():
-    u0 = InitialCondition("raised_cosine", x0=[0.3, 0.3, 0.3], radii=(0.1,),
-                          amplitude=1.0)
-    zero = InitialCondition("zero")
+    u0 = InitialCondition(x0=[0.3, 0.3, 0.3], mid=0.0, half=0.1, amplitude=1.0)
+    zero = ZERO_IC
     cfg = SimConfig(L=1.0, dx=1.0 / 24.0, dt=1.0 / 120.0, c=0.5, T=0.6)
     hist = run_simulation(cfg, u0, zero, sample_rate=20)
     probe = np.array([0.8, 0.8, 0.8])  # distance ~0.87 from the source
@@ -139,18 +172,16 @@ def test_huygens_quiet_before_front():
 
 
 def test_stability_amplitude_bound():
-    u0 = InitialCondition("raised_cosine", x0=[0.5, 0.5, 0.5], radii=(0.2,),
-                          amplitude=5.0)
-    zero = InitialCondition("zero")
+    u0 = InitialCondition(x0=[0.5, 0.5, 0.5], mid=0.0, half=0.2, amplitude=5.0)
+    zero = ZERO_IC
     cfg = SimConfig(L=1.0, dx=1.0 / 16.0, dt=1.0 / 80.0, c=0.5, T=1.5)
     hist = run_simulation(cfg, u0, zero, sample_rate=16)
     assert np.abs(hist.snaps).max() <= 4.0 * 10.0  # 4x the initial peak 2A
 
 
 def test_low_reflection_after_front_exits():
-    u0 = InitialCondition("raised_cosine", x0=[0.5, 0.5, 0.5], radii=(0.2,),
-                          amplitude=5.0)
-    zero = InitialCondition("zero")
+    u0 = InitialCondition(x0=[0.5, 0.5, 0.5], mid=0.0, half=0.2, amplitude=5.0)
+    zero = ZERO_IC
     cfg = SimConfig(L=1.0, dx=1.0 / 16.0, dt=1.0 / 80.0, c=0.5, T=3.0)
     hist = run_simulation(cfg, u0, zero, sample_rate=16)
     energy = (hist.snaps**2).sum(axis=(1, 2, 3))
@@ -160,9 +191,9 @@ def test_low_reflection_after_front_exits():
 
 
 def test_fdtd_matches_kirchhoff_at_interior_probe():
-    u0 = InitialCondition("raised_cosine", x0=[0.65, 0.3, 0.5], radii=(0.25,),
+    u0 = InitialCondition(x0=[0.65, 0.3, 0.5], mid=0.0, half=0.25,
                           amplitude=5.0)
-    zero = InitialCondition("zero")
+    zero = ZERO_IC
     cfg = SimConfig(L=1.0, dx=0.043, dt=0.005, c=0.5, T=1.5)
     hist = run_simulation(cfg, u0, zero, sample_rate=50)
     probe = np.array([0.375, 10.0 / 24.0, 0.5])  # grid node, r ~ 0.3
@@ -187,7 +218,7 @@ def test_smooth_ic_second_order_convergence():
         return bump(x)[:, None] * (-d / length**2)
 
     u0 = FunctionIC(bump, grad_func=bump_grad)
-    zero = InitialCondition("zero")
+    zero = ZERO_IC
     probe = np.array([0.25, 0.5, 0.5])
     rule = SphericalRule.product(24)
     errs = []
@@ -202,9 +233,8 @@ def test_smooth_ic_second_order_convergence():
 
 
 def test_sensor_on_node_exact():
-    u0 = InitialCondition("raised_cosine", x0=[0.5, 0.5, 0.5], radii=(0.3,),
-                          amplitude=1.0)
-    zero = InitialCondition("zero")
+    u0 = InitialCondition(x0=[0.5, 0.5, 0.5], mid=0.0, half=0.3, amplitude=1.0)
+    zero = ZERO_IC
     hist = run_simulation(COARSE, u0, zero, sample_rate=20)
     node = np.array([4.0 / 12.0, 5.0 / 12.0, 6.0 / 12.0])
     ds = sample_sensors(hist, node[None, :])
@@ -215,7 +245,7 @@ def test_sensor_on_node_exact():
 def test_sensor_counts_paper_defaults():
     # 30 sensors x 75 samples = 2250 observations
     cfg = SimConfig(L=1.0, dx=0.043, dt=0.005, c=0.5, T=1.5)
-    u0 = InitialCondition("zero")
+    u0 = ZERO_IC
     hist = run_simulation(cfg, u0, u0, sample_rate=50)
     assert len(hist.times) == 75
     rng = np.random.default_rng(1)
@@ -224,14 +254,14 @@ def test_sensor_counts_paper_defaults():
 
 
 def test_zero_ic_zero_traces():
-    zero = InitialCondition("zero")
+    zero = ZERO_IC
     hist = run_simulation(COARSE, zero, zero, sample_rate=20)
     ds = sample_sensors(hist, [[0.4, 0.5, 0.6]])
     assert np.all(ds.values == 0.0)
 
 
 def test_sensor_outside_box_raises():
-    zero = InitialCondition("zero")
+    zero = ZERO_IC
     hist = run_simulation(COARSE, zero, zero, sample_rate=20)
     with pytest.raises(ValueError):
         sample_sensors(hist, [[1.2, 0.5, 0.5]])
@@ -239,7 +269,7 @@ def test_sensor_outside_box_raises():
 
 def test_constant_field_constant_traces():
     ic = FunctionIC(lambda x: np.full(len(x), 1.5))
-    zero = InitialCondition("zero")
+    zero = ZERO_IC
     cfg = SimConfig(L=1.0, dx=1.0 / 12.0, dt=1.0 / 60.0, c=0.5, T=0.3)
     hist = run_simulation(cfg, ic, zero, sample_rate=20)
     ds = sample_sensors(hist, [[0.5, 0.5, 0.5]])
@@ -302,14 +332,13 @@ def test_dataset_csv_roundtrip(tmp_path):
 
 
 def test_ic_support_outside_box_raises():
-    u0 = InitialCondition("raised_cosine", x0=[0.9, 0.5, 0.5], radii=(0.3,),
-                          amplitude=1.0)
-    zero = InitialCondition("zero")
+    u0 = InitialCondition(x0=[0.9, 0.5, 0.5], mid=0.0, half=0.3, amplitude=1.0)
+    zero = ZERO_IC
     with pytest.raises(ValueError, match="support"):
         run_simulation(COARSE, u0, zero, sample_rate=20)
     # the ring's inner radius fits; its outer radius leaves the box
-    ring = InitialCondition("ring_cosine", x0=[0.5, 0.5, 0.15],
-                            radii=(0.05, 0.2), amplitude=1.0)
+    ring = InitialCondition(x0=[0.5, 0.5, 0.15], mid=(0.05 + 0.2) / 2,
+                            half=(0.2 - 0.05) / 2, amplitude=1.0)
     for run in (run_simulation, reference_simulation):
         with pytest.raises(ValueError, match="support"):
             run(COARSE, zero, ring, sample_rate=20)
@@ -318,9 +347,10 @@ def test_ic_support_outside_box_raises():
 def test_ic_without_support_is_not_checked():
     # a zero condition's x0 and a function's values say nothing about a
     # support, so neither is refused
-    off_box = InitialCondition("zero", x0=[1.5, -0.5, 0.5])
+    off_box = InitialCondition(x0=[1.5, -0.5, 0.5], mid=0.0, half=1.0,
+                               amplitude=0.0)
     everywhere = FunctionIC(lambda x: np.full(len(x), 1.0))
-    zero = InitialCondition("zero")
+    zero = ZERO_IC
     for u0, v0 in ((off_box, off_box), (everywhere, zero)):
         hist = run_simulation(COARSE, u0, v0, sample_rate=20)
         ref = reference_simulation(COARSE, u0, v0, sample_rate=20)
@@ -381,4 +411,18 @@ def test_dataset_csv_names_the_line_of_a_non_numeric_field(tmp_path, bad_row,
     _write_sensor_csv(path, [(0, 0.2, 0.2, 0.2, 0.0, 1.0), bad_row])
     with pytest.raises(ValueError, match=r"sensors\.csv: line 3 has a "
                        rf"non-numeric field: .*'{field}'"):
+        SensorDataset.from_csv(path)
+
+
+@pytest.mark.parametrize("bad_row", [
+    (0, 0.2, 0.2, 0.2, 0.1, "nan"),
+    (0, 0.2, 0.2, 0.2, 0.1, "-inf"),
+    (0, 0.2, "inf", 0.2, 0.1, 2.0),
+    (0, 0.2, 0.2, 0.2, "nan", 2.0),
+], ids=["value-nan", "value-inf", "position-inf", "time-nan"])
+def test_dataset_csv_refuses_a_non_finite_field(tmp_path, bad_row):
+    path = tmp_path / "sensors.csv"
+    _write_sensor_csv(path, [(0, 0.2, 0.2, 0.2, 0.0, 1.0), bad_row])
+    with pytest.raises(ValueError, match=r"sensors\.csv: line 3 has a "
+                       "non-finite field"):
         SensorDataset.from_csv(path)
