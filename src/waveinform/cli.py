@@ -7,7 +7,6 @@ waveinform simulate|sample|fit|reconstruct|errors|pointsource-scan|verify
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -144,19 +143,14 @@ def main(argv=None):
 
 def _load_history(directory):
     stored = ExperimentConfig.load(os.path.join(directory, "config.json"))
+    prefix = os.path.join(directory, "snapshot_{:04d}")
     snaps = []
-    k = 0
-    while os.path.exists(os.path.join(directory, f"snapshot_{k:04d}.json")):
-        field = ScalarField3D.load(os.path.join(directory, f"snapshot_{k:04d}"))
-        snaps.append(field.as_array())
-        k += 1
+    while os.path.exists(prefix.format(len(snaps)) + ".json"):
+        snaps.append(ScalarField3D.load(prefix.format(len(snaps))).as_array())
     if not snaps:
         raise FileNotFoundError(f"no snapshots found in {directory}")
-    with open(os.path.join(directory, "manifest.json"), "r",
-              encoding="utf-8") as fh:
-        meta = json.load(fh)
-    times = np.arange(meta["n_times"]) / stored.sample_rate
-    return FieldHistory(cfg=stored.sim, times=times[: len(snaps)],
+    return FieldHistory(cfg=stored.sim,
+                        times=np.arange(len(snaps)) / stored.sample_rate,
                         snaps=np.stack(snaps))
 
 

@@ -64,7 +64,7 @@ def _min_pairwise_distance(pts):
     return float(dist[iu].min())
 
 
-def lhs_design(n, lower, upper, restarts=20, seed=0):
+def lhs_design(n, lower, upper, restarts, seed):
     """Latin hypercube design improved by maximin over seeded restarts.
 
     Among ``restarts`` candidates, keeps the one with the largest minimum
@@ -98,7 +98,7 @@ def _to_box(z, box: HyperBox):
     return box.lower + expit(z) * (box.upper - box.lower)
 
 
-def minimize_box(objective, box: HyperBox, x_start, tol=1e-6, max_evals=1000):
+def minimize_box(objective, box: HyperBox, x_start, tol, max_evals):
     """Derivative-free minimization over a box.
 
     Runs Nelder-Mead on a logistic bijection of the box onto R^d, so every

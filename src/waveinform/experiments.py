@@ -91,7 +91,7 @@ class ExperimentConfig:
     sensor_bounds: tuple = (0.2, 0.8)
     layout_seed: int = 7
     layout_restarts: int = 40
-    sensor_positions: tuple = None
+    sensor_positions: tuple = None  # m x 3, stored as tuples of floats
     sample_rate: float = 50.0
     noise_sigma: float = 0.09
     noise_seed: int = 11
@@ -114,20 +114,27 @@ class ExperimentConfig:
                 (("n_sensors", "layout_restarts", "fit_max_evals"), ">= 1",
                  lambda v: v >= 1),
                 (("fit_n_mult",), ">= 0", lambda v: v >= 0)):
-            for name in names:
-                value = getattr(self, name)
-                if not ok(value):
-                    raise ValueError(f"config {name} must be {rule}, "
-                                     f"got {value!r}")
+            _refuse_values(vars(self), names, "config", rule, ok)
         lo_hi = np.asarray(self.sensor_bounds, dtype=float)
         if not (lo_hi.shape == (2,) and np.isfinite(lo_hi).all()
                 and lo_hi[0] < lo_hi[1]):
             raise ValueError("config sensor_bounds must be two finite numbers "
                              f"lo < hi, got {self.sensor_bounds!r}")
+        if self.sensor_positions is not None:
+            try:
+                pos = np.array(self.sensor_positions, dtype=float)
+            except (TypeError, ValueError):  # ragged or non-numeric rows
+                pos = np.empty(0)
+            if not (pos.shape[1:] == (3,) and len(pos)
+                    and np.isfinite(pos).all()):
+                raise ValueError("config sensor_positions must be m x 3 finite"
+                                 f" numbers, got {self.sensor_positions!r}")
+            object.__setattr__(self, "sensor_positions",
+                               tuple(map(tuple, pos.tolist())))
 
     def sensors(self):
         if self.sensor_positions is not None:
-            return np.asarray(self.sensor_positions, dtype=float).reshape(-1, 3)
+            return np.asarray(self.sensor_positions, dtype=float)
         lo, hi = self.sensor_bounds
         return lhs_design(self.n_sensors, [lo] * 3, [hi] * 3,
                           restarts=self.layout_restarts, seed=self.layout_seed)
@@ -139,9 +146,6 @@ class ExperimentConfig:
         blob = asdict(self)
         if self.sensor_positions is None:
             del blob["sensor_positions"]
-        else:
-            blob["sensor_positions"] = np.asarray(
-                self.sensor_positions, dtype=float).tolist()
         return json.dumps(blob, sort_keys=True, indent=1)
 
     @classmethod
@@ -154,9 +158,6 @@ class ExperimentConfig:
             blob["sim"] = replace(DEFAULT_SIM, **sim)
         if "sensor_bounds" in blob:
             blob["sensor_bounds"] = tuple(blob["sensor_bounds"])
-        if "sensor_positions" in blob:
-            blob["sensor_positions"] = tuple(
-                tuple(p) for p in blob["sensor_positions"])
         return cls(**blob)
 
     @classmethod
@@ -188,11 +189,28 @@ def theta_to_json(params: HyperParams):
     return json.dumps(blob, sort_keys=True, indent=1)
 
 
+def _refuse_values(blob, names, where, rule, ok):
+    for name in names:
+        if not ok(blob[name]):
+            raise ValueError(f"{where} {name} must be {rule}, "
+                             f"got {blob[name]!r}")
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_point(value):
+    return (isinstance(value, list) and len(value) == 3
+            and all(map(_is_number, value)) and np.isfinite(value).all())
+
+
 def theta_from_json(text):
-    """Parse ``theta.json``; refuse unknown and missing keys by name."""
+    """Parse ``theta.json``; refuse unknown, missing and malformed keys."""
     blob = json.loads(text)
     _refuse_unknown_keys(blob, HyperParams, "theta")
     _refuse_missing_keys(blob, ("c", "lam"), "theta")
+    _refuse_values(blob, ("c", "lam"), "theta", "a number", _is_number)
     blocks = {}
     for name in ("u", "v"):
         if name in blob:
@@ -200,6 +218,10 @@ def theta_from_json(text):
             _refuse_unknown_keys(blob[name], SourceParams, where)
             _refuse_missing_keys(blob[name],
                                  [f.name for f in fields(SourceParams)], where)
+            _refuse_values(blob[name], ("radius", "rho", "sigma2"), where,
+                           "a number", _is_number)
+            _refuse_values(blob[name], ("x0",), where, "three finite numbers",
+                           _is_point)
             blocks[name] = SourceParams(**blob[name])
     if not blocks:
         raise ValueError("theta has neither a u nor a v block")
@@ -359,12 +381,11 @@ def cmd_errors(config: ExperimentConfig, u_field, v_field, outdir):
     return report
 
 
-def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
-                       lam=None):
+def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius, lam):
     """Point-source objective on scan candidates.
 
-    Evaluates the small-lambda limit profile |W|^2 (1 - r(x0)^2) (or the
-    regularized rank-one likelihood when ``lam`` is given) against the
+    Evaluates the small-lambda limit profile |W|^2 (1 - r(x0)^2) (``lam``
+    None) or the regularized rank-one likelihood at ``lam`` against the
     mollified Green traces at each candidate source position.
 
     The Green bump f_t(d) is exactly zero off the open shell
@@ -422,11 +443,11 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius,
 
 
 def cmd_pointsource_scan(dataset: SensorDataset, scan_grid: ScalarField3D,
-                         radius, c, lam, outdir, mode="limit"):
+                         radius, c, lam, outdir, mode):
     """Scan the point-source likelihood over a grid and locate the argmin."""
     pts = scan_grid.points()
     vals = scan_limit_profile(dataset, pts, c, radius,
-                              lam=None if mode == "limit" else lam)
+                              None if mode == "limit" else lam)
     # Only now: a scan that refuses its inputs leaves no directory behind.
     manifest = Manifest(outdir)
     volume = scan_grid.like(vals)
@@ -536,13 +557,14 @@ def _verify_rank_one_limit():
                            and gaps[-1] <= 1e-4 * float(w @ w))}
 
 
-def cmd_verify(selector="fast", outdir=None, tamper_psd=False):
+def cmd_verify(selector, outdir, tamper_psd=False):
     """Machine-readable invariant checks (values vs tolerances).
 
     ``selector`` picks the suite depth: "fast" runs the kernel PSD, oracle
     equivalence and PDE residual checks at small sizes; "full" adds the Lp
-    stability and rank-one limit checks.  Failures are reported as
-    entries, never raised; an unknown selector raises ValueError.
+    stability and rank-one limit checks.  The report is returned and
+    written to ``outdir/verify.json``; a failed check is an entry in it,
+    never raised, and an unknown selector raises ValueError.
     ``tamper_psd`` negates the PSD check's covariance, so that check fails
     (``perfbench``'s self-tests count such a run as a failed op).
     """
@@ -560,11 +582,10 @@ def cmd_verify(selector="fast", outdir=None, tamper_psd=False):
     report = {"selector": selector,
               "passed": all(c["passed"] for c in checks),
               "checks": checks}
-    if outdir is not None:
-        manifest = Manifest(outdir)
-        atomic_write_text(manifest.path("verify.json"),
-                          json.dumps(report, sort_keys=True, indent=1,
-                                     default=float) + "\n")
-        manifest.register("verify.json")
-        manifest.write()
+    manifest = Manifest(outdir)
+    atomic_write_text(manifest.path("verify.json"),
+                      json.dumps(report, sort_keys=True, indent=1,
+                                 default=float) + "\n")
+    manifest.register("verify.json")
+    manifest.write()
     return report

@@ -27,7 +27,7 @@ from functools import cache
 import numpy as np
 
 from .exceptions import SingularCovarianceError
-from .kernels import TIME_TOL, WaveKernel, smooth_cutoff
+from .kernels import WaveKernel, _as_points, _time_sign, smooth_cutoff
 from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
                      logdet_from_chol)
 
@@ -92,18 +92,23 @@ class ActiveFactor:
 def factor_active(kernel, x, t, y, lam):
     """Active set and Cholesky factor of K~ + lam I on the active block.
 
-    The step shared by ``fast_nll`` and ``gp.fit_posterior``.  Refuses an
-    observation vector whose length is not the point count, and lam = 0
-    with nonzero observations outside the support (the reduced form has no
-    variance to explain them), both before any covariance is assembled.  A
-    non-finite covariance entry raises KernelEvaluationError.  A Cholesky
-    that needs jitter is logged at WARNING with p and the jitter.
+    The step shared by ``fast_nll`` and ``gp.fit_posterior``.  Before the
+    active set is detected, refuses an observation vector whose length is
+    not the point count, a non-finite observation, and a lam that is not
+    finite and >= 0; before any covariance is assembled, lam = 0 with
+    nonzero observations outside the support (the reduced form has no
+    variance to explain them).  A non-finite covariance entry raises
+    KernelEvaluationError.  A Cholesky that needs jitter is logged at
+    WARNING with p and the jitter.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
+    x, t = _as_points(x, t)
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != t.size:
         raise ValueError("observation vector length must match point count")
+    if not np.isfinite(y).all():
+        raise ValueError("observations must be finite")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     act = detect_active(kernel, x, t)
     x_active, t_active = x[act.active], t[act.active]
     y_inactive = y[act.inactive]
@@ -203,11 +208,11 @@ def posterior_mean(model, x, t):
     diagonal are never evaluated against the training set; queries outside
     every part's support return an exact 0.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
+    x, t = _as_points(x, t)
     out = np.zeros(t.shape)
     if model.active_count == 0:
         return out
+    fac = model.factor
     for part in _kernel_parts(model.kernel):
         key = part.key(x, t)
         first, inverse = _distinct_rows(key)
@@ -216,7 +221,7 @@ def posterior_mean(model, x, t):
         live = np.flatnonzero(np.asarray(part.diag(key)) > 0.0)
         for lo in range(0, live.size, MEAN_CHUNK):
             sel = live[lo: lo + MEAN_CHUNK]
-            cross = part.cross(model.x_in, model.t_in, key[sel])
+            cross = part.cross(fac.x_active, fac.t_active, key[sel])
             g[sel] = cross.T @ model.alpha
         out += g[inverse]
     return out
@@ -227,17 +232,18 @@ def posterior_var(model, x, t):
 
     Clamped below at zero against floating-point cancellation.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
+    x, t = _as_points(x, t)
     prior = np.asarray(model.kernel.diag(x, t), dtype=float)
     out = prior.copy()
     if model.active_count == 0:
         return np.maximum(out, 0.0)
     live = np.flatnonzero(prior > 0.0)
+    fac = model.factor
     for lo in range(0, live.size, VAR_CHUNK):
         sel = live[lo: lo + VAR_CHUNK]
-        cross = model.kernel.pairwise(model.x_in, model.t_in, x[sel], t[sel])
-        v = half_solve(model.chol_factor, cross)
+        cross = model.kernel.pairwise(fac.x_active, fac.t_active, x[sel],
+                                      t[sel])
+        v = half_solve(fac.chol, cross)
         out[sel] = prior[sel] - np.einsum("ij,ij->j", v, v)
     return np.maximum(out, 0.0)
 
@@ -274,7 +280,7 @@ def regularized_green(dist, t, c, radius):
     c|t| = radius / 4, 0.98 t at radius / 2.  Vectorized over distances.
     """
     dist = np.asarray(dist, dtype=float)
-    if abs(t) < TIME_TOL:
+    if _time_sign(t) == 0.0:
         return np.zeros_like(dist)
     ct = c * abs(t)
     bump = smooth_cutoff(np.abs(dist - ct) / radius)

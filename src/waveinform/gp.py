@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fast import ActiveSet, factor_active
+from .fast import ActiveFactor, factor_active
 from .linalg import chol_solve_vec
 # Not called here: perfbench traces gp.assemble_covariance and checks that
 # gp.chol_with_jitter is linalg's.  Goes when gp folds into fast.
@@ -28,22 +28,18 @@ from .linalg import assemble_covariance, chol_with_jitter  # noqa: F401
 class PosteriorModel:
     """Zero-mean GP posterior in reduced (active-set) form.
 
-    chol_factor is the lower Cholesky factor of K~ + lam*I on the active
-    points and alpha solves (K~ + lam*I) alpha = y_a, the observations at
-    the active points.
+    ``factor`` is the active-block factorization it was conditioned on (its
+    points, Cholesky factor of K~ + lam*I and jitter) and alpha solves
+    (K~ + lam*I) alpha = y_a, the observations at the active points.
     """
 
     kernel: object
-    active_set: ActiveSet
-    x_in: np.ndarray
-    t_in: np.ndarray
-    chol_factor: np.ndarray
+    factor: ActiveFactor
     alpha: np.ndarray
-    jitter: float = 0.0
 
     @property
     def active_count(self):
-        return self.active_set.p
+        return self.factor.active_set.p
 
 
 def fit_posterior(kernel, x, t, y, lam):
@@ -53,13 +49,8 @@ def fit_posterior(kernel, x, t, y, lam):
     (``fast.factor_active``, whose refusals and jitter log apply).  With
     lam = 0 the observations on inactive points must themselves be zero
     (they are unexplainable by a prior with zero variance there).  The
-    jitter of a rescued Cholesky is kept in ``PosteriorModel.jitter``.
+    jitter of a rescued Cholesky is kept in the model's ``factor.jitter``.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
     fac = factor_active(kernel, x, t, y, lam)
-    return PosteriorModel(kernel=kernel, active_set=fac.active_set,
-                          x_in=fac.x_active, t_in=fac.t_active,
-                          chol_factor=fac.chol,
-                          alpha=chol_solve_vec(fac.chol, fac.y_active),
-                          jitter=fac.jitter)
+    return PosteriorModel(kernel=kernel, factor=fac,
+                          alpha=chol_solve_vec(fac.chol, fac.y_active))

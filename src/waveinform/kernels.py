@@ -192,14 +192,8 @@ def _as_points(x, t):
 
 
 def _time_sign(t):
-    s = np.sign(t)
-    s[np.abs(t) < TIME_TOL] = 0.0
-    return s
-
-
-def _scalar_time_sign(t):
-    """sgn(t) of one time, 0 within TIME_TOL of t = 0, as ``_time_sign``."""
-    return 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
+    """sgn(t), 0 within TIME_TOL of t = 0; a scalar t gives a scalar."""
+    return np.where(np.abs(t) < TIME_TOL, 0.0, np.sign(t))[()]
 
 
 def _features(comp, r, t, c, src):
@@ -373,7 +367,7 @@ def stationary_ftft_density(hnorm, t, tp, c):
     """
     if hnorm < 0.0:
         raise ValueError("hnorm must be >= 0")
-    sgn = _scalar_time_sign(t) * _scalar_time_sign(tp)
+    sgn = _time_sign(t) * _time_sign(tp)
     if sgn == 0.0:
         return 0.0
     lo = c * abs(abs(t) - abs(tp))
@@ -396,7 +390,7 @@ def stationary_gaussian_wave(h, t, tp, c, C, L, cprime=math.sqrt(math.pi / 2)):
     quadrature reproduces it (waveinform.oracle.calibrate_gaussian_prefactor).
     Near |h| = 0 the difference quotient is replaced by its analytic limit.
     """
-    sgn = _scalar_time_sign(t) * _scalar_time_sign(tp)
+    sgn = _time_sign(t) * _time_sign(tp)
     if sgn == 0.0:
         return 0.0
     hn = float(np.linalg.norm(np.asarray(h, dtype=float).reshape(-1)))

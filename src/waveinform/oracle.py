@@ -20,7 +20,7 @@ from numpy.polynomial import polynomial as P
 
 from .exceptions import KernelEvaluationError
 from .fields import ScalarField3D
-from .kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, _scalar_time_sign,
+from .kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, _as_points, _time_sign,
                       matern52, matern52_d1, matern52_d2,
                       stationary_gaussian_wave)
 
@@ -98,7 +98,7 @@ class SpatialBaseKernel:
         return v - ct * g1 - ctp * g2 + (ct * ctp) * g12
 
 
-def matern52_profile(rho, sigma2, order=0):
+def matern52_profile(rho, sigma2, order):
     """The ``order``-th derivative of :func:`matern52` as ``(p, parity)``.
 
     g(d) = exp(-d/rho) p(d/rho) for d >= 0 and g(-d) = parity g(d), with p
@@ -166,7 +166,7 @@ class MaternSquaredBase(_RadialMatern):
     antiderivative surface (the speed-component prior).
     """
 
-    def __init__(self, center, rho, sigma2, deriv_order=0):
+    def __init__(self, center, rho, sigma2, deriv_order):
         super().__init__(center, rho, sigma2)
         if deriv_order not in (0, 2):
             raise ValueError("deriv_order must be 0 or 2")
@@ -348,9 +348,8 @@ def spherical_mean_radial(antideriv, x, t, c):
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     r = np.maximum(np.linalg.norm(x, axis=1), RADIUS_CLAMP)
     ct = c * abs(t)
-    sgn = _scalar_time_sign(t)
-    vals = sgn * (antideriv((r + ct) ** 2) - antideriv((r - ct) ** 2)) / (4.0 * c * r)
-    return vals
+    return (_time_sign(t) * (antideriv((r + ct) ** 2)
+                             - antideriv((r - ct) ** 2)) / (4.0 * c * r))
 
 
 def spherical_mean_radial_dt(profile, x, t, c):
@@ -395,15 +394,10 @@ def dalembert_residuals(f, x, t, c, step):
     residual (1/c^2) d2f/dt2 - lap f is normalized by the largest
     second-derivative magnitude in the stencil, making it scale-free.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
+    x, t = _as_points(x, t)
     m = x.shape[0]
-    pts = [x]
-    tms = [t]
-    tms.append(t + step)
-    pts.append(x)
-    tms.append(t - step)
-    pts.append(x)
+    pts = [x, x, x]
+    tms = [t, t + step, t - step]
     for axis in range(3):
         for sign in (1.0, -1.0):
             shifted = x.copy()
@@ -436,8 +430,7 @@ def is_smooth_point(params, x, t, step):
     draws at the center, so the propagated kernel is not pointwise C2
     there), of r = 0 and of t = 0.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
+    x, t = _as_points(x, t)
     c = params.c
     margin = 3.0 * step * (1.0 + c)
     cone_margin = max(margin, 0.01)

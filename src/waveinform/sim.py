@@ -43,8 +43,8 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("L", "dx", "dt", "c", "T"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.n_cells < 2:
             raise ValueError("the grid needs two cells per side (dx < L): "
                              "the absorbing boundary reads interior nodes")
@@ -234,7 +234,7 @@ def _boundary_plan(n, cdt, dx):
 
 
 def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
-                   sample_rate=50.0):
+                   sample_rate):
     """Leapfrog FDTD of the initial value problem; returns stored snapshots.
 
     Snapshots are recorded at t_k = k / sample_rate for

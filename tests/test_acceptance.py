@@ -423,7 +423,7 @@ def test_criterion_08_point_source_triangulation():
     cell = (hi - lo) / (n - 1)
     grid = ScalarField3D.zeros([lo] * 3, cell, (n, n, n))
     pts = grid.points()
-    vals = scan_limit_profile(dataset, pts, c, radius)
+    vals = scan_limit_profile(dataset, pts, c, radius, None)
     best = pts[int(np.argmin(vals))]
     recovered = bool(np.all(np.abs(best - x_star) <= cell + 1e-12))
 
@@ -438,7 +438,7 @@ def test_criterion_08_point_source_triangulation():
             triple = np.vstack([on_sphere,
                                 sensor + (dist - cell) * direction,
                                 sensor + (dist + cell) * direction])
-            v3 = scan_limit_profile(dataset, triple, c, radius)
+            v3 = scan_limit_profile(dataset, triple, c, radius, None)
             n_tot += 1
             n_ok += bool(v3[0] < v3[1] and v3[0] < v3[2])
     frac = n_ok / n_tot

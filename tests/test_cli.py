@@ -140,13 +140,13 @@ def test_pointsource_scan_api(tmp_path):
 
 
 def test_verify_report_and_mutation(tmp_path):
-    report = cmd_verify("fast", outdir=str(tmp_path))
+    report = cmd_verify("fast", outdir=str(tmp_path / "ok"))
     assert report["passed"]
     assert all(c["passed"] for c in report["checks"])
-    blob = json.loads((tmp_path / "verify.json").read_text())
+    blob = json.loads((tmp_path / "ok" / "verify.json").read_text())
     assert blob["selector"] == "fast"
     # a sign-flipped kernel must FAIL the PSD check, reported not raised
-    bad = cmd_verify("fast", tamper_psd=True)
+    bad = cmd_verify("fast", outdir=str(tmp_path / "bad"), tamper_psd=True)
     psd = [c for c in bad["checks"] if c["name"] == "kernel_psd"][0]
     assert not psd["passed"]
     assert not bad["passed"]
@@ -155,7 +155,7 @@ def test_verify_report_and_mutation(tmp_path):
 def test_verify_reduced_quadrature_reported(tmp_path, monkeypatch):
     # a crude quadrature order exceeds the oracle tolerance: reported
     monkeypatch.setattr(experiments, "VERIFY_QUAD_ORDER", 4)
-    report = cmd_verify("fast")
+    report = cmd_verify("fast", outdir=str(tmp_path))
     oracle = [c for c in report["checks"]
               if c["name"] == "oracle_equivalence"][0]
     assert not oracle["passed"]
@@ -247,6 +247,26 @@ def test_theta_json_refuses_missing_keys(path):
         theta_from_json(json.dumps(blob))
 
 
+@pytest.mark.parametrize("path, value, match", [
+    (("c",), "0.5", "theta c must be a number"),
+    (("lam",), "x", "theta lam must be a number"),
+    (("u", "radius"), None, "theta u radius must be a number"),
+    (("u", "rho"), [0.2], "theta u rho must be a number"),
+    (("v", "sigma2"), True, "theta v sigma2 must be a number"),
+    (("u", "x0"), [0.65, 0.3], "theta u x0 must be three finite numbers"),
+    (("v", "x0"), [0.3, "0.6", 0.7], "theta v x0 must be three finite"),
+    (("v", "x0"), [0.3, float("nan"), 0.7],
+     "theta v x0 must be three finite")],
+    ids=["c-string", "lam-string", "radius-null", "rho-list", "sigma2-bool",
+         "x0-two", "x0-string", "x0-nan"])
+def test_theta_json_refuses_malformed_values(path, value, match):
+    blob = _theta_blob()
+    *block, key = path
+    (blob[block[0]] if block else blob)[key] = value
+    with pytest.raises(ValueError, match=match):
+        theta_from_json(json.dumps(blob))
+
+
 def test_theta_json_refuses_a_theta_without_components():
     with pytest.raises(ValueError, match="neither a u nor a v block"):
         theta_from_json('{"c": 0.5, "lam": 0.001}')
@@ -278,8 +298,8 @@ def test_reconstruction_at_sensors_consistency():
     assert np.abs(fitted - y).max() <= 1e-4 * np.abs(y).max()
 
 
-def test_verify_full_selector():
-    report = cmd_verify("full")
+def test_verify_full_selector(tmp_path):
+    report = cmd_verify("full", outdir=str(tmp_path))
     names = [c["name"] for c in report["checks"]]
     assert "lp_stability" in names and "rank_one_limit" in names
     assert report["passed"]
@@ -300,8 +320,8 @@ def test_pointsource_scan_wrong_speed_has_no_deep_minimum():
     w2 = float(values @ values)
     grid = ScalarField3D.zeros([0.2] * 3, 0.6 / 19, (20, 20, 20)).points()
     pts = np.vstack([grid, x_star])
-    right = scan_limit_profile(ds, pts, 0.5, 0.02)
-    wrong = scan_limit_profile(ds, pts, 0.4, 0.02)
+    right = scan_limit_profile(ds, pts, 0.5, 0.02, None)
+    wrong = scan_limit_profile(ds, pts, 0.4, 0.02, None)
     # correct speed: all shells intersect at the source, profile near zero
     assert right[-1] <= 1e-6 * w2
     # wrong speed: the shell intersection is empty, no deep minimum anywhere
@@ -442,7 +462,9 @@ def test_config_refuses_unknown_test_case():
     ("fit_tol", float("nan")), ("noise_sigma", -0.1), ("n_sensors", 0),
     ("fit_max_evals", 0), ("layout_restarts", 0), ("fit_n_mult", -1),
     ("sensor_bounds", (0.8, 0.2)), ("sensor_bounds", (0.2, float("inf"))),
-    ("sensor_bounds", (0.2,))])
+    ("sensor_bounds", (0.2,)),
+    ("sensor_positions", ((0.3, 0.3, 0.3), (0.4, float("nan"), 0.4))),
+    ("sensor_positions", ((0.3, 0.3, 0.3), (0.4, 0.4)))])
 def test_config_refuses_malformed_numbers(key, value):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig(**{key: value})
@@ -460,9 +482,10 @@ def test_readme_example_config_loads():
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
-def test_verify_refuses_unknown_selector(capsys):
+def test_verify_refuses_unknown_selector(tmp_path, capsys):
     with pytest.raises(ValueError, match="bogus"):
-        cmd_verify("bogus")
+        cmd_verify("bogus", outdir=str(tmp_path / "verify"))
+    assert not (tmp_path / "verify").exists()
     with pytest.raises(SystemExit):
         main(["verify", "--selector", "bogus"])
     assert "invalid choice" in capsys.readouterr().err

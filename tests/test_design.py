@@ -19,7 +19,7 @@ def test_lhs_marginal_strata():
 
 
 def test_lhs_single_point():
-    design = lhs_design(1, [0.0, 0.0], [1.0, 2.0], seed=1)
+    design = lhs_design(1, [0.0, 0.0], [1.0, 2.0], restarts=20, seed=1)
     assert design.shape == (1, 2)
     assert np.all(design >= 0.0) and np.all(design[:, 1] <= 2.0)
 
@@ -36,8 +36,8 @@ def test_lhs_maximin_selection():
 
 
 def test_lhs_deterministic():
-    a = lhs_design(10, [0.0] * 3, [1.0] * 3, seed=5)
-    b = lhs_design(10, [0.0] * 3, [1.0] * 3, seed=5)
+    a = lhs_design(10, [0.0] * 3, [1.0] * 3, restarts=20, seed=5)
+    b = lhs_design(10, [0.0] * 3, [1.0] * 3, restarts=20, seed=5)
     assert np.array_equal(a, b)
 
 
@@ -76,7 +76,8 @@ def test_minimize_box_deterministic():
 def test_minimize_box_nonfinite_start_raises():
     box = HyperBox(lower=[0.0], upper=[1.0])
     with pytest.raises(ValueError, match="non-finite"):
-        minimize_box(lambda x: float("nan"), box, [0.5])
+        minimize_box(lambda x: float("nan"), box, [0.5], tol=1e-6,
+                     max_evals=1000)
 
 
 def test_minimize_box_counts_every_objective_call():
@@ -88,7 +89,8 @@ def test_minimize_box_counts_every_objective_call():
         return float(((x - 0.3)**2).sum())
 
     start = np.array([0.4, 0.5, 3e-3])
-    _, _, evals = minimize_box(objective, box, start, max_evals=12)
+    _, _, evals = minimize_box(objective, box, start, tol=1e-6,
+                               max_evals=12)
     assert evals == len(calls) == 12
     assert np.allclose(calls[0], start, rtol=1e-12, atol=1e-15)
 

@@ -297,12 +297,12 @@ def test_jitter_rescue_is_logged(caplog):
     with caplog.at_level("WARNING", logger="waveinform"):
         model = gp.fit_posterior(kern, x, t, y, 1e-12)
         fast.fast_nll(kern, x, t, y, 1e-12)
-    assert model.jitter > 0.0
+    assert model.factor.jitter > 0.0
     assert len(caplog.records) == 2
     for record in caplog.records:
         assert record.name == "waveinform.fast"
         assert record.levelname == "WARNING"
-        assert record.args == (3, 3, model.jitter)
+        assert record.args == (3, 3, model.factor.jitter)
 
 
 @pytest.mark.parametrize("fit", [fast.fast_nll, gp.fit_posterior])
@@ -313,6 +313,27 @@ def test_observation_length_must_match_point_count(fit, n_obs):
     x, t = rng.uniform(0.0, 1.0, (6, 3)), rng.uniform(0.0, 1.4, 6)
     with pytest.raises(ValueError, match="length must match point count"):
         fit(kern, x, t, rng.normal(size=n_obs), case_theta(1).lam)
+
+
+@pytest.mark.parametrize("fit", [fast.fast_nll, gp.fit_posterior])
+@pytest.mark.parametrize("nan_at, lam, match", [
+    (3, 0.01, "observations must be finite"),
+    (0, 0.01, "observations must be finite"),
+    (None, np.inf, "lam must be finite")],
+    ids=["nan-inactive", "nan-active", "lam-inf"])
+def test_non_finite_input_is_refused_before_detection(fit, nan_at, lam,
+                                                      match):
+    params = case_theta(1)
+    x, t = draw_points(np.random.default_rng(8), params, 3)
+    x, t = np.vstack([x, [0.05, 0.95, 0.95]]), np.append(t, 0.05)
+    assert not light_cone_contains(params, x[3:], t[3:])[0]
+    y = np.ones(4)
+    if nan_at is not None:
+        y[nan_at] = np.nan
+    kern = WaveKernel(params)
+    with pytest.raises(ValueError, match=match):
+        fit(kern, x, t, y, lam)
+    assert kern.eval_count == 0
 
 
 def test_posterior_model_is_frozen():

@@ -65,10 +65,6 @@ def package_options():
 
 OPTIONS = [
     "cli.main(argv)",
-    "design.lhs_design(restarts)",
-    "design.lhs_design(seed)",
-    "design.minimize_box(tol)",
-    "design.minimize_box(max_evals)",
     "experiments.case_theta(noise_sigma)",
     "experiments.ExperimentConfig.test_case",
     "experiments.ExperimentConfig.sim",
@@ -87,13 +83,8 @@ OPTIONS = [
     "experiments.ExperimentConfig.dx_grid",
     "experiments.ExperimentConfig.dt_v",
     "experiments.cmd_fit(theta_true)",
-    "experiments.scan_limit_profile(lam)",
-    "experiments.cmd_pointsource_scan(mode)",
-    "experiments.cmd_verify(selector)",
-    "experiments.cmd_verify(outdir)",
     "experiments.cmd_verify(tamper_psd)",
     "fast.rank_one_objective(lam)",
-    "gp.PosteriorModel.jitter",
     "kernels.HyperParams.u",
     "kernels.HyperParams.v",
     "kernels.HyperParams.lam",
@@ -104,10 +95,7 @@ OPTIONS = [
     "kernels.WaveKernel.radial(r2)",
     "kernels.WaveKernel.radial(t2)",
     "kernels.stationary_gaussian_wave(cprime)",
-    "oracle.matern52_profile(order)",
-    "oracle.MaternSquaredBase.__init__(deriv_order)",
     "oracle.calibrate_gaussian_prefactor(rule)",
-    "sim.run_simulation(sample_rate)",
 ]
 
 

@@ -144,9 +144,9 @@ def _dense_ku(base, z, zp, c, rule):
 def _matern_cases(x0, rho, sigma2):
     """(quadrature, base, dense reference) for every supported combination."""
     return [(kv_wave_quadrature, MaternSquaredBase(x0, rho, sigma2, 2), _dense_kv),
-            (kv_wave_quadrature, MaternSquaredBase(x0, rho, sigma2), _dense_kv),
+            (kv_wave_quadrature, MaternSquaredBase(x0, rho, sigma2, 0), _dense_kv),
             (kv_wave_quadrature, MaternRadiusBase(x0, rho, sigma2), _dense_kv),
-            (ku_wave_quadrature, MaternSquaredBase(x0, rho, sigma2), _dense_ku),
+            (ku_wave_quadrature, MaternSquaredBase(x0, rho, sigma2, 0), _dense_ku),
             (ku_wave_quadrature, MaternRadiusBase(x0, rho, sigma2), _dense_ku)]
 
 

@@ -103,6 +103,15 @@ def test_grid_without_interior_nodes_raises():
         SimConfig(L=1.0, dx=1.0, dt=0.1, c=0.5, T=1.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["L", "dx", "dt", "c", "T"])
+def test_sim_config_refuses_a_non_finite_value(name, value):
+    fields = {"L": 1.0, "dx": 1.0 / 12.0, "dt": 1.0 / 60.0, "c": 0.5, "T": 1.0}
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SimConfig(**fields)
+
+
 def test_grid_snapping():
     cfg = SimConfig(L=1.0, dx=0.043, dt=0.005, c=0.5, T=1.5)
     assert cfg.n_cells == 24
