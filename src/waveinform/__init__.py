@@ -2,8 +2,7 @@
 
 from . import (design, experiments, fast, fields, gp, kernels, linalg, oracle,
                sim)
-from .exceptions import (KernelEvaluationError, SingularCovarianceError,
-                         SingularEvaluationError)
+from .exceptions import KernelEvaluationError, SingularCovarianceError
 from .fast import fast_nll, posterior_mean, posterior_var
 from .fields import ScalarField3D
 from .gp import PosteriorModel, fit_posterior
@@ -21,7 +20,6 @@ __all__ = [
     "SensorDataset",
     "SimConfig",
     "SingularCovarianceError",
-    "SingularEvaluationError",
     "SourceParams",
     "WaveKernel",
     "assemble_covariance",

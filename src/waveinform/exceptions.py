@@ -7,7 +7,3 @@ class KernelEvaluationError(RuntimeError):
 
 class SingularCovarianceError(RuntimeError):
     """Cholesky factorization failed even after jitter escalation."""
-
-
-class SingularEvaluationError(ArithmeticError):
-    """A closed-form density was evaluated at one of its singular points."""

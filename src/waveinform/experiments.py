@@ -26,7 +26,8 @@ from .oracle import (LP_STABILITY_TOL, SphericalRule, dalembert_residuals,
                      is_smooth_point, kv_wave_quadrature, ku_wave_quadrature,
                      lp_relative_error, lp_stability_check, matern_radial_base)
 from .sim import (ZERO_IC, FieldHistory, InitialCondition, SensorDataset,
-                  SimConfig, add_noise, run_simulation, sample_sensors)
+                  SimConfig, _is_number, add_noise, run_simulation,
+                  sample_sensors)
 
 DEFAULT_SIM = SimConfig(L=1.0, dx=0.043, dt=1.0 / 200.0, c=0.5, T=1.5)
 
@@ -103,28 +104,29 @@ class ExperimentConfig:
     dt_v: float = 1e-7
 
     def __post_init__(self):
-        if self.test_case not in (1, 2, 3):
-            raise ValueError(f"unknown test case {self.test_case!r}; "
-                             "expected 1, 2 or 3")
         for names, rule, ok in (
+                (("test_case",), "one of the test cases 1, 2 or 3",
+                 lambda v: _is_integer(v) and v in (1, 2, 3)),
                 (("sample_rate", "fit_tol", "dx_grid", "dt_v"),
-                 "finite and > 0", lambda v: np.isfinite(v) and v > 0.0),
-                (("noise_sigma",), "finite and >= 0",
-                 lambda v: np.isfinite(v) and v >= 0.0),
-                (("n_sensors", "layout_restarts", "fit_max_evals"), ">= 1",
-                 lambda v: v >= 1),
-                (("fit_n_mult",), ">= 0", lambda v: v >= 0)):
+                 "a finite number > 0",
+                 lambda v: _is_number(v) and np.isfinite(v) and v > 0.0),
+                (("noise_sigma",), "a finite number >= 0",
+                 lambda v: _is_number(v) and np.isfinite(v) and v >= 0.0),
+                (("n_sensors", "layout_restarts", "fit_max_evals"),
+                 "an integer >= 1", lambda v: _is_integer(v) and v >= 1),
+                (("fit_n_mult", "layout_seed", "noise_seed", "fit_seed"),
+                 "an integer >= 0", lambda v: _is_integer(v) and v >= 0)):
             _refuse_values(vars(self), names, "config", rule, ok)
-        lo_hi = np.asarray(self.sensor_bounds, dtype=float)
+            for name in names:  # numpy scalars, so that to_json writes them
+                if isinstance(getattr(self, name), np.generic):
+                    object.__setattr__(self, name, getattr(self, name).item())
+        lo_hi = _numeric_array(self.sensor_bounds)
         if not (lo_hi.shape == (2,) and np.isfinite(lo_hi).all()
                 and lo_hi[0] < lo_hi[1]):
             raise ValueError("config sensor_bounds must be two finite numbers "
                              f"lo < hi, got {self.sensor_bounds!r}")
         if self.sensor_positions is not None:
-            try:
-                pos = np.array(self.sensor_positions, dtype=float)
-            except (TypeError, ValueError):  # ragged or non-numeric rows
-                pos = np.empty(0)
+            pos = _numeric_array(self.sensor_positions)
             if not (pos.shape[1:] == (3,) and len(pos)
                     and np.isfinite(pos).all()):
                 raise ValueError("config sensor_positions must be m x 3 finite"
@@ -196,8 +198,17 @@ def _refuse_values(blob, names, where, rule, ok):
                              f"got {blob[name]!r}")
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _numeric_array(value):
+    """``value`` as a float array; empty when ragged or not all numbers."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged rows
+        return np.empty(0)
+    return arr.astype(float) if arr.dtype.kind in "iuf" else np.empty(0)
 
 
 def _is_point(value):
@@ -290,13 +301,18 @@ def cmd_fit(config: ExperimentConfig, dataset: SensorDataset, outdir,
     With ``fit_n_mult = 0`` the supplied theta is passed through unchanged
     (the known-theta mode); otherwise multistart likelihood minimization
     runs over ``default_box``.  Writes the trace CSV, the selected theta,
-    and a summary row of the estimated base-kernel hyperparameters.
+    and a summary row of the estimated base-kernel hyperparameters.  A
+    pass-through theta whose components are not the test case's is
+    refused before the output directory is made.
     """
-    manifest = Manifest(outdir)
     components = config.components()
     if config.fit_n_mult == 0:
         if theta_true is None:
             raise ValueError("pass-through fit requires a supplied theta")
+        if theta_true.components != components:
+            raise ValueError(
+                f"pass-through theta has components {theta_true.components}"
+                f", test case {config.test_case} has {components}")
         best, trace = theta_true, []
     else:
         best_vec, trace = multistart_fit(
@@ -304,6 +320,7 @@ def cmd_fit(config: ExperimentConfig, dataset: SensorDataset, outdir,
             n_mult=config.fit_n_mult, seed=config.fit_seed,
             tol=config.fit_tol, max_evals=config.fit_max_evals)
         best = HyperParams.from_vector(best_vec, components)
+    manifest = Manifest(outdir)
     atomic_write_text(manifest.path("theta.json"), theta_to_json(best) + "\n")
     write_trace_csv(trace, components, manifest.path("fit_trace.csv"))
     summary = ["case,n_sensors," + ",".join(

@@ -10,11 +10,12 @@ likelihood and the posterior share, the reduced likelihood and Kriging
 formulas, and the rank-one point-source likelihood (Sherman-Morrison
 closed form and its small-lambda limit).
 
-The Kriging mean is linear in the kernel, so it is taken one kernel part at
-a time.  A wave-kernel component sees a query only through
-(|x - x0|, t) about its own center: on a grid at one time its mean is a
-function of the radius, evaluated once per distinct radius and scattered
-back to the grid.
+The likelihood, the factorization and the Kriging variance take any kernel
+object with ``pairwise`` and ``diag``.  The Kriging mean takes a
+``WaveKernel``: it is linear in the kernel, so it is taken one component
+at a time, and a component sees a query only through (|x - x0|, t) about
+its own center.  On a grid at one time its mean is a function of the
+radius, evaluated once per distinct radius and scattered back to the grid.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from .exceptions import SingularCovarianceError
-from .kernels import WaveKernel, _as_points, _time_sign, smooth_cutoff
+from .kernels import _as_points, _time_sign, smooth_cutoff
 from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
                      logdet_from_chol)
 
@@ -147,47 +148,6 @@ def fast_nll(kernel, x, t, y, lam):
             + (float(v @ v) + logdet_from_chol(fac.chol)))
 
 
-class _QueryPart:
-    """Any kernel object as one part that sees a query through itself."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-
-    def key(self, x, t):
-        return np.column_stack([x, t])
-
-    def diag(self, key):
-        return self.kernel.diag(key[:, :3], key[:, 3])
-
-    def cross(self, x_in, t_in, key):
-        return self.kernel.pairwise(x_in, t_in, key[:, :3], key[:, 3])
-
-
-class _RadialPart:
-    """One WaveKernel component, which sees a query through (|x - x0|, t)."""
-
-    def __init__(self, kernel, comp):
-        self.kernel = kernel
-        self.comp = comp
-        self.x0 = getattr(kernel.params, comp).x0
-
-    def key(self, x, t):
-        return np.column_stack([np.linalg.norm(x - self.x0, axis=1), t])
-
-    def diag(self, key):
-        return self.kernel.radial(self.comp, key[:, 0], key[:, 1])
-
-    def cross(self, x_in, t_in, key):
-        r_in = np.linalg.norm(x_in - self.x0, axis=1)
-        return self.kernel.radial(self.comp, r_in, t_in, key[:, 0], key[:, 1])
-
-
-def _kernel_parts(kernel):
-    if isinstance(kernel, WaveKernel):
-        return [_RadialPart(kernel, comp) for comp in kernel.params.components]
-    return [_QueryPart(kernel)]
-
-
 def _distinct_rows(key):
     """Index of the first of each bitwise-distinct row, and the inverse map."""
     key = np.ascontiguousarray(key)
@@ -198,30 +158,32 @@ def _distinct_rows(key):
 
 
 def posterior_mean(model, x, t):
-    """Kriging mean k(X_in, z)^T alpha, one kernel part at a time.
+    """Kriging mean k(X_in, z)^T alpha, one WaveKernel component at a time.
 
-    The kernel is a sum of parts, each of which sees a query only through a
-    key: a WaveKernel component through (|x - x0|, t) about its own center,
-    any other kernel object through the query itself.  Each part is
-    evaluated once per bitwise-distinct key, so on a grid at one time a
-    component costs one column per distinct radius.  Keys with a zero part
-    diagonal are never evaluated against the training set; queries outside
-    every part's support return an exact 0.
+    ``model.kernel`` must be a :class:`~waveinform.kernels.WaveKernel`.
+    Each component sees a query only through its key (|x - x0|, t) about
+    its own center, and is evaluated once per bitwise-distinct key, so on a
+    grid at one time a component costs one column per distinct radius.
+    Keys with a zero component diagonal are never evaluated against the
+    training set; queries outside every component's support return an
+    exact 0.
     """
     x, t = _as_points(x, t)
     out = np.zeros(t.shape)
     if model.active_count == 0:
         return out
-    fac = model.factor
-    for part in _kernel_parts(model.kernel):
-        key = part.key(x, t)
+    kernel, fac = model.kernel, model.factor
+    for comp in kernel.params.components:
+        x0 = getattr(kernel.params, comp).x0
+        key = np.column_stack([np.linalg.norm(x - x0, axis=1), t])
         first, inverse = _distinct_rows(key)
-        key = key[first]
+        r, tk = key[first, 0], key[first, 1]
         g = np.zeros(first.size)
-        live = np.flatnonzero(np.asarray(part.diag(key)) > 0.0)
+        live = np.flatnonzero(kernel.radial(comp, r, tk) > 0.0)
+        r_in = np.linalg.norm(fac.x_active - x0, axis=1)
         for lo in range(0, live.size, MEAN_CHUNK):
             sel = live[lo: lo + MEAN_CHUNK]
-            cross = part.cross(fac.x_active, fac.t_active, key[sel])
+            cross = kernel.radial(comp, r_in, fac.t_active, r[sel], tk[sel])
             g[sel] = cross.T @ model.alpha
         out += g[inverse]
     return out

@@ -5,7 +5,9 @@ factorization that the negative log marginal likelihood
 (``fast.fast_nll``) shares; Kriging prediction (``fast.posterior_mean``,
 ``fast.posterior_var``) works on the same reduction.  The prior mean is
 fixed at zero.  A kernel object must provide
-``pairwise(x1, t1, x2, t2) -> (n, m)`` and ``diag(x, t) -> (n,)``.
+``pairwise(x1, t1, x2, t2) -> (n, m)`` and ``diag(x, t) -> (n,)``;
+``fast.posterior_mean`` further needs a ``kernels.WaveKernel``, whose
+components it evaluates one radius at a time.
 
 PosteriorModel is immutable after construction and safe for concurrent
 reads.

@@ -15,10 +15,12 @@ Both components share one form.  Each point z gets radial features
 - speed (v): s_eps = min(b_eps^2, R^2), w_eps = eps sgn(t) / (4cr).
 
 This module implements the feature map and its assembly, the Matern-5/2
-base profile, the smooth compact-support cutoff phi, and the two
-stationary-prior closed forms (singular shell density and the
-Gaussian-base formula).  phi's plateau is one constant, ``CUTOFF_ALPHA``,
-shared with the regularized Green bump of the point-source scan.
+base profile and the smooth compact-support cutoff phi.  phi's plateau is
+one constant, ``CUTOFF_ALPHA``, shared with the regularized Green bump of
+the point-source scan.  The stationary-prior closed forms of the paper
+(the shell-pair density and the Gaussian-base formula) are independent
+checks of the theory, not pipeline stages, and live in
+``tests/dense_reference.py``.
 
 Base-kernel conventions.  The position prior puts a plain radial Matern on
 u0: correlation m52(r - r'), so ``rho_u`` is a length in meters.  The speed
@@ -37,12 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
-from scipy.special import ndtr
-
-from .exceptions import SingularEvaluationError
 
 # |t| below this is treated as t = 0 (sgn = 0, degenerate sphere).
 TIME_TOL = 1e-12
@@ -357,49 +354,3 @@ class WaveKernel:
         self.eval_count += out.size
         return out
 
-
-def stationary_ftft_density(hnorm, t, tp, c):
-    """Density of the convolved spherical shell measures at radius hnorm.
-
-    sgn(t) sgn(t') / (8 pi c^2 hnorm) on the band
-    [c||t|-|t'||, c(|t|+|t'|)], zero outside.  Evaluating at hnorm = 0
-    inside the band is singular.
-    """
-    if hnorm < 0.0:
-        raise ValueError("hnorm must be >= 0")
-    sgn = _time_sign(t) * _time_sign(tp)
-    if sgn == 0.0:
-        return 0.0
-    lo = c * abs(abs(t) - abs(tp))
-    hi = c * (abs(t) + abs(tp))
-    if hnorm < lo or hnorm > hi:
-        return 0.0
-    if hnorm == 0.0:
-        raise SingularEvaluationError(
-            "shell convolution density diverges at hnorm = 0 inside the band")
-    return sgn / (8.0 * math.pi * c * c * hnorm)
-
-
-def stationary_gaussian_wave(h, t, tp, c, C, L, cprime=math.sqrt(math.pi / 2)):
-    """Closed form for a stationary Gaussian base kernel C*exp(-|h|^2/(2L^2)).
-
-    sgn(t t') * cprime * L^3 / c^2 * (q(R1) - q(R2)) with
-    q(R) = (Phi((R+|h|)/L) - Phi((R-|h|)/L)) / (2|h|),
-    R1 = c||t|-|t'||, R2 = c(|t|+|t'|), Phi the standard normal CDF.
-    ``cprime`` is the dimensionless prefactor sqrt(pi/2); the shell
-    quadrature reproduces it (waveinform.oracle.calibrate_gaussian_prefactor).
-    Near |h| = 0 the difference quotient is replaced by its analytic limit.
-    """
-    sgn = _time_sign(t) * _time_sign(tp)
-    if sgn == 0.0:
-        return 0.0
-    hn = float(np.linalg.norm(np.asarray(h, dtype=float).reshape(-1)))
-    r1 = c * abs(abs(t) - abs(tp))
-    r2 = c * (abs(t) + abs(tp))
-
-    def quotient(radius):
-        if hn < 1e-8:
-            return math.exp(-0.5 * (radius / L) ** 2) / (L * math.sqrt(2.0 * math.pi))
-        return (ndtr((radius + hn) / L) - ndtr((radius - hn) / L)) / (2.0 * hn)
-
-    return sgn * cprime * C * L**3 / c**2 * (quotient(r1) - quotient(r2))

@@ -1,13 +1,17 @@
 """Independent numerical oracles for the wave-kernel closed forms.
 
 Spherical product quadrature of the shell-measure integral forms, exact
-spherical means for radial functions, the Kirchhoff solution formula, grid
-Lp norms/errors, and a finite-difference d'Alembertian residual checker.
-These are deliberately independent evaluation paths: they never reuse the
-characteristic-radii closed forms they are used to validate.  For the
-radial Matern bases the quadrature's double sum over node pairs is taken
-exactly by sorting (``sorted_matern_sum``); the rule and its nodes are the
-same for every base.
+spherical means for radial functions, grid Lp norms/errors, and a
+finite-difference d'Alembertian residual checker: the checks that
+``experiments.cmd_verify`` runs.  These are deliberately independent
+evaluation paths: they never reuse the characteristic-radii closed forms
+they are used to validate.  For the radial Matern bases the quadrature's
+double sum over node pairs is taken exactly by sorting
+(``sorted_matern_sum``); any other base object, such as the tests'
+stationary Gaussian base, takes the dense sum through its ``value`` and
+``shell_integrand``.  The rule and its nodes are the same for every base.
+The Kirchhoff formula, which only tests use, lives in
+``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -18,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .exceptions import KernelEvaluationError
 from .fields import ScalarField3D
 from .kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, _as_points, _time_sign,
-                      matern52, matern52_d1, matern52_d2,
-                      stationary_gaussian_wave)
+                      matern52, matern52_d1, matern52_d2)
 
 # Rows per block of the dense quadrature double sum.
 QUAD_CHUNK = 256
@@ -66,38 +68,6 @@ class SphericalRule:
         return self.weights.size
 
 
-class SpatialBaseKernel:
-    """Two-point spatial kernel with directional-derivative contractions.
-
-    Subclasses provide ``value`` and, for the time-derivative shell
-    quadrature, the directional-derivative contractions; ``terms`` bundles
-    the four quantities that quadrature needs.
-    """
-
-    def value(self, y1, y2):
-        raise NotImplementedError
-
-    def grad1_dot(self, y1, y2, d1):
-        raise NotImplementedError
-
-    def grad2_dot(self, y1, y2, d2):
-        raise NotImplementedError
-
-    def cross_dot(self, y1, y2, d1, d2):
-        raise NotImplementedError
-
-    def terms(self, y1, y2, d1, d2):
-        return (self.value(y1, y2),
-                self.grad1_dot(y1, y2, d1),
-                self.grad2_dot(y1, y2, d2),
-                self.cross_dot(y1, y2, d1, d2))
-
-    def shell_integrand(self, y1, y2, d1, d2, ct, ctp):
-        """k - ct (grad1 k . d1) - ctp (grad2 k . d2) + ct ctp d1' H d2."""
-        v, g1, g2, g12 = self.terms(y1, y2, d1, d2)
-        return v - ct * g1 - ctp * g2 + (ct * ctp) * g12
-
-
 def matern52_profile(rho, sigma2, order):
     """The ``order``-th derivative of :func:`matern52` as ``(p, parity)``.
 
@@ -113,7 +83,7 @@ def matern52_profile(rho, sigma2, order):
     return p, parity
 
 
-class _RadialMatern(SpatialBaseKernel):
+class _RadialMatern:
     """Base kernel g(s(y) - s(y')) of one radial scalar s about ``center``.
 
     g is a signed derivative of :func:`matern52`.  Subclasses give
@@ -157,6 +127,18 @@ class _RadialMatern(SpatialBaseKernel):
         return (-np.outer(self.radial_slope(y1, d1), self.radial_slope(y2, d2))
                 * self._dense(2, y1, y2))
 
+    def terms(self, y1, y2, d1, d2):
+        """The value and the three contractions ``shell_integrand`` sums."""
+        return (self.value(y1, y2),
+                self.grad1_dot(y1, y2, d1),
+                self.grad2_dot(y1, y2, d2),
+                self.cross_dot(y1, y2, d1, d2))
+
+    def shell_integrand(self, y1, y2, d1, d2, ct, ctp):
+        """k - ct (grad1 k . d1) - ctp (grad2 k . d2) + ct ctp d1' H d2."""
+        v, g1, g2, g12 = self.terms(y1, y2, d1, d2)
+        return v - ct * g1 - ctp * g2 + (ct * ctp) * g12
+
 
 class MaternSquaredBase(_RadialMatern):
     """Radial base kernel k(y, y') = g(|y-x0|^2 - |y'-x0|^2).
@@ -198,20 +180,6 @@ class MaternRadiusBase(_RadialMatern):
 
     def radial_slope(self, y, d):
         return np.einsum("ij,ij->i", y - self.center, d) / self.radial(y)
-
-
-class StationaryGaussianBase(SpatialBaseKernel):
-    """Stationary Gaussian base kernel C * exp(-|y-y'|^2 / (2 L^2))."""
-
-    def __init__(self, amplitude, length):
-        self.amplitude = float(amplitude)
-        self.length = float(length)
-
-    def value(self, y1, y2):
-        sq = (np.einsum("ij,ij->i", y1, y1)[:, None]
-              + np.einsum("ij,ij->i", y2, y2)[None, :]
-              - 2.0 * y1 @ y2.T)
-        return self.amplitude * np.exp(-0.5 * np.maximum(sq, 0.0) / self.length**2)
 
 
 def _unpack(z):
@@ -367,26 +335,6 @@ def spherical_mean_radial_dt(profile, x, t, c):
     return (bp * profile(bp * bp) + bm * profile(bm * bm)) / (2.0 * r)
 
 
-def kirchhoff_eval(u0, grad_u0, v0, x, t, c, rule):
-    """Kirchhoff solution formula at one space-time point.
-
-    Surface average of t v0(x - c|t| g) + u0(x - c|t| g)
-    - c|t| g . grad u0(x - c|t| g).
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    y = x[None, :] - c * abs(t) * rule.nodes
-    vals = u0(y).astype(float)
-    if t != 0.0:
-        vals = vals + t * v0(y)
-        vals = vals - c * abs(t) * np.einsum("ij,ij->i", rule.nodes, grad_u0(y))
-    return float(rule.weights @ vals)
-
-
-def kirchhoff_trace(u0, grad_u0, v0, x, times, c, rule):
-    """Kirchhoff formula evaluated along a time series at a fixed probe."""
-    return np.array([kirchhoff_eval(u0, grad_u0, v0, x, t, c, rule) for t in times])
-
-
 def dalembert_residuals(f, x, t, c, step):
     """Normalized central-difference d'Alembertian residuals, batched.
 
@@ -514,22 +462,3 @@ def matern_radial_base(src, component):
                                  deriv_order=2)
     raise ValueError("component must be 'u' or 'v'")
 
-
-def calibrate_gaussian_prefactor(rule=None):
-    """Numerically calibrate the prefactor of the Gaussian stationary form.
-
-    Matches the closed form against the shell quadrature of a unit Gaussian
-    base at one reference geometry; the returned constant is dimensionless
-    and scales linearly with the base amplitude.
-    """
-    if rule is None:
-        rule = SphericalRule.product(48)
-    c, amp, length = 1.0, 1.0, 0.4
-    t, tp = 0.7, 0.45
-    h = np.array([0.35, 0.0, 0.0])
-    base = StationaryGaussianBase(amp, length)
-    reference = kv_wave_quadrature(base, (h, t), (np.zeros(3), tp), c, rule)
-    unit = stationary_gaussian_wave(h, t, tp, c, amp, length, cprime=1.0)
-    if unit == 0.0:
-        raise KernelEvaluationError("degenerate calibration geometry")
-    return reference / unit

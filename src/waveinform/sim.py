@@ -28,6 +28,12 @@ from .fields import ScalarField3D, atomic_write_text, fmt17
 CFL_LIMIT_3D = 1.0 / math.sqrt(3.0)
 
 
+def _is_number(value):
+    """A Python or numpy real number; a bool is not one."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation box, discretization and physics parameters.
@@ -43,8 +49,10 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("L", "dx", "dt", "c", "T"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            value = getattr(self, name)
+            if not (_is_number(value) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
         if self.n_cells < 2:
             raise ValueError("the grid needs two cells per side (dx < L): "
                              "the absorbing boundary reads interior nodes")

@@ -6,22 +6,35 @@ active-set reduction, and ``reference_simulation`` is the FDTD time loop
 with the absorbing boundary applied face by face.  ``FunctionIC`` turns a
 function (and optionally its gradient) into an initial condition,
 ``NumericalBase`` gives any spatial kernel central-difference derivative
-contractions for the shell quadratures, ``light_cone_contains`` is the
-analytic membership in a wave kernel's support shells, ``r_infinity`` the
-dense-time correlation of sensor traces, ``subset`` restricts a sensor
-dataset to its first sensors, and ``rank_one`` states the point-source
-likelihood in the vectors F and W.
+contractions, ``light_cone_contains`` is the analytic membership in a
+wave kernel's support shells, ``r_infinity`` the dense-time correlation of
+sensor traces, ``subset`` restricts a sensor dataset to its first
+sensors, and ``rank_one`` states the point-source likelihood in the
+vectors F and W.
+
+The paper's stationary-prior closed forms and the Kirchhoff formula are
+independent checks of the theory that no pipeline stage runs:
+``stationary_ftft_density`` is the shell-pair density (singular at the
+origin, ``SingularEvaluationError``), ``stationary_gaussian_wave`` the
+closed form for the ``StationaryGaussianBase`` kernel with its prefactor
+sqrt(pi/2), and ``kirchhoff_eval`` / ``kirchhoff_trace`` the Kirchhoff
+solution formula on a spherical rule.
 """
 
 import math
 
 import numpy as np
+from scipy.special import ndtr
 
 from waveinform.fast import rank_one_objective
+from waveinform.kernels import _time_sign
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
-from waveinform.oracle import SpatialBaseKernel
 from waveinform.sim import FieldHistory, SensorDataset
+
+
+class SingularEvaluationError(ArithmeticError):
+    """A closed-form density was evaluated at one of its singular points."""
 
 
 class FunctionKernel:
@@ -73,7 +86,7 @@ class FunctionIC:
         return np.asarray(self.grad_func(x), dtype=float).reshape(-1, 3)
 
 
-class NumericalBase(SpatialBaseKernel):
+class NumericalBase:
     """Wraps a pairwise kernel function; derivatives by central differences."""
 
     def __init__(self, func, step=1e-5):
@@ -98,6 +111,86 @@ class NumericalBase(SpatialBaseKernel):
         mp = self.func(y1 - h * d1, y2 + h * d2)
         mm = self.func(y1 - h * d1, y2 - h * d2)
         return (pp - pm - mp + mm) / (4.0 * h * h)
+
+
+class StationaryGaussianBase:
+    """Stationary Gaussian base kernel C * exp(-|y-y'|^2 / (2 L^2))."""
+
+    def __init__(self, amplitude, length):
+        self.amplitude = float(amplitude)
+        self.length = float(length)
+
+    def value(self, y1, y2):
+        sq = (np.einsum("ij,ij->i", y1, y1)[:, None]
+              + np.einsum("ij,ij->i", y2, y2)[None, :]
+              - 2.0 * y1 @ y2.T)
+        return self.amplitude * np.exp(-0.5 * np.maximum(sq, 0.0) / self.length**2)
+
+
+def stationary_ftft_density(hnorm, t, tp, c):
+    """Density of the convolved spherical shell measures at radius hnorm.
+
+    sgn(t) sgn(t') / (8 pi c^2 hnorm) on the band
+    [c||t|-|t'||, c(|t|+|t'|)], zero outside.  Evaluating at hnorm = 0
+    inside the band is singular.
+    """
+    if hnorm < 0.0:
+        raise ValueError("hnorm must be >= 0")
+    sgn = _time_sign(t) * _time_sign(tp)
+    if sgn == 0.0:
+        return 0.0
+    lo = c * abs(abs(t) - abs(tp))
+    hi = c * (abs(t) + abs(tp))
+    if hnorm < lo or hnorm > hi:
+        return 0.0
+    if hnorm == 0.0:
+        raise SingularEvaluationError(
+            "shell convolution density diverges at hnorm = 0 inside the band")
+    return sgn / (8.0 * math.pi * c * c * hnorm)
+
+
+def stationary_gaussian_wave(h, t, tp, c, C, L):
+    """Closed form for a stationary Gaussian base kernel C*exp(-|h|^2/(2L^2)).
+
+    sgn(t t') * sqrt(pi/2) * L^3 / c^2 * (q(R1) - q(R2)) with
+    q(R) = (Phi((R+|h|)/L) - Phi((R-|h|)/L)) / (2|h|),
+    R1 = c||t|-|t'||, R2 = c(|t|+|t'|), Phi the standard normal CDF.
+    Near |h| = 0 the difference quotient is replaced by its analytic limit.
+    """
+    sgn = _time_sign(t) * _time_sign(tp)
+    if sgn == 0.0:
+        return 0.0
+    hn = float(np.linalg.norm(np.asarray(h, dtype=float).reshape(-1)))
+    r1 = c * abs(abs(t) - abs(tp))
+    r2 = c * (abs(t) + abs(tp))
+
+    def quotient(radius):
+        if hn < 1e-8:
+            return math.exp(-0.5 * (radius / L) ** 2) / (L * math.sqrt(2.0 * math.pi))
+        return (ndtr((radius + hn) / L) - ndtr((radius - hn) / L)) / (2.0 * hn)
+
+    return (sgn * math.sqrt(math.pi / 2) * C * L**3 / c**2
+            * (quotient(r1) - quotient(r2)))
+
+
+def kirchhoff_eval(u0, grad_u0, v0, x, t, c, rule):
+    """Kirchhoff solution formula at one space-time point.
+
+    Surface average of t v0(x - c|t| g) + u0(x - c|t| g)
+    - c|t| g . grad u0(x - c|t| g).
+    """
+    x = np.asarray(x, dtype=float).reshape(3)
+    y = x[None, :] - c * abs(t) * rule.nodes
+    vals = u0(y).astype(float)
+    if t != 0.0:
+        vals = vals + t * v0(y)
+        vals = vals - c * abs(t) * np.einsum("ij,ij->i", rule.nodes, grad_u0(y))
+    return float(rule.weights @ vals)
+
+
+def kirchhoff_trace(u0, grad_u0, v0, x, times, c, rule):
+    """Kirchhoff formula evaluated along a time series at a fixed probe."""
+    return np.array([kirchhoff_eval(u0, grad_u0, v0, x, t, c, rule) for t in times])
 
 
 def light_cone_contains(params, x, t):

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from dense_reference import r_infinity, rank_one, subset
+from dense_reference import (kirchhoff_trace, r_infinity, rank_one,
+                             stationary_ftft_density, subset)
 from waveinform import fast, gp
 from waveinform.design import multistart_fit, nll_objective
 from waveinform.experiments import (ExperimentConfig, case_ics, case_theta,
@@ -23,15 +24,13 @@ from waveinform.experiments import (ExperimentConfig, case_ics, case_theta,
                                     scan_limit_profile)
 from waveinform.fields import ScalarField3D
 from waveinform.kernels import (HyperParams, SourceParams, WaveKernel,
-                                ku_wave_radial, kv_wave_radial,
-                                stationary_ftft_density)
+                                ku_wave_radial, kv_wave_radial)
 from waveinform.linalg import assemble_covariance
 from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
                                SphericalRule, dalembert_residuals,
-                               is_smooth_point, kirchhoff_trace,
-                               ku_wave_quadrature, kv_wave_quadrature,
-                               lp_relative_error, lp_stability_check,
-                               spherical_mean_radial)
+                               is_smooth_point, ku_wave_quadrature,
+                               kv_wave_quadrature, lp_relative_error,
+                               lp_stability_check, spherical_mean_radial)
 from waveinform.sim import (InitialCondition, SensorDataset, SimConfig,
                             add_noise, run_simulation, sample_sensors)
 

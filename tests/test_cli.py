@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,6 +73,23 @@ def test_fit_passthrough_and_trace(coarse_config, simulated, tmp_path):
     summary = (tmp_path / "fit_summary.csv").read_text().splitlines()
     assert summary[0] == "case,n_sensors,rho_u,sigma2_u,lam"
     assert summary[1].startswith("1,5,")
+
+
+@pytest.mark.parametrize("test_case, theta_case, theirs, ours", [
+    (3, 1, "('u',)", "('u', 'v')"), (1, 3, "('u', 'v')", "('u',)")])
+def test_fit_refuses_a_passthrough_theta_of_other_components(
+        coarse_config, simulated, tmp_path, test_case, theta_case, theirs,
+        ours):
+    outdir, _, _ = simulated
+    cfg_path, theta_path = tmp_path / "config.json", tmp_path / "theta.json"
+    cfg_path.write_text(replace(coarse_config, test_case=test_case).to_json())
+    theta_path.write_text(theta_to_json(case_theta(theta_case)))
+    out = tmp_path / "fit"
+    match = re.escape(f"components {theirs}, test case {test_case} has {ours}")
+    with pytest.raises(ValueError, match=match):
+        main(["fit", "--config", str(cfg_path), "--theta", str(theta_path),
+              "--sensors", str(outdir / "sensors.csv"), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_fit_multistart_writes_trace(coarse_config, simulated, tmp_path):
@@ -464,7 +482,14 @@ def test_config_refuses_unknown_test_case():
     ("sensor_bounds", (0.8, 0.2)), ("sensor_bounds", (0.2, float("inf"))),
     ("sensor_bounds", (0.2,)),
     ("sensor_positions", ((0.3, 0.3, 0.3), (0.4, float("nan"), 0.4))),
-    ("sensor_positions", ((0.3, 0.3, 0.3), (0.4, 0.4)))])
+    ("sensor_positions", ((0.3, 0.3, 0.3), (0.4, 0.4))),
+    ("dx_grid", "x"), ("n_sensors", "a"), ("sensor_bounds", ("0.2", "0.8")),
+    ("sensor_positions", (("0.3", "0.3", "0.3"),)),
+    ("test_case", True), ("sample_rate", True), ("noise_sigma", False),
+    ("test_case", 1.0), ("n_sensors", 2.5), ("layout_restarts", 4.0),
+    ("fit_n_mult", 0.5), ("fit_max_evals", 10.5), ("layout_seed", 7.5),
+    ("noise_seed", 1.5), ("fit_seed", 13.0), ("layout_seed", -1),
+    ("noise_seed", -1), ("fit_seed", -2)])
 def test_config_refuses_malformed_numbers(key, value):
     with pytest.raises(ValueError, match=key):
         ExperimentConfig(**{key: value})
@@ -472,6 +497,28 @@ def test_config_refuses_malformed_numbers(key, value):
     blob[key] = value
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_json(json.dumps(blob))
+
+
+def test_config_refuses_a_non_number_in_the_sim_block():
+    with pytest.raises(ValueError, match="^L must be finite"):
+        ExperimentConfig.from_json('{"sim": {"L": "x"}}')
+    with pytest.raises(ValueError, match="^dt must be finite"):
+        ExperimentConfig.from_json('{"sim": {"dt": true}}')
+
+
+def test_config_accepts_numpy_scalars():
+    cfg = ExperimentConfig(test_case=np.int64(2), n_sensors=np.int32(7),
+                           layout_seed=np.uint8(3), fit_n_mult=np.int64(0),
+                           sample_rate=np.float32(25.0))
+    assert cfg == ExperimentConfig(test_case=2, n_sensors=7, layout_seed=3,
+                                   fit_n_mult=0, sample_rate=25.0)
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_cli_refuses_a_negative_seed(tmp_path):
+    with pytest.raises(ValueError, match="layout_seed must be an integer"):
+        main(["simulate", "--seed", "-1", "--out", str(tmp_path / "sim")])
+    assert not (tmp_path / "sim").exists()
 
 
 def test_readme_example_config_loads():

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import (FunctionKernel, dense_nll, light_cone_contains,
-                             r_infinity, rank_one)
+from dense_reference import dense_nll, light_cone_contains, r_infinity, rank_one
 from waveinform import experiments, fast, gp
 from waveinform.fast import (detect_active, fast_nll, green_traces,
                              posterior_mean, posterior_var, regularized_green)
-from waveinform.kernels import (HyperParams, SourceParams, WaveKernel,
-                                wave_kernel)
+from waveinform.kernels import HyperParams, SourceParams, WaveKernel
 from waveinform.linalg import assemble_covariance
 
 
@@ -135,12 +133,16 @@ def test_fast_predict_prunes_kernel_calls():
             t.append(tc)
     model = gp.fit_posterior(kern, np.array(x), np.array(t),
                              rng.normal(size=10), 1e-6)
-    # query grid mostly outside the light cone at t = 0
+    # query grid mostly outside the light cone at t = 0; its first 100
+    # points are queried twice
     grid = rng.uniform(0, 1, (500, 3))
     inside = light_cone_contains(params, grid, np.zeros(500)).sum()
+    query = np.concatenate([grid, grid[:100]])
     kern.eval_count = 0
-    posterior_mean(model, grid, np.zeros(500))
-    # diag costs 500 calls; cross-covariances only for the points inside
+    mean = posterior_mean(model, query, np.zeros(600))
+    assert np.array_equal(mean[500:], mean[:100])
+    # one diagonal entry per distinct key, p cross entries per distinct
+    # live key: the repeats cost nothing
     assert kern.eval_count == 500 + model.active_count * inside
 
 
@@ -192,28 +194,6 @@ def test_posterior_mean_matches_dense_cross(case):
     xq[100:150], tq[100:150] = xq[150:200], -tq[150:200]
     xq[200:250], tq[200:250] = xq[250:300], tq[250:300]
     assert np.any(_assert_matches_dense(model, xq, tq))
-
-
-def test_posterior_mean_generic_kernel_single_part():
-    rng = np.random.default_rng(44)
-    params = experiments.case_theta(3)
-
-    def func(x1, t1, x2, t2):
-        return wave_kernel(x1, [t1], x2, [t2], params)[0, 0]
-
-    kern = FunctionKernel(func)
-    x, t = _in_cone_points(rng, params, 8)
-    model = gp.fit_posterior(kern, x, t, rng.normal(size=8), params.lam)
-    xq = rng.uniform(0, 1, (120, 3))
-    tq = rng.uniform(-1.0, 1.0, 120)
-    xq[100:], tq[100:] = xq[:20], tq[:20]
-    assert np.any(_assert_matches_dense(model, xq, tq))
-    # the part's key is the query itself: one diagonal entry per distinct
-    # query, p cross entries per distinct live query
-    live = light_cone_contains(params, xq[:100], tq[:100]).sum()
-    kern.eval_count = 0
-    posterior_mean(model, xq, tq)
-    assert kern.eval_count == 100 + model.active_count * live
 
 
 def test_rank_one_reference_value():

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from waveinform.exceptions import SingularEvaluationError
+from dense_reference import (SingularEvaluationError,
+                             stationary_ftft_density,
+                             stationary_gaussian_wave)
 from waveinform.experiments import case_theta
 from waveinform.kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, TIME_TOL,
                                 HyperParams, SourceParams, WaveKernel,
                                 ku_wave_diag, ku_wave_radial, kv_wave_diag,
                                 kv_wave_radial, matern52, matern52_d1,
-                                matern52_d2, smooth_cutoff,
-                                stationary_ftft_density,
-                                stationary_gaussian_wave, wave_kernel,
+                                matern52_d2, smooth_cutoff, wave_kernel,
                                 wave_kernel_diag)
 
 
@@ -221,14 +221,12 @@ def test_stationary_density_mass():
 
 
 def test_stationary_gaussian_time_zero_and_finite_origin():
-    assert stationary_gaussian_wave([0.3, 0, 0], 0.0, 0.5, 1.0, 1.0, 0.4,
-                                    cprime=1.0) == 0.0
-    near = stationary_gaussian_wave([1e-12, 0, 0], 0.7, 0.5, 1.0, 1.0, 0.4,
-                                    cprime=1.0)
+    assert stationary_gaussian_wave([0.3, 0, 0], 0.0, 0.5, 1.0, 1.0,
+                                    0.4) == 0.0
+    near = stationary_gaussian_wave([1e-12, 0, 0], 0.7, 0.5, 1.0, 1.0, 0.4)
     assert np.isfinite(near)
     # continuous at the origin: small-h value close to the limit
-    small = stationary_gaussian_wave([1e-6, 0, 0], 0.7, 0.5, 1.0, 1.0, 0.4,
-                                     cprime=1.0)
+    small = stationary_gaussian_wave([1e-6, 0, 0], 0.7, 0.5, 1.0, 1.0, 0.4)
     assert near == pytest.approx(small, rel=1e-4)
 
 

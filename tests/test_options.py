@@ -94,8 +94,6 @@ OPTIONS = [
     "kernels._kernel(t2)",
     "kernels.WaveKernel.radial(r2)",
     "kernels.WaveKernel.radial(t2)",
-    "kernels.stationary_gaussian_wave(cprime)",
-    "oracle.calibrate_gaussian_prefactor(rule)",
 ]
 
 
@@ -109,11 +107,6 @@ UNCALLED = {
         "reference is still open",
     "kernels.ku_wave_diag": "named as a string by perfbench/tracing.py",
     "kernels.kv_wave_diag": "named as a string by perfbench/tracing.py",
-    "kernels.stationary_ftft_density":
-        "the paper's stationary spectral closed form",
-    "oracle.calibrate_gaussian_prefactor":
-        "calibrates the paper's stationary Gaussian closed form",
-    "oracle.kirchhoff_trace": "the Kirchhoff solution oracle",
 }
 
 

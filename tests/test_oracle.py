@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import NumericalBase
+from dense_reference import (NumericalBase, StationaryGaussianBase,
+                             kirchhoff_eval, stationary_gaussian_wave)
 from waveinform import oracle
 from waveinform.fields import ScalarField3D
 from waveinform.kernels import (CUTOFF_ALPHA, HyperParams, SourceParams,
                                 ku_wave_radial, kv_wave_radial)
 from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
-                               SpatialBaseKernel, SphericalRule,
-                               StationaryGaussianBase,
-                               calibrate_gaussian_prefactor,
-                               dalembert_residuals, is_smooth_point,
-                               kirchhoff_eval, ku_wave_quadrature,
+                               SphericalRule, dalembert_residuals,
+                               is_smooth_point, ku_wave_quadrature,
                                kv_wave_quadrature, lp_relative_error,
                                lp_stability_check, spherical_mean_radial,
                                spherical_mean_radial_dt)
@@ -135,8 +133,7 @@ def _dense_ku(base, z, zp, c, rule):
     ct, ctp = c * abs(t), c * abs(tp)
     y1 = np.asarray(x)[None, :] - ct * rule.nodes
     y2 = np.asarray(xp)[None, :] - ctp * rule.nodes
-    kmat = SpatialBaseKernel.shell_integrand(base, y1, y2, rule.nodes,
-                                             rule.nodes, ct, ctp)
+    kmat = base.shell_integrand(y1, y2, rule.nodes, rule.nodes, ct, ctp)
     w = rule.weights
     return w @ kmat @ w, w @ np.abs(kmat) @ w
 
@@ -424,10 +421,7 @@ def test_lp_stability_ring_speed_bound():
 
 
 def test_gaussian_prefactor_calibration_consistency():
-    # calibrated once, the closed form matches the quadrature elsewhere
-    from waveinform.kernels import stationary_gaussian_wave
-
-    cprime = calibrate_gaussian_prefactor(SphericalRule.product(32))
+    # the closed form, with its prefactor sqrt(pi/2), matches the quadrature
     rule = SphericalRule.product(32)
     amp, length, c = 1.3, 0.35, 0.8
     base = StationaryGaussianBase(amp, length)
@@ -435,17 +429,12 @@ def test_gaussian_prefactor_calibration_consistency():
     for _ in range(3):
         h = rng.normal(size=3) * 0.3
         t, tp = rng.uniform(0.3, 1.0, 2)
-        closed = stationary_gaussian_wave(h, t, tp, c, amp, length, cprime)
+        closed = stationary_gaussian_wave(h, t, tp, c, amp, length)
         quad = kv_wave_quadrature(base, (h, t), (np.zeros(3), tp), c, rule)
         assert closed == pytest.approx(quad, rel=1e-4)
-    # the calibration constant is the analytic sqrt(pi/2)
-    assert cprime == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-6)
-
-
-def test_gaussian_wave_default_prefactor_is_closed_form():
-    from waveinform.kernels import stationary_gaussian_wave
-
-    val = stationary_gaussian_wave([0.3, 0, 0], 0.7, 0.5, 1.0, 1.0, 0.4)
-    ref = stationary_gaussian_wave([0.3, 0, 0], 0.7, 0.5, 1.0, 1.0, 0.4,
-                                   cprime=math.sqrt(math.pi / 2.0))
-    assert val == ref
+    # and to 1e-6 at one reference geometry (unit amplitude, L = 0.4)
+    h, t, tp = np.array([0.35, 0.0, 0.0]), 0.7, 0.45
+    closed = stationary_gaussian_wave(h, t, tp, 1.0, 1.0, 0.4)
+    quad = kv_wave_quadrature(StationaryGaussianBase(1.0, 0.4), (h, t),
+                              (np.zeros(3), tp), 1.0, rule)
+    assert quad == pytest.approx(closed, rel=1e-6)

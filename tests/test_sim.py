@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from dense_reference import FunctionIC, reference_simulation
+from dense_reference import FunctionIC, kirchhoff_trace, reference_simulation
 from waveinform import sim
 from waveinform.experiments import DEFAULT_SIM
-from waveinform.oracle import SphericalRule, kirchhoff_trace
+from waveinform.oracle import SphericalRule
 from waveinform.sim import (ZERO_IC, InitialCondition, SensorDataset,
                             SimConfig, add_noise, run_simulation,
                             sample_sensors)
