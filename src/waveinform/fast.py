@@ -94,13 +94,13 @@ def factor_active(kernel, x, t, y, lam):
     """Active set and Cholesky factor of K~ + lam I on the active block.
 
     The step shared by ``fast_nll`` and ``gp.fit_posterior``.  Before the
-    active set is detected, refuses an observation vector whose length is
-    not the point count, a non-finite observation, and a lam that is not
-    finite and >= 0; before any covariance is assembled, lam = 0 with
-    nonzero observations outside the support (the reduced form has no
-    variance to explain them).  A non-finite covariance entry raises
-    KernelEvaluationError.  A Cholesky that needs jitter is logged at
-    WARNING with p and the jitter.
+    active set is detected, refuses a non-finite position or time, an
+    observation vector whose length is not the point count, a non-finite
+    observation, and a lam that is not finite and >= 0; before any
+    covariance is assembled, lam = 0 with nonzero observations outside the
+    support (the reduced form has no variance to explain them).  A
+    non-finite covariance entry raises KernelEvaluationError.  A Cholesky
+    that needs jitter is logged at WARNING with p and the jitter.
     """
     x, t = _as_points(x, t)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -166,7 +166,7 @@ def posterior_mean(model, x, t):
     grid at one time a component costs one column per distinct radius.
     Keys with a zero component diagonal are never evaluated against the
     training set; queries outside every component's support return an
-    exact 0.
+    exact 0.  A non-finite query point is refused with ValueError.
     """
     x, t = _as_points(x, t)
     out = np.zeros(t.shape)
@@ -192,7 +192,8 @@ def posterior_mean(model, x, t):
 def posterior_var(model, x, t):
     """Kriging variance k(z,z) - k(X_in,z)^T (K~+lam I)^{-1} k(X_in,z).
 
-    Clamped below at zero against floating-point cancellation.
+    Clamped below at zero against floating-point cancellation.  A
+    non-finite query point is refused with ValueError.
     """
     x, t = _as_points(x, t)
     prior = np.asarray(model.kernel.diag(x, t), dtype=float)

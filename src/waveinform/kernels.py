@@ -14,6 +14,12 @@ Both components share one form.  Each point z gets radial features
 - position (u): s_eps = |b_eps|, w_eps = b_eps phi(|b_eps|/R) / (2r);
 - speed (v): s_eps = min(b_eps^2, R^2), w_eps = eps sgn(t) / (4cr).
 
+A weight is exactly 0 where |b_eps| >= R (u) or t = 0 (v), and then its
+terms are exact zeros, so the assembly evaluates the Matern terms of the
+nonzero weights only: for most data points the outgoing radius r + c|t|
+is past R.  Kernel values are bitwise the four-term sum's; one component
+alone (``WaveKernel.radial``) may differ from it in the sign of an exact 0.
+
 This module implements the feature map and its assembly, the Matern-5/2
 base profile and the smooth compact-support cutoff phi.  phi's plateau is
 one constant, ``CUTOFF_ALPHA``, shared with the regularized Green bump of
@@ -32,7 +38,7 @@ time-derivative reconstruction there; the squared-radius form is regular.)
 
 Everything here is a pure function of immutable parameters and is safe for
 unrestricted concurrent evaluation.  Point batches are passed as arrays:
-positions with shape (n, 3) and times with shape (n,).
+positions with shape (n, 3) and times with shape (n,), all finite.
 """
 
 from __future__ import annotations
@@ -181,10 +187,17 @@ class HyperParams:
 
 
 def _as_points(x, t):
+    """(n, 3) positions and (n,) times; refuses ragged or non-finite batches.
+
+    A non-finite point has a NaN or zero diagonal, so it would pass for a
+    point outside the support.
+    """
     x = np.asarray(x, dtype=float).reshape(-1, 3)
     t = np.asarray(t, dtype=float).reshape(-1)
     if x.shape[0] != t.shape[0]:
         raise ValueError("positions and times must have matching lengths")
+    if not (np.isfinite(x).all() and np.isfinite(t).all()):
+        raise ValueError("positions and times must be finite")
     return x, t
 
 
@@ -228,38 +241,93 @@ def _weighted_matern(h, w, rho, sigma2, out):
     return out
 
 
-def _assemble(w1, s1, w2, s2, src):
-    """sum_e' w2[e'] * (sum_e w1[e] * m52(s1[e] - s2[e'])), broadcast.
+def _live(w):
+    """Where the weights w are nonzero: a full slice when more than half
+    are, so a mostly live axis is not gathered, else their indices, or
+    None when there are none."""
+    live = np.flatnonzero(w)
+    if 2 * live.size > w.size:
+        return slice(None)
+    return live if live.size else None
 
-    Rows are the two characteristic radii; the remaining axes broadcast, so
-    (2, n, 1) against (2, 1, m) gives a pairwise block and (2, n) against
-    (2, n) a diagonal.  Summing over e first makes an out-of-cone point,
-    whose two features are equal up to sign, contribute an exact 0.
+
+def _add_into(total, index, part, shape):
+    """total[index] += part, where a None total stands for zeros of shape.
+
+    A part of the whole shape (a full-slice index) starts the total
+    itself, which saves a zero fill and an add.
     """
-    shape = np.broadcast_shapes(s1.shape[1:], s2.shape[1:])
-    acc, inner, term, h = (np.empty(shape) for _ in range(4))
+    if total is None:
+        if part.shape == shape:
+            return part
+        total = np.zeros(shape)
+    total[index] += part
+    return total
+
+
+def _assemble(w1, s1, w2, s2, src):
+    """(n, m) block sum_e' w2[e'] * (sum_e w1[e] * m52(s1[e] - s2[e'])).
+
+    Row features are (2, n) and column features (2, m).  m52 is finite and
+    >= 0, so a term whose row weight w1[e] or column weight w2[e'] is 0 is
+    an exact +-0, and adding it changes no nonzero sum.  Only the rows and
+    columns with a nonzero weight are evaluated (all of an axis when most
+    of it is live), in the association above: over e first, then times
+    w2[e'], then over e'.  So the block equals the four-term sum bit for
+    bit, up to the sign of an exact 0.  Summing over e first makes an
+    out-of-cone point, whose two features are equal up to sign, contribute
+    an exact 0.
+    """
+    n, m = w1.shape[1], w2.shape[1]
+    live_rows = [(e, rows) for e, rows in enumerate(map(_live, w1))
+                 if rows is not None]
+    acc = None
     for e2 in (0, 1):
+        cols = _live(w2[e2])
+        if cols is None or not live_rows:
+            continue
+        s2c = s2[e2, cols]
+        inner = None
+        for e, rows in live_rows:
+            h = np.subtract.outer(s1[e, rows], s2c)
+            term = _weighted_matern(h, w1[e, rows, None], src.rho,
+                                    src.sigma2, np.empty_like(h))
+            inner = _add_into(inner, rows, term, (n, s2c.size))
+        inner *= w2[e2, cols]
+        acc = _add_into(acc, (slice(None), cols), inner, (n, m))
+    return np.zeros((n, m)) if acc is None else acc
+
+
+def _assemble_diag(w, s, src):
+    """The diagonal of :func:`_assemble` for features w, s of shape (2, n).
+
+    The e' sum is evaluated at the entries where w[e'] is nonzero (at every
+    entry when most are); a zero w[e] there gives an exact +-0 term.
+    """
+    n = w.shape[1]
+    acc = None
+    for e2 in (0, 1):
+        sel = _live(w[e2])
+        if sel is None:
+            continue
+        terms = []
         for e in (0, 1):
-            np.subtract(s1[e], s2[e2], out=h)
-            _weighted_matern(h, w1[e], src.rho, src.sigma2,
-                             term if e else inner)
-        inner += term
-        if e2:
-            inner *= w2[1]
-            acc += inner
-        else:
-            np.multiply(inner, w2[0], out=acc)
-    return acc
+            h = s[e, sel] - s[e2, sel]
+            terms.append(_weighted_matern(h, w[e, sel], src.rho, src.sigma2,
+                                          np.empty_like(h)))
+        inner = terms[0]
+        inner += terms[1]
+        inner *= w[e2, sel]
+        acc = _add_into(acc, sel, inner, (n,))
+    return np.zeros(n) if acc is None else acc
 
 
 def _radial(comp, src, c, r1, t1, r2=None, t2=None):
     """One component at radii r = |x - x0|; the diagonal when r2 is None."""
     w1, s1 = _features(comp, r1, t1, c, src)
     if r2 is None:
-        return _assemble(w1, s1, w1, s1, src)
-    w2, s2 = _features(comp, r2, t2, c, src)
-    return _assemble(w1[:, :, None], s1[:, :, None],
-                     w2[:, None, :], s2[:, None, :], src)
+        return _assemble_diag(w1, s1, src)
+    return _assemble(w1, s1, *_features(comp, r2, t2, c, src), src)
 
 
 def _radii(x, src):
@@ -325,7 +393,9 @@ class WaveKernel:
     """Space-time covariance object backed by :func:`wave_kernel`.
 
     Immutable apart from ``eval_count``, a diagnostic counter of how many
-    kernel entries have been computed (used to check light-cone pruning).
+    kernel entries have been returned (used to check light-cone pruning).
+    It counts entries, not the Matern terms behind them, which the
+    assembly skips where a weight is 0.
     """
 
     def __init__(self, params: HyperParams):

@@ -10,7 +10,10 @@ contractions, ``light_cone_contains`` is the analytic membership in a
 wave kernel's support shells, ``r_infinity`` the dense-time correlation of
 sensor traces, ``subset`` restricts a sensor dataset to its first
 sensors, and ``rank_one`` states the point-source likelihood in the
-vectors F and W.
+vectors F and W.  ``four_term_radial`` and ``four_term_kernel`` assemble
+the wave kernel's closed form with all four characteristic terms of every
+entry evaluated, including those with a zero weight; the package
+evaluates only the live terms and is compared against them.
 
 The paper's stationary-prior closed forms and the Kirchhoff formula are
 independent checks of the theory that no pipeline stage runs:
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from waveinform.fast import rank_one_objective
-from waveinform.kernels import _time_sign
+from waveinform.kernels import _features, _time_sign, _weighted_matern
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
 from waveinform.sim import FieldHistory, SensorDataset
@@ -256,6 +259,56 @@ def _as_points(x, t):
     if x.shape[0] != t.shape[0]:
         raise ValueError("positions and times must have matching lengths")
     return x, t
+
+
+def four_term_assemble(w1, s1, w2, s2, src):
+    """sum_e' w2[e'] * (sum_e w1[e] * m52(s1[e] - s2[e'])), broadcast, with
+    all four terms evaluated.
+
+    Rows are the two characteristic radii; the remaining axes broadcast, so
+    (2, n, 1) against (2, 1, m) gives a pairwise block and (2, n) against
+    (2, n) a diagonal.
+    """
+    shape = np.broadcast_shapes(s1.shape[1:], s2.shape[1:])
+    acc, inner, term, h = (np.empty(shape) for _ in range(4))
+    for e2 in (0, 1):
+        for e in (0, 1):
+            np.subtract(s1[e], s2[e2], out=h)
+            _weighted_matern(h, w1[e], src.rho, src.sigma2,
+                             term if e else inner)
+        inner += term
+        if e2:
+            inner *= w2[1]
+            acc += inner
+        else:
+            np.multiply(inner, w2[0], out=acc)
+    return acc
+
+
+def four_term_radial(comp, src, c, r1, t1, r2=None, t2=None):
+    """``WaveKernel.radial`` through ``four_term_assemble``."""
+    w1, s1 = _features(comp, r1, t1, c, src)
+    if r2 is None:
+        return four_term_assemble(w1, s1, w1, s1, src)
+    w2, s2 = _features(comp, r2, t2, c, src)
+    return four_term_assemble(w1[:, :, None], s1[:, :, None],
+                              w2[:, None, :], s2[:, None, :], src)
+
+
+def four_term_kernel(params, x1, t1, x2=None, t2=None):
+    """``wave_kernel`` (``wave_kernel_diag`` when x2 is None) through
+    ``four_term_assemble``."""
+    x1, t1 = _as_points(x1, t1)
+    if x2 is not None:
+        x2, t2 = _as_points(x2, t2)
+    out = np.zeros(t1.shape if x2 is None else (t1.size, t2.size))
+    for comp in params.components:
+        src = getattr(params, comp)
+        r2 = None if x2 is None else np.linalg.norm(x2 - src.x0, axis=1)
+        out += four_term_radial(comp, src, params.c,
+                                np.linalg.norm(x1 - src.x0, axis=1), t1,
+                                r2, t2)
+    return out
 
 
 def dense_nll(kernel, x, t, y, lam):

@@ -137,6 +137,41 @@ def test_banded_assembly_names_a_nonfinite_pair_in_a_later_band():
                             np.arange(n, dtype=float))
 
 
+def triu_mirror_assembly(kernel, x, t):
+    """The banded upper triangle, mirrored afterwards through np.triu."""
+    p = t.size
+    kmat = np.zeros((p, p))
+    for a in range(0, p, BAND):
+        kmat[a:a + BAND, a:] = kernel.pairwise(x[a:a + BAND], t[a:a + BAND],
+                                               x[a:], t[a:])
+    return np.triu(kmat) + np.triu(kmat, 1).T
+
+
+@pytest.mark.parametrize("n", [1, BAND - 1, BAND, BAND + 1, 2 * BAND + 1,
+                               300])
+def test_band_mirror_is_bitwise_the_triu_mirror(n):
+    rng = np.random.default_rng(n)
+    x, t = mixed_points(rng, case_theta(3), n)
+    kern = WaveKernel(case_theta(3))
+    k = assemble_covariance(kern, x, t)
+    assert k.tobytes() == k.T.tobytes()
+    assert k.tobytes() == triu_mirror_assembly(kern, x, t).tobytes()
+    # A kernel that is not symmetric shows which half is kept.
+    skew = FunctionKernel(lambda x1, t1, x2, t2: t1 - 2.0 * t2)
+    t = rng.uniform(0.0, 1.0, n)
+    k = assemble_covariance(skew, x, t)
+    assert k.tobytes() == triu_mirror_assembly(skew, x, t).tobytes()
+    # A non-finite entry is named by the same pair as before.
+    i, j = np.sort(rng.integers(0, n, 2))
+    nan_at = FunctionKernel(
+        lambda x1, t1, x2, t2: np.nan if {t1, t2} == {t[i], t[j]}
+        else t1 - 2.0 * t2)
+    first = np.argwhere(np.isnan(triu_mirror_assembly(nan_at, x, t)))[0]
+    with pytest.raises(KernelEvaluationError,
+                       match=f"points {first[0]} and {first[1]}:"):
+        assemble_covariance(nan_at, x, t)
+
+
 def test_posterior_and_likelihood_refuse_nonfinite_covariance():
     # finite diagonal (both points active), NaN between them
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0 if t1 == t2 else np.nan)
@@ -334,6 +369,40 @@ def test_non_finite_input_is_refused_before_detection(fit, nan_at, lam,
     with pytest.raises(ValueError, match=match):
         fit(kern, x, t, y, lam)
     assert kern.eval_count == 0
+
+
+@pytest.mark.parametrize("fit", [fast.fast_nll, gp.fit_posterior])
+@pytest.mark.parametrize("where, value", [
+    ("x", np.nan), ("x", np.inf), ("t", np.nan), ("t", np.inf)])
+def test_non_finite_point_is_refused_before_detection(fit, where, value):
+    params = case_theta(3)
+    x, t = draw_points(np.random.default_rng(9), params, 4)
+    if where == "x":
+        x[2, 1] = value
+    else:
+        t[2] = value
+    kern = WaveKernel(params)
+    with pytest.raises(ValueError, match="positions and times must be finite"):
+        fit(kern, x, t, np.ones(4), params.lam)
+    assert kern.eval_count == 0
+
+
+@pytest.mark.parametrize("predict", [fast.posterior_mean, fast.posterior_var])
+@pytest.mark.parametrize("where, value", [
+    ("x", np.nan), ("x", -np.inf), ("t", np.nan), ("t", np.inf)])
+def test_non_finite_query_is_refused(predict, where, value):
+    params = case_theta(3)
+    rng = np.random.default_rng(10)
+    x, t = draw_points(rng, params, 6)
+    model = gp.fit_posterior(WaveKernel(params), x, t, rng.normal(size=6),
+                             params.lam)
+    xq, tq = x[:3].copy(), t[:3].copy()
+    if where == "x":
+        xq[1, 0] = value
+    else:
+        tq[1] = value
+    with pytest.raises(ValueError, match="positions and times must be finite"):
+        predict(model, xq, tq)
 
 
 def test_posterior_model_is_frozen():

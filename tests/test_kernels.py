@@ -1,16 +1,18 @@
 """Closed-form kernel unit tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dense_reference import (SingularEvaluationError,
-                             stationary_ftft_density,
+from dense_reference import (SingularEvaluationError, four_term_kernel,
+                             four_term_radial, stationary_ftft_density,
                              stationary_gaussian_wave)
 from waveinform.experiments import case_theta
 from waveinform.kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, TIME_TOL,
                                 HyperParams, SourceParams, WaveKernel,
+                                _features,
                                 ku_wave_diag, ku_wave_radial, kv_wave_diag,
                                 kv_wave_radial, matern52, matern52_d1,
                                 matern52_d2, smooth_cutoff, wave_kernel,
@@ -346,3 +348,90 @@ def test_wave_kernel_diag_matches_pairwise_diagonal(case):
     assert np.array_equal(diag == 0.0, full == 0.0)
     # the edge cases really cover zero and nonzero entries
     assert np.any(diag == 0.0) and np.any(diag > 0.0)
+
+
+def _around(src, radii, times, rng):
+    unit = rng.normal(size=(len(radii), 3))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    return (src.x0 + np.asarray(radii)[:, None] * unit,
+            np.asarray(times, dtype=float))
+
+
+def _live_term_batches(params, rng):
+    """Point batches for the live-term assembly, built around case 3's
+    sources: edge cases, rows whose outgoing u weight is dead throughout,
+    rows at t = 0 (every v weight dead), rows mostly at t = 0 and random
+    points."""
+    c, edges = params.c, []
+    for src in (params.u, params.v):
+        big_r = src.radius
+        ct = np.array([0.0, 0.0, 0.0, 0.1, 1.0, 0.6, 0.4, 2.0, 0.3]) * big_r
+        r = np.array([0.5, 0.9, 1.2, 0.75, 0.1, 0.7, 1.9, 0.5,
+                      0.5 * RADIUS_CLAMP / big_r]) * big_r
+        # t = 0 inside, on the ramp and outside; r + ct on the ramp
+        # [0.8R, R); r - ct = -0.9R on the ramp; r + ct >= R with r - ct
+        # live; ahead of the front; behind the back; at the center.
+        edges.append(_around(src, r, np.where(np.arange(9) % 2, 1, -1)
+                             * ct / c, rng))
+    src = params.u
+    ct = rng.uniform(0.5, 1.5, 20) * src.radius
+    r = np.maximum(ct + rng.uniform(-0.9, 0.9, 20) * src.radius,
+                   src.radius - ct + 1e-3)
+    outgoing_dead = _around(src, r, ct / c, rng)
+    at_zero = _around(params.v, rng.uniform(0.0, 1.5, 20) * params.v.radius,
+                      np.zeros(20), rng)
+    # Mostly at t = 0, so the few live v weights are gathered by index.
+    mostly_zero = (at_zero[0], np.where(np.arange(20) < 4, 0.1, 0.0))
+    random = rng.uniform(0.0, 1.0, (40, 3)), rng.uniform(-1.5, 1.5, 40)
+    batches = [(np.vstack([edges[0][0], edges[1][0]]),
+                np.concatenate([edges[0][1], edges[1][1]])),
+               outgoing_dead, at_zero, mostly_zero, random]
+    w_out, _ = _features("u", np.linalg.norm(outgoing_dead[0] - src.x0,
+                                             axis=1),
+                         outgoing_dead[1], c, src)
+    assert np.all(w_out[0] != 0.0) and np.all(w_out[1] == 0.0)
+    w_zero, _ = _features("v", np.linalg.norm(at_zero[0] - params.v.x0,
+                                              axis=1),
+                          at_zero[1], c, params.v)
+    assert np.all(w_zero == 0.0)
+    return batches
+
+
+def _variants():
+    both = case_theta(3)
+    unbounded = HyperParams(c=both.c, u=replace(both.u, radius=np.inf),
+                            v=replace(both.v, radius=np.inf), lam=both.lam)
+    return {"u": replace(both, v=None), "v": replace(both, u=None),
+            "u+v": both, "R=inf": unbounded}
+
+
+@pytest.mark.parametrize("variant", ["u", "v", "u+v", "R=inf"])
+def test_live_term_assembly_is_bitwise_the_four_term_sum(variant):
+    params = _variants()[variant]
+    batches = _live_term_batches(case_theta(3), np.random.default_rng(40))
+    kern = WaveKernel(params)
+    zeros = nonzeros = 0
+    for x1, t1 in batches:
+        assert (kern.diag(x1, t1).tobytes()
+                == four_term_kernel(params, x1, t1).tobytes())
+        for x2, t2 in batches:
+            assert (kern.pairwise(x1, t1, x2, t2).tobytes()
+                    == four_term_kernel(params, x1, t1, x2, t2).tobytes())
+            for comp in params.components:
+                src = getattr(params, comp)
+                r1 = np.linalg.norm(x1 - src.x0, axis=1)
+                r2 = np.linalg.norm(x2 - src.x0, axis=1)
+                # One component alone may hold an exact 0 of either sign
+                # where the four-term sum has the other; every caller adds
+                # it into +0 (``wave_kernel``, ``posterior_mean``), so the
+                # comparison is made after adding +0.
+                for got, ref in [
+                        (kern.radial(comp, r1, t1, r2, t2),
+                         four_term_radial(comp, src, params.c, r1, t1, r2,
+                                          t2)),
+                        (kern.radial(comp, r1, t1),
+                         four_term_radial(comp, src, params.c, r1, t1))]:
+                    assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+                    zeros += np.sum(got == 0.0)
+                    nonzeros += np.sum(got != 0.0)
+    assert zeros > 0 and nonzeros > 0
