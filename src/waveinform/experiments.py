@@ -22,9 +22,10 @@ from .fields import ScalarField3D, atomic_write_text, fmt17
 from .kernels import (HyperParams, SourceParams, WaveKernel, ku_wave_radial,
                       kv_wave_radial)
 from .linalg import assemble_covariance
-from .oracle import (LP_STABILITY_TOL, SphericalRule, dalembert_residuals,
-                     is_smooth_point, kv_wave_quadrature, ku_wave_quadrature,
-                     lp_relative_error, lp_stability_check, matern_radial_base)
+from .oracle import (LP_STABILITY_TOL, MaternRadiusBase, MaternSquaredBase,
+                     SphericalRule, dalembert_residuals, is_smooth_point,
+                     kv_wave_quadrature, ku_wave_quadrature,
+                     lp_relative_error, lp_stability_check)
 from .sim import (ZERO_IC, FieldHistory, InitialCondition, SensorDataset,
                   SimConfig, _is_number, add_noise, run_simulation,
                   sample_sensors)
@@ -508,11 +509,12 @@ def _verify_oracle_match(params):
         zp = (x0 + rng.normal(size=3) * 0.2, rng.uniform(0.1, 1.0))
         closed_v = kv_wave_radial([z[0]], [z[1]], [zp[0]], [zp[1]],
                                   params.c, src)[0, 0]
-        quad_v = kv_wave_quadrature(matern_radial_base(src, "v"), z, zp,
+        base = (src.x0, src.rho, src.sigma2)
+        quad_v = kv_wave_quadrature(MaternSquaredBase(*base, 2), z, zp,
                                     params.c, rule)
         closed_u = ku_wave_radial([z[0]], [z[1]], [zp[0]], [zp[1]],
                                   params.c, src)[0, 0]
-        quad_u = ku_wave_quadrature(matern_radial_base(src, "u"), z, zp,
+        quad_u = ku_wave_quadrature(MaternRadiusBase(*base), z, zp,
                                     params.c, rule)
         for closed, quad in ((closed_v, quad_v), (closed_u, quad_u)):
             if abs(closed) > 1e-12:

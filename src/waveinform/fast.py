@@ -179,7 +179,7 @@ def posterior_mean(model, x, t):
         first, inverse = _distinct_rows(key)
         r, tk = key[first, 0], key[first, 1]
         g = np.zeros(first.size)
-        live = np.flatnonzero(kernel.radial(comp, r, tk) > 0.0)
+        live = np.flatnonzero(kernel.radial_diag(comp, r, tk) > 0.0)
         r_in = np.linalg.norm(fac.x_active - x0, axis=1)
         for lo in range(0, live.size, MEAN_CHUNK):
             sel = live[lo: lo + MEAN_CHUNK]

@@ -17,8 +17,11 @@ Both components share one form.  Each point z gets radial features
 A weight is exactly 0 where |b_eps| >= R (u) or t = 0 (v), and then its
 terms are exact zeros, so the assembly evaluates the Matern terms of the
 nonzero weights only: for most data points the outgoing radius r + c|t|
-is past R.  Kernel values are bitwise the four-term sum's; one component
-alone (``WaveKernel.radial``) may differ from it in the sign of an exact 0.
+is past R.  As m52(0) = sigma2 and m52 is even, the diagonal takes one
+Matern value per point: k(z, z) = sigma2 (w_0^2 + w_1^2) + 2 w_0 w_1
+m52(s_0 - s_1).  Values and diagonals are bitwise the four-term sum's; one
+component's pairwise block alone (``WaveKernel.radial``) may differ from
+it in the sign of an exact 0.
 
 This module implements the feature map and its assembly, the Matern-5/2
 base profile and the smooth compact-support cutoff phi.  phi's plateau is
@@ -192,13 +195,22 @@ def _as_points(x, t):
     A non-finite point has a NaN or zero diagonal, so it would pass for a
     point outside the support.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
+    return _as_batch(np.asarray(x, dtype=float).reshape(-1, 3), t,
+                     "positions")
+
+
+def _as_radii(r, t):
+    """(n,) radii and (n,) times, refused as :func:`_as_points` refuses."""
+    return _as_batch(np.asarray(r, dtype=float).reshape(-1), t, "radii")
+
+
+def _as_batch(a, t, name):
     t = np.asarray(t, dtype=float).reshape(-1)
-    if x.shape[0] != t.shape[0]:
-        raise ValueError("positions and times must have matching lengths")
-    if not (np.isfinite(x).all() and np.isfinite(t).all()):
-        raise ValueError("positions and times must be finite")
-    return x, t
+    if a.shape[0] != t.shape[0]:
+        raise ValueError(f"{name} and times must have matching lengths")
+    if not (np.isfinite(a).all() and np.isfinite(t).all()):
+        raise ValueError(f"{name} and times must be finite")
+    return a, t
 
 
 def _time_sign(t):
@@ -298,51 +310,41 @@ def _assemble(w1, s1, w2, s2, src):
     return np.zeros((n, m)) if acc is None else acc
 
 
-def _assemble_diag(w, s, src):
-    """The diagonal of :func:`_assemble` for features w, s of shape (2, n).
-
-    The e' sum is evaluated at the entries where w[e'] is nonzero (at every
-    entry when most are); a zero w[e] there gives an exact +-0 term.
-    """
-    n = w.shape[1]
-    acc = None
-    for e2 in (0, 1):
-        sel = _live(w[e2])
-        if sel is None:
-            continue
-        terms = []
-        for e in (0, 1):
-            h = s[e, sel] - s[e2, sel]
-            terms.append(_weighted_matern(h, w[e, sel], src.rho, src.sigma2,
-                                          np.empty_like(h)))
-        inner = terms[0]
-        inner += terms[1]
-        inner *= w[e2, sel]
-        acc = _add_into(acc, sel, inner, (n,))
-    return np.zeros(n) if acc is None else acc
+def _radial(comp, src, c, r1, t1, r2, t2):
+    """One component's (len(r1), len(r2)) block at radii r = |x - x0|."""
+    return _assemble(*_features(comp, r1, t1, c, src),
+                     *_features(comp, r2, t2, c, src), src)
 
 
-def _radial(comp, src, c, r1, t1, r2=None, t2=None):
-    """One component at radii r = |x - x0|; the diagonal when r2 is None."""
-    w1, s1 = _features(comp, r1, t1, c, src)
-    if r2 is None:
-        return _assemble_diag(w1, s1, src)
-    return _assemble(w1, s1, *_features(comp, r2, t2, c, src), src)
+def _radial_diag(comp, src, c, r, t):
+    """One component's diagonal at radii r = |x - x0|: sum_e' w_e'
+    (sigma2 w_e' + m52(s_0 - s_1) w_-e'), the four-term sum's products
+    added in its order."""
+    w, s = _features(comp, r, t, c, src)
+    m = matern52(s[0] - s[1], src.rho, src.sigma2)
+    return ((src.sigma2 * w + m * w[::-1]) * w).sum(axis=0)
 
 
 def _radii(x, src):
     return np.linalg.norm(x - src.x0, axis=1)
 
 
-def _kernel(c, parts, x1, t1, x2=None, t2=None):
-    """Sum of the (component, source) parts; the diagonal when x2 is None."""
+def _kernel(c, parts, x1, t1, x2, t2):
+    """Sum of the (component, source) parts, pairwise."""
     x1, t1 = _as_points(x1, t1)
-    if x2 is not None:
-        x2, t2 = _as_points(x2, t2)
-    out = np.zeros(t1.shape if x2 is None else (t1.size, t2.size))
+    x2, t2 = _as_points(x2, t2)
+    out = np.zeros((t1.size, t2.size))
     for comp, src in parts:
-        r2 = None if x2 is None else _radii(x2, src)
-        out += _radial(comp, src, c, _radii(x1, src), t1, r2, t2)
+        out += _radial(comp, src, c, _radii(x1, src), t1, _radii(x2, src), t2)
+    return out
+
+
+def _kernel_diag(c, parts, x, t):
+    """Sum of the (component, source) parts' diagonals."""
+    x, t = _as_points(x, t)
+    out = np.zeros(t.shape)
+    for comp, src in parts:
+        out += _radial_diag(comp, src, c, _radii(x, src), t)
     return out
 
 
@@ -357,7 +359,7 @@ def kv_wave_radial(x1, t1, x2, t2, c, src):
 
 def kv_wave_diag(x, t, c, src):
     """Diagonal kv_wave_radial(z, z); exact zeros outside the light cone."""
-    return _kernel(c, [("v", src)], x, t)
+    return _kernel_diag(c, [("v", src)], x, t)
 
 
 def ku_wave_radial(x1, t1, x2, t2, c, src):
@@ -372,7 +374,7 @@ def ku_wave_radial(x1, t1, x2, t2, c, src):
 
 def ku_wave_diag(x, t, c, src):
     """Diagonal ku_wave_radial(z, z)."""
-    return _kernel(c, [("u", src)], x, t)
+    return _kernel_diag(c, [("u", src)], x, t)
 
 
 def _parts(params):
@@ -386,7 +388,7 @@ def wave_kernel(x1, t1, x2, t2, params: HyperParams):
 
 def wave_kernel_diag(x, t, params: HyperParams):
     """Diagonal of :func:`wave_kernel`; exact zeros outside both light cones."""
-    return _kernel(params.c, _parts(params), x, t)
+    return _kernel_diag(params.c, _parts(params), x, t)
 
 
 class WaveKernel:
@@ -402,25 +404,29 @@ class WaveKernel:
         self.params = params
         self.eval_count = 0
 
-    def pairwise(self, x1, t1, x2, t2):
-        out = wave_kernel(x1, t1, x2, t2, self.params)
+    def _count(self, out):
         self.eval_count += out.size
         return out
+
+    def pairwise(self, x1, t1, x2, t2):
+        return self._count(wave_kernel(x1, t1, x2, t2, self.params))
 
     def diag(self, x, t):
-        out = wave_kernel_diag(x, t, self.params)
-        self.eval_count += out.size
-        return out
+        return self._count(wave_kernel_diag(x, t, self.params))
 
-    def radial(self, comp, r1, t1, r2=None, t2=None):
-        """Component ``comp`` alone, at radii r = |x - x0| about its center.
+    def radial(self, comp, r1, t1, r2, t2):
+        """Component ``comp`` alone, pairwise, at radii r = |x - x0| about
+        its center: the (len(r1), len(r2)) block.
 
-        The pairwise (len(r1), len(r2)) block, or the diagonal when r2 is
-        None.  Each component sees a point only through (r, t), so a caller
-        can evaluate it once per distinct pair.
+        Each component sees a point only through (r, t), so a caller can
+        evaluate it once per distinct pair.  Non-finite radii or times, and
+        radii and times of different lengths, are refused with ValueError.
         """
-        out = _radial(comp, getattr(self.params, comp), self.params.c,
-                      r1, t1, r2, t2)
-        self.eval_count += out.size
-        return out
+        return self._count(_radial(comp, getattr(self.params, comp),
+                                   self.params.c, *_as_radii(r1, t1),
+                                   *_as_radii(r2, t2)))
 
+    def radial_diag(self, comp, r, t):
+        """The diagonal of :meth:`radial`; refuses what it refuses."""
+        return self._count(_radial_diag(comp, getattr(self.params, comp),
+                                        self.params.c, *_as_radii(r, t)))

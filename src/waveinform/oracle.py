@@ -447,18 +447,3 @@ def lp_stability_check(u0_ic, v0_ic, c, t, norms, grid: ScalarField3D):
     return reports
 
 
-def matern_radial_base(src, component):
-    """Quadrature base kernel matching a closed-form component's prior.
-
-    The position component is a plain radial Matern in the radius; the
-    speed component is the mixed second derivative of the squared-radius
-    Matern antiderivative surface, i.e. the negated second derivative of
-    the profile taken in the squared radii.
-    """
-    if component == "u":
-        return MaternRadiusBase(center=src.x0, rho=src.rho, sigma2=src.sigma2)
-    if component == "v":
-        return MaternSquaredBase(center=src.x0, rho=src.rho, sigma2=src.sigma2,
-                                 deriv_order=2)
-    raise ValueError("component must be 'u' or 'v'")
-

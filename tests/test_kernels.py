@@ -9,6 +9,7 @@ import pytest
 from dense_reference import (SingularEvaluationError, four_term_kernel,
                              four_term_radial, stationary_ftft_density,
                              stationary_gaussian_wave)
+from waveinform import kernels
 from waveinform.experiments import case_theta
 from waveinform.kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, TIME_TOL,
                                 HyperParams, SourceParams, WaveKernel,
@@ -383,9 +384,20 @@ def _live_term_batches(params, rng):
     # Mostly at t = 0, so the few live v weights are gathered by index.
     mostly_zero = (at_zero[0], np.where(np.arange(20) < 4, 0.1, 0.0))
     random = rng.uniform(0.0, 1.0, (40, 3)), rng.uniform(-1.5, 1.5, 40)
+    # At each center, r = 0 and r around RADIUS_CLAMP, at t = 0, within
+    # TIME_TOL of it, at +-1e-7 (the t = dt_v of the speed reconstruction)
+    # and at t = 0.5.
+    r, t = (a.ravel() for a in np.meshgrid(
+        np.array([0.0, 0.3, 0.99, 1.0, 3.0]) * RADIUS_CLAMP,
+        [0.0, 0.5 * TIME_TOL, -0.5 * TIME_TOL, 1e-7, -1e-7, 0.5]))
+    centers = [_around(s, r, t, rng) for s in (params.u, params.v)]
     batches = [(np.vstack([edges[0][0], edges[1][0]]),
                 np.concatenate([edges[0][1], edges[1][1]])),
-               outgoing_dead, at_zero, mostly_zero, random]
+               outgoing_dead, at_zero, mostly_zero, random,
+               (np.vstack([centers[0][0], centers[1][0]]),
+                np.concatenate([centers[0][1], centers[1][1]]))]
+    assert np.any(np.linalg.norm(batches[-1][0] - params.u.x0, axis=1)
+                  == 0.0)
     w_out, _ = _features("u", np.linalg.norm(outgoing_dead[0] - src.x0,
                                              axis=1),
                          outgoing_dead[1], c, src)
@@ -414,6 +426,14 @@ def test_live_term_assembly_is_bitwise_the_four_term_sum(variant):
     for x1, t1 in batches:
         assert (kern.diag(x1, t1).tobytes()
                 == four_term_kernel(params, x1, t1).tobytes())
+        for comp in params.components:
+            src = getattr(params, comp)
+            r1 = np.linalg.norm(x1 - src.x0, axis=1)
+            # One component's diagonal keeps the four-term sum's sign of 0.
+            got = kern.radial_diag(comp, r1, t1)
+            ref = four_term_radial(comp, src, params.c, r1, t1)
+            assert got.tobytes() == ref.tobytes()
+            zeros += np.sum(got == 0.0)
         for x2, t2 in batches:
             assert (kern.pairwise(x1, t1, x2, t2).tobytes()
                     == four_term_kernel(params, x1, t1, x2, t2).tobytes())
@@ -421,17 +441,44 @@ def test_live_term_assembly_is_bitwise_the_four_term_sum(variant):
                 src = getattr(params, comp)
                 r1 = np.linalg.norm(x1 - src.x0, axis=1)
                 r2 = np.linalg.norm(x2 - src.x0, axis=1)
-                # One component alone may hold an exact 0 of either sign
-                # where the four-term sum has the other; every caller adds
-                # it into +0 (``wave_kernel``, ``posterior_mean``), so the
-                # comparison is made after adding +0.
-                for got, ref in [
-                        (kern.radial(comp, r1, t1, r2, t2),
-                         four_term_radial(comp, src, params.c, r1, t1, r2,
-                                          t2)),
-                        (kern.radial(comp, r1, t1),
-                         four_term_radial(comp, src, params.c, r1, t1))]:
-                    assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
-                    zeros += np.sum(got == 0.0)
-                    nonzeros += np.sum(got != 0.0)
+                # One component's pairwise block alone may hold an exact 0
+                # of either sign where the four-term sum has the other;
+                # every caller adds it into +0 (``wave_kernel``,
+                # ``posterior_mean``), so the comparison is made after
+                # adding +0.
+                got = kern.radial(comp, r1, t1, r2, t2)
+                ref = four_term_radial(comp, src, params.c, r1, t1, r2, t2)
+                assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+                zeros += np.sum(got == 0.0)
+                nonzeros += np.sum(got != 0.0)
     assert zeros > 0 and nonzeros > 0
+
+
+@pytest.mark.parametrize("r, t", [([np.inf], [0.5]), ([np.nan], [0.5]),
+                                  ([0.1], [np.inf]), ([0.1], [np.nan]),
+                                  ([0.1, 0.2], [0.5])])
+def test_radial_refuses_non_finite_or_ragged_input(r, t):
+    kern = WaveKernel(case_theta(3))
+    ok = np.array([0.1]), np.array([0.5])
+    with pytest.raises(ValueError, match="radii and times must"):
+        kern.radial("v", r, t, *ok)
+    with pytest.raises(ValueError, match="radii and times must"):
+        kern.radial("u", *ok, r, t)
+    with pytest.raises(ValueError, match="radii and times must"):
+        kern.radial_diag("u", r, t)
+    assert kern.eval_count == 0
+
+
+def test_diagonal_evaluates_one_matern_value_per_point(monkeypatch):
+    params = case_theta(3)
+    rng = np.random.default_rng(41)
+    x, t = rng.uniform(0.0, 1.0, (50, 3)), rng.uniform(-1.0, 1.0, 50)
+    sizes = []
+
+    def counted(h, rho, sigma2):
+        sizes.append(np.size(h))
+        return matern52(h, rho, sigma2)
+
+    monkeypatch.setattr(kernels, "matern52", counted)
+    WaveKernel(params).diag(x, t)
+    assert sizes == [50, 50]

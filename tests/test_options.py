@@ -88,12 +88,6 @@ OPTIONS = [
     "kernels.HyperParams.u",
     "kernels.HyperParams.v",
     "kernels.HyperParams.lam",
-    "kernels._radial(r2)",
-    "kernels._radial(t2)",
-    "kernels._kernel(x2)",
-    "kernels._kernel(t2)",
-    "kernels.WaveKernel.radial(r2)",
-    "kernels.WaveKernel.radial(t2)",
 ]
 
 
