@@ -462,7 +462,14 @@ def scan_limit_profile(dataset: SensorDataset, scan_points, c, radius, lam):
 
 def cmd_pointsource_scan(dataset: SensorDataset, scan_grid: ScalarField3D,
                          radius, c, lam, outdir, mode):
-    """Scan the point-source likelihood over a grid and locate the argmin."""
+    """Scan the point-source likelihood over a grid and locate the argmin.
+
+    ``mode`` is "limit" (the lambda -> 0 profile) or "nll" (at ``lam``);
+    any other mode raises ValueError.
+    """
+    if mode not in ("limit", "nll"):
+        raise ValueError(f"unknown scan mode {mode!r}; "
+                         "expected 'limit' or 'nll'")
     pts = scan_grid.points()
     vals = scan_limit_profile(dataset, pts, c, radius,
                               None if mode == "limit" else lam)
@@ -528,16 +535,17 @@ def _verify_pde_residual(params):
     step = 1e-3
     zp_x = getattr(params, params.components[0]).x0 + 0.21
     zp_t = 0.8
+    kernel = WaveKernel(params)
 
     def slice_fn(x, t):
-        return WaveKernel(params).pairwise(x, t, [zp_x], [zp_t])[:, 0]
+        return kernel.pairwise(x, t, [zp_x], [zp_t])[:, 0]
 
     xs, ts = [], []
     while len(ts) < 40:
         x = rng.uniform(0.0, 1.0, 3)
         t = rng.uniform(0.1, 1.3)
         if (is_smooth_point(params, [x], [t], step)[0]
-                and WaveKernel(params).diag([x], [t])[0] > 1e-6):
+                and kernel.diag([x], [t])[0] > 1e-6):
             xs.append(x)
             ts.append(t)
     res = dalembert_residuals(slice_fn, np.array(xs), np.array(ts), params.c,

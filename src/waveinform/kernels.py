@@ -70,18 +70,6 @@ def matern52(h, rho, sigma2):
     return sigma2 * (1.0 + a * (1.0 + a / 3.0)) * np.exp(-a)
 
 
-def matern52_d1(h, rho, sigma2):
-    """First derivative of :func:`matern52` with respect to h (odd in h)."""
-    a = np.abs(h) / rho
-    return -sigma2 * h * (1.0 + a) * np.exp(-a) / (3.0 * rho**2)
-
-
-def matern52_d2(h, rho, sigma2):
-    """Second derivative of :func:`matern52` with respect to h (even in h)."""
-    a = np.abs(h) / rho
-    return -sigma2 * (1.0 + a - a * a) * np.exp(-a) / (3.0 * rho**2)
-
-
 def smooth_cutoff(s):
     """C-infinity decreasing cutoff phi: 1 on [0, a), 0 on [1, inf).
 

@@ -5,13 +5,14 @@ spherical means for radial functions, grid Lp norms/errors, and a
 finite-difference d'Alembertian residual checker: the checks that
 ``experiments.cmd_verify`` runs.  These are deliberately independent
 evaluation paths: they never reuse the characteristic-radii closed forms
-they are used to validate.  For the radial Matern bases the quadrature's
-double sum over node pairs is taken exactly by sorting
-(``sorted_matern_sum``); any other base object, such as the tests'
-stationary Gaussian base, takes the dense sum through its ``value`` and
-``shell_integrand``.  The rule and its nodes are the same for every base.
-The Kirchhoff formula, which only tests use, lives in
-``tests/dense_reference.py``.
+they are used to validate, nor the Matern functions of ``kernels``.
+Each quadrature states its integrand once, as a list of Matern-5/2 profile
+terms in the increment of the base's radial scalar
+(``matern52_profile``).  The double sum of that list over node pairs is
+taken exactly by sorting (``sorted_matern_sum``), or, when the scalars
+spread too wide for the sorted sum's expansion, by the dense chunked sum
+(``dense_matern_sum``).  The Kirchhoff formula and the dense references
+for other bases, which only tests use, live in ``tests/dense_reference.py``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .fields import ScalarField3D
-from .kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, _as_points, _time_sign,
-                      matern52, matern52_d1, matern52_d2)
+from .kernels import CUTOFF_ALPHA, RADIUS_CLAMP, _as_points, _time_sign
 
 # Rows per block of the dense quadrature double sum.
 QUAD_CHUNK = 256
@@ -69,7 +69,7 @@ class SphericalRule:
 
 
 def matern52_profile(rho, sigma2, order):
-    """The ``order``-th derivative of :func:`matern52` as ``(p, parity)``.
+    """The ``order``-th derivative of ``kernels.matern52`` as ``(p, parity)``.
 
     g(d) = exp(-d/rho) p(d/rho) for d >= 0 and g(-d) = parity g(d), with p
     as ascending coefficients.  p keeps degree 2 at every order, since
@@ -86,12 +86,10 @@ def matern52_profile(rho, sigma2, order):
 class _RadialMatern:
     """Base kernel g(s(y) - s(y')) of one radial scalar s about ``center``.
 
-    g is a signed derivative of :func:`matern52`.  Subclasses give
-    ``radial`` (s at each node) and ``radial_slope`` ((grad s) . d at each
-    node), and may override ``_derivative``.  The dense contractions use
-    the closed derivatives of ``kernels``; ``profile`` gives the same
-    derivatives as :func:`matern52_profile` coefficients, with which the
-    shell quadratures take the sorted sum in place of the dense one.
+    g is a signed derivative of the Matern-5/2 (:func:`matern52_profile`).
+    Subclasses give ``radial`` (s at each node) and ``radial_slope``
+    ((grad s) . d at each node), and may override ``_derivative``.  The
+    shell quadratures see the base only through these and ``profile``.
     """
 
     def __init__(self, center, rho, sigma2):
@@ -107,37 +105,6 @@ class _RadialMatern:
         sign, k = self._derivative(order)
         p, parity = matern52_profile(self.rho, self.sigma2, k)
         return sign * p, parity
-
-    def _dense(self, order, y1, y2):
-        sign, k = self._derivative(order)
-        delta = self.radial(y1)[:, None] - self.radial(y2)[None, :]
-        return sign * (matern52, matern52_d1, matern52_d2)[k](delta, self.rho,
-                                                              self.sigma2)
-
-    def value(self, y1, y2):
-        return self._dense(0, y1, y2)
-
-    def grad1_dot(self, y1, y2, d1):
-        return self.radial_slope(y1, d1)[:, None] * self._dense(1, y1, y2)
-
-    def grad2_dot(self, y1, y2, d2):
-        return -self._dense(1, y1, y2) * self.radial_slope(y2, d2)[None, :]
-
-    def cross_dot(self, y1, y2, d1, d2):
-        return (-np.outer(self.radial_slope(y1, d1), self.radial_slope(y2, d2))
-                * self._dense(2, y1, y2))
-
-    def terms(self, y1, y2, d1, d2):
-        """The value and the three contractions ``shell_integrand`` sums."""
-        return (self.value(y1, y2),
-                self.grad1_dot(y1, y2, d1),
-                self.grad2_dot(y1, y2, d2),
-                self.cross_dot(y1, y2, d1, d2))
-
-    def shell_integrand(self, y1, y2, d1, d2, ct, ctp):
-        """k - ct (grad1 k . d1) - ctp (grad2 k . d2) + ct ctp d1' H d2."""
-        v, g1, g2, g12 = self.terms(y1, y2, d1, d2)
-        return v - ct * g1 - ctp * g2 + (ct * ctp) * g12
 
 
 class MaternSquaredBase(_RadialMatern):
@@ -239,44 +206,48 @@ def sorted_matern_sum(s1, s2, rho, terms):
     return total
 
 
-def _sortable_radii(base, y1, y2):
-    """The radial scalars of both node sets, or None for the dense sum."""
-    if not isinstance(base, _RadialMatern):
-        return None
+def dense_matern_sum(s1, s2, rho, terms):
+    """:func:`sorted_matern_sum` by the O(n m) double sum in row blocks.
+
+    Each g is exp(-|x|) p(|x|), times its parity where x < 0; nothing
+    cancels, so any spread can take it.
+    """
+    total = 0.0
+    for lo in range(0, s1.size, QUAD_CHUNK):
+        rows = slice(lo, lo + QUAD_CHUNK)
+        x = (s1[rows, None] - s2[None, :]) / rho
+        a = np.abs(x)
+        e = np.exp(-a)
+        negative = x < 0.0
+        for u, v, (p, parity) in terms:
+            g = e * P.polyval(a, p)
+            total += u[rows] @ (np.where(negative, parity * g, g) @ v)
+    return total
+
+
+def _shell_sum(base, y1, y2, terms):
+    """The ``terms`` sum over both node sets' radial scalars: sorted, or
+    dense when they spread over more than ``SORTED_SPREAD_MAX`` rho."""
     s1, s2 = base.radial(y1), base.radial(y2)
     spread = max(s1.max(), s2.max()) - min(s1.min(), s2.min())
     if spread > SORTED_SPREAD_MAX * base.rho:
-        return None
-    return s1, s2
-
-
-def _dense_sum(block, w):
-    """w^T K w, with K's rows from ``block(rows)`` in QUAD_CHUNK blocks."""
-    acc = 0.0
-    for lo in range(0, w.size, QUAD_CHUNK):
-        sl = slice(lo, lo + QUAD_CHUNK)
-        acc += w[sl] @ (block(sl) @ w)
-    return acc
+        return dense_matern_sum(s1, s2, base.rho, terms)
+    return sorted_matern_sum(s1, s2, base.rho, terms)
 
 
 def kv_wave_quadrature(base, z, zp, c, rule):
     """Double spherical quadrature of the shell-measure convolution.
 
     t t' * sum_{g,g'} w w' k(x - c|t| g, x' - c|t'| g'); the independent
-    reference for the speed-component closed form.  A radial Matern base
-    takes :func:`sorted_matern_sum`, any other base the dense sum.
+    reference for the speed-component closed form.  For a radial Matern
+    base this is one term, the profile g itself.
     """
     x, t = _unpack(z)
     xp, tp = _unpack(zp)
     y1 = x[None, :] - c * abs(t) * rule.nodes
     y2 = xp[None, :] - c * abs(tp) * rule.nodes
     w = rule.weights
-    radii = _sortable_radii(base, y1, y2)
-    if radii is not None:
-        acc = sorted_matern_sum(*radii, base.rho, [(w, w, base.profile(0))])
-    else:
-        acc = _dense_sum(lambda sl: base.value(y1[sl], y2), w)
-    return t * tp * acc
+    return t * tp * _shell_sum(base, y1, y2, [(w, w, base.profile(0))])
 
 
 def ku_wave_quadrature(base, z, zp, c, rule):
@@ -287,7 +258,7 @@ def ku_wave_quadrature(base, z, zp, c, rule):
     position-component closed form.  For a radial Matern base it is
     g + (P + Q) g' + P Q g'' in the radial increment, with row factor
     P = -c|t| (grad s . g) and column factor Q = c|t'| (grad s . g'): four
-    sorted sums.  Any other base takes the dense sum.
+    terms.
     """
     x, t = _unpack(z)
     xp, tp = _unpack(zp)
@@ -295,15 +266,11 @@ def ku_wave_quadrature(base, z, zp, c, rule):
     y1 = x[None, :] - ct * rule.nodes
     y2 = xp[None, :] - ctp * rule.nodes
     w = rule.weights
-    radii = _sortable_radii(base, y1, y2)
-    if radii is None:
-        return _dense_sum(lambda sl: base.shell_integrand(
-            y1[sl], y2, rule.nodes[sl], rule.nodes, ct, ctp), w)
     g, g1, g2 = (base.profile(k) for k in range(3))
     wp = -ct * base.radial_slope(y1, rule.nodes) * w
     wq = ctp * base.radial_slope(y2, rule.nodes) * w
-    return sorted_matern_sum(*radii, base.rho,
-                             [(w, w, g), (wp, w, g1), (w, wq, g1), (wp, wq, g2)])
+    return _shell_sum(base, y1, y2,
+                      [(w, w, g), (wp, w, g1), (w, wq, g1), (wp, wq, g2)])
 
 
 def spherical_mean_radial(antideriv, x, t, c):

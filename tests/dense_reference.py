@@ -22,6 +22,15 @@ origin, ``SingularEvaluationError``), ``stationary_gaussian_wave`` the
 closed form for the ``StationaryGaussianBase`` kernel with its prefactor
 sqrt(pi/2), and ``kirchhoff_eval`` / ``kirchhoff_trace`` the Kirchhoff
 solution formula on a spherical rule.
+
+The shell quadratures of ``oracle`` sum Matern-5/2 profile polynomials.
+Their dense references go another way: ``matern52_d1`` and
+``matern52_d2`` are the closed derivatives of ``kernels.matern52``,
+``radial_matern`` and ``radial_matern_terms`` the value and the chain-rule
+contractions of a radial oracle base built on them, and
+``dense_kv_quadrature`` / ``dense_ku_quadrature`` the full double sums
+over node pairs, the kv one for any base ``value(y1, y2)`` such as
+``StationaryGaussianBase``.
 """
 
 import math
@@ -30,7 +39,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from waveinform.fast import rank_one_objective
-from waveinform.kernels import _features, _time_sign, _weighted_matern
+from waveinform.kernels import _features, _time_sign, _weighted_matern, matern52
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
 from waveinform.sim import FieldHistory, SensorDataset
@@ -128,6 +137,78 @@ class StationaryGaussianBase:
               + np.einsum("ij,ij->i", y2, y2)[None, :]
               - 2.0 * y1 @ y2.T)
         return self.amplitude * np.exp(-0.5 * np.maximum(sq, 0.0) / self.length**2)
+
+
+def matern52_d1(h, rho, sigma2):
+    """First derivative of ``kernels.matern52`` with respect to h (odd in h)."""
+    a = np.abs(h) / rho
+    return -sigma2 * h * (1.0 + a) * np.exp(-a) / (3.0 * rho**2)
+
+
+def matern52_d2(h, rho, sigma2):
+    """Second derivative of ``kernels.matern52`` with respect to h (even in h)."""
+    a = np.abs(h) / rho
+    return -sigma2 * (1.0 + a - a * a) * np.exp(-a) / (3.0 * rho**2)
+
+
+def radial_matern(base, order, y1, y2):
+    """The order-th derivative of a radial oracle base's profile g at
+    s(y1_i) - s(y2_j), from the closed Matern derivatives."""
+    sign, k = base._derivative(order)
+    delta = base.radial(y1)[:, None] - base.radial(y2)[None, :]
+    return sign * (matern52, matern52_d1, matern52_d2)[k](delta, base.rho,
+                                                          base.sigma2)
+
+
+def radial_matern_terms(base, y1, y2, d1, d2):
+    """k, grad1 k . d1, grad2 k . d2 and d1' (grad1 grad2 k) d2 of a radial
+    oracle base k(y, y') = g(s(y) - s(y')), by the chain rule."""
+    a1 = base.radial_slope(y1, d1)[:, None]
+    a2 = base.radial_slope(y2, d2)[None, :]
+    g1 = radial_matern(base, 1, y1, y2)
+    return (radial_matern(base, 0, y1, y2), a1 * g1, -g1 * a2,
+            -a1 * a2 * radial_matern(base, 2, y1, y2))
+
+
+def _shell_nodes(z, zp, c, rule):
+    (x, t), (xp, tp) = z, zp
+    y1 = np.asarray(x, dtype=float)[None, :] - c * abs(t) * rule.nodes
+    y2 = np.asarray(xp, dtype=float)[None, :] - c * abs(tp) * rule.nodes
+    return y1, y2
+
+
+def _row_block_sum(block, w):
+    """w' K w and w' |K| w, with K's rows from ``block(rows)`` 256 at a time."""
+    acc = scale = 0.0
+    for lo in range(0, w.size, 256):
+        rows = slice(lo, lo + 256)
+        kmat = block(rows)
+        acc += w[rows] @ (kmat @ w)
+        scale += w[rows] @ (np.abs(kmat) @ w)
+    return acc, scale
+
+
+def dense_kv_quadrature(value, z, zp, c, rule):
+    """``oracle.kv_wave_quadrature`` of the base ``value(y1, y2)`` by the
+    full double sum over node pairs; also the sum of the terms' magnitudes."""
+    t, tp = z[1], zp[1]
+    y1, y2 = _shell_nodes(z, zp, c, rule)
+    acc, scale = _row_block_sum(lambda rows: value(y1[rows], y2), rule.weights)
+    return t * tp * acc, abs(t * tp) * scale
+
+
+def dense_ku_quadrature(base, z, zp, c, rule):
+    """``oracle.ku_wave_quadrature`` of a radial oracle base by the full
+    double sum of ``radial_matern_terms``; also the sum of the magnitudes."""
+    ct, ctp = c * abs(z[1]), c * abs(zp[1])
+    y1, y2 = _shell_nodes(z, zp, c, rule)
+
+    def block(rows):
+        v, g1, g2, g12 = radial_matern_terms(base, y1[rows], y2,
+                                             rule.nodes[rows], rule.nodes)
+        return v - ct * g1 - ctp * g2 + (ct * ctp) * g12
+
+    return _row_block_sum(block, rule.weights)
 
 
 def stationary_ftft_density(hnorm, t, tp, c):

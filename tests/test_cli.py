@@ -363,6 +363,19 @@ def test_pointsource_scan_nll_mode(tmp_path):
     assert np.abs(argmin - x_star).max() <= 0.08
 
 
+def test_pointsource_scan_refuses_an_unknown_mode(tmp_path):
+    sensors = np.array([[0.25, 0.25, 0.3], [0.75, 0.3, 0.35],
+                        [0.3, 0.72, 0.7]])
+    times = np.arange(10) / 20.0
+    ds = SensorDataset(positions=sensors, times=times, values=np.ones(30))
+    grid = ScalarField3D.zeros([0.3] * 3, 0.1, (3, 3, 3))
+    outdir = tmp_path / "scan"
+    with pytest.raises(ValueError, match="'limt'"):
+        cmd_pointsource_scan(ds, grid, 0.05, 0.5, 1e-4, str(outdir),
+                             mode="limt")
+    assert not outdir.exists()
+
+
 def _dense_scan(dataset, pts, c, radius, lam):
     """The scan objective with the Green bump evaluated at every distance."""
     from waveinform.fast import rank_one_objective, regularized_green

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dense_reference import (SingularEvaluationError, four_term_kernel,
-                             four_term_radial, stationary_ftft_density,
+                             four_term_radial, matern52_d1, matern52_d2,
+                             stationary_ftft_density,
                              stationary_gaussian_wave)
 from waveinform import kernels
 from waveinform.experiments import case_theta
@@ -15,9 +16,8 @@ from waveinform.kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, TIME_TOL,
                                 HyperParams, SourceParams, WaveKernel,
                                 _features,
                                 ku_wave_diag, ku_wave_radial, kv_wave_diag,
-                                kv_wave_radial, matern52, matern52_d1,
-                                matern52_d2, smooth_cutoff, wave_kernel,
-                                wave_kernel_diag)
+                                kv_wave_radial, matern52, smooth_cutoff,
+                                wave_kernel, wave_kernel_diag)
 
 
 def random_source(rng, radius=None):

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from dense_reference import (NumericalBase, StationaryGaussianBase,
-                             kirchhoff_eval, stationary_gaussian_wave)
+                             dense_ku_quadrature, dense_kv_quadrature,
+                             kirchhoff_eval, matern52_d1, matern52_d2,
+                             radial_matern, radial_matern_terms,
+                             stationary_gaussian_wave)
 from waveinform import oracle
 from waveinform.fields import ScalarField3D
 from waveinform.kernels import (CUTOFF_ALPHA, HyperParams, SourceParams,
-                                ku_wave_radial, kv_wave_radial)
+                                ku_wave_radial, kv_wave_radial, matern52)
 from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
                                SphericalRule, dalembert_residuals,
                                is_smooth_point, ku_wave_quadrature,
@@ -18,14 +21,6 @@ from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
                                lp_stability_check, spherical_mean_radial,
                                spherical_mean_radial_dt)
 from waveinform.sim import ZERO_IC, InitialCondition
-
-
-class ConstantBase:
-    def __init__(self, value):
-        self._v = value
-
-    def value(self, y1, y2):
-        return np.full((y1.shape[0], y2.shape[0]), self._v)
 
 
 def test_rule_weights_sum_to_one():
@@ -41,44 +36,14 @@ def test_rule_first_moment_vanishes():
     assert np.allclose(moment, 0.0, atol=1e-14)
 
 
-def test_kv_quadrature_constant_base():
-    rule = SphericalRule.product(8)
-    val = kv_wave_quadrature(ConstantBase(1.0), (np.zeros(3), 0.7),
-                             (np.ones(3), -0.4), 1.0, rule)
-    assert val == pytest.approx(0.7 * -0.4, rel=1e-12)
-
-
 def test_ku_quadrature_time_zero_reduces_to_base():
     rule = SphericalRule.product(8)
     base = MaternRadiusBase([0.2, 0.2, 0.2], 0.3, 2.0)
     x1 = np.array([0.5, 0.4, 0.3])
     x2 = np.array([0.1, 0.6, 0.2])
     got = ku_wave_quadrature(base, (x1, 0.0), (x2, 0.0), 0.5, rule)
-    assert got == pytest.approx(base.value(x1[None], x2[None])[0, 0], rel=1e-12)
-
-
-def test_ku_quadrature_constant_base():
-    rule = SphericalRule.product(8)
-
-    class ConstWithDerivs(ConstantBase):
-        def grad1_dot(self, y1, y2, d1):
-            return np.zeros((y1.shape[0], y2.shape[0]))
-
-        grad2_dot = grad1_dot
-
-        def cross_dot(self, y1, y2, d1, d2):
-            return np.zeros((y1.shape[0], y2.shape[0]))
-
-        def terms(self, y1, y2, d1, d2):
-            z = np.zeros((y1.shape[0], y2.shape[0]))
-            return self.value(y1, y2), z, z, z
-
-        def shell_integrand(self, y1, y2, d1, d2, ct, ctp):
-            return self.value(y1, y2)
-
-    val = ku_wave_quadrature(ConstWithDerivs(2.5), (np.zeros(3), 0.9),
-                             (np.ones(3), 0.4), 1.0, rule)
-    assert val == pytest.approx(2.5, rel=1e-12)
+    assert got == pytest.approx(radial_matern(base, 0, x1[None], x2[None])[0, 0],
+                                rel=1e-12)
 
 
 def test_closed_forms_match_quadrature_fast():
@@ -118,24 +83,9 @@ def test_quadrature_order_convergence():
 
 
 def _dense_kv(base, z, zp, c, rule):
-    """kv by the full double sum of base.value; also the sum of |terms|."""
-    (x, t), (xp, tp) = z, zp
-    y1 = np.asarray(x)[None, :] - c * abs(t) * rule.nodes
-    y2 = np.asarray(xp)[None, :] - c * abs(tp) * rule.nodes
-    kmat = t * tp * base.value(y1, y2)
-    w = rule.weights
-    return w @ kmat @ w, w @ np.abs(kmat) @ w
-
-
-def _dense_ku(base, z, zp, c, rule):
-    """ku by the full double sum of the generic ``terms`` contraction."""
-    (x, t), (xp, tp) = z, zp
-    ct, ctp = c * abs(t), c * abs(tp)
-    y1 = np.asarray(x)[None, :] - ct * rule.nodes
-    y2 = np.asarray(xp)[None, :] - ctp * rule.nodes
-    kmat = base.shell_integrand(y1, y2, rule.nodes, rule.nodes, ct, ctp)
-    w = rule.weights
-    return w @ kmat @ w, w @ np.abs(kmat) @ w
+    """kv by the full double sum of the closed-form base value."""
+    return dense_kv_quadrature(lambda y1, y2: radial_matern(base, 0, y1, y2),
+                               z, zp, c, rule)
 
 
 def _matern_cases(x0, rho, sigma2):
@@ -143,11 +93,13 @@ def _matern_cases(x0, rho, sigma2):
     return [(kv_wave_quadrature, MaternSquaredBase(x0, rho, sigma2, 2), _dense_kv),
             (kv_wave_quadrature, MaternSquaredBase(x0, rho, sigma2, 0), _dense_kv),
             (kv_wave_quadrature, MaternRadiusBase(x0, rho, sigma2), _dense_kv),
-            (ku_wave_quadrature, MaternSquaredBase(x0, rho, sigma2, 0), _dense_ku),
-            (ku_wave_quadrature, MaternRadiusBase(x0, rho, sigma2), _dense_ku)]
+            (ku_wave_quadrature, MaternSquaredBase(x0, rho, sigma2, 0),
+             dense_ku_quadrature),
+            (ku_wave_quadrature, MaternRadiusBase(x0, rho, sigma2),
+             dense_ku_quadrature)]
 
 
-def _assert_sorted_matches_dense(x0, rho, sigma2, z, zp, c, rule):
+def _assert_matches_dense_reference(x0, rho, sigma2, z, zp, c, rule):
     # the binomial expansion cancels about spread^2 eps <= 64^2 eps ~ 1e-12
     # of the sum of |terms|; 4e-12 leaves room for the summation order
     for quad, base, dense in _matern_cases(x0, rho, sigma2):
@@ -157,24 +109,50 @@ def _assert_sorted_matches_dense(x0, rho, sigma2, z, zp, c, rule):
         assert abs(got - ref) <= 4e-12 * scale, (quad.__name__, type(base))
 
 
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} taken")
+    return refuse
+
+
 @pytest.fixture
 def no_dense_sum(monkeypatch):
-    def refuse(block, w):
-        raise AssertionError("dense sum taken")
-    monkeypatch.setattr(oracle, "_dense_sum", refuse)
+    monkeypatch.setattr(oracle, "dense_matern_sum", _refuse("dense sum"))
 
 
-@pytest.mark.parametrize("order", [8, 16, 24])
-def test_sorted_sum_matches_dense_random_pairs(order, no_dense_sum):
+@pytest.fixture
+def no_sorted_sum(monkeypatch):
+    # every spread is above a bound of 0, so the dense sum is taken
+    monkeypatch.setattr(oracle, "SORTED_SPREAD_MAX", 0.0)
+    monkeypatch.setattr(oracle, "sorted_matern_sum", _refuse("sorted sum"))
+
+
+def _random_pairs(order):
     rng = np.random.default_rng(order)
-    rule = SphericalRule.product(order)
     for _ in range(10):
         c = rng.uniform(0.3, 0.8)
         x0 = rng.uniform(0.2, 0.8, 3)
         rho, sigma2 = rng.uniform(0.1, 0.8), rng.uniform(0.5, 4.0)
         z = (x0 + rng.normal(size=3) * 0.3, rng.uniform(-1.3, 1.3))
         zp = (x0 + rng.normal(size=3) * 0.3, rng.uniform(0.05, 1.3))
-        _assert_sorted_matches_dense(x0, rho, sigma2, z, zp, c, rule)
+        yield x0, rho, sigma2, z, zp, c
+
+
+@pytest.mark.parametrize("order", [8, 16, 24])
+def test_sorted_sum_matches_dense_random_pairs(order, no_dense_sum):
+    rule = SphericalRule.product(order)
+    for x0, rho, sigma2, z, zp, c in _random_pairs(order):
+        _assert_matches_dense_reference(x0, rho, sigma2, z, zp, c, rule)
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_dense_sum_matches_closed_derivatives_random_pairs(order,
+                                                          no_sorted_sum):
+    # the package's dense sum of profile polynomials against the tests'
+    # chain-rule contractions of the closed Matern derivatives
+    rule = SphericalRule.product(order)
+    for x0, rho, sigma2, z, zp, c in _random_pairs(order):
+        _assert_matches_dense_reference(x0, rho, sigma2, z, zp, c, rule)
 
 
 def test_sorted_sum_ties_centre_and_time_zero(no_dense_sum):
@@ -188,7 +166,7 @@ def test_sorted_sum_ties_centre_and_time_zero(no_dense_sum):
              ((x, 0.0), (x0 + 0.25, 0.9)),         # t = 0 for ku
              ((x0 + 0.1, 0.4), (x, 0.0))]
     for z, zp in cases:
-        _assert_sorted_matches_dense(x0, rho, sigma2, z, zp, c, rule)
+        _assert_matches_dense_reference(x0, rho, sigma2, z, zp, c, rule)
     # t = t' = 0 at one point: ku is the base value there, kv vanishes
     got = ku_wave_quadrature(MaternRadiusBase(x0, rho, sigma2), (x, 0.0),
                              (x, 0.0), c, rule)
@@ -209,13 +187,17 @@ def test_sorted_sum_spread_bound(factor, sorted_taken, monkeypatch):
     y1 = z[0][None, :] - c * z[1] * rule.nodes
     y2 = zp[0][None, :] - c * zp[1] * rule.nodes
     calls = []
-    real = oracle.sorted_matern_sum
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(name):
+        real = getattr(oracle, name)
 
-    monkeypatch.setattr(oracle, "sorted_matern_sum", counting)
+        def count(*args):
+            calls.append(name)
+            return real(*args)
+        return count
+
+    for name in ("sorted_matern_sum", "dense_matern_sum"):
+        monkeypatch.setattr(oracle, name, counting(name))
     for quad, base, dense in _matern_cases(x0, 1.0, 2.0):
         s = np.concatenate([base.radial(y1), base.radial(y2)])
         base.rho = factor * (s.max() - s.min()) / oracle.SORTED_SPREAD_MAX
@@ -224,7 +206,8 @@ def test_sorted_sum_spread_bound(factor, sorted_taken, monkeypatch):
             got = quad(base, z, zp, c, rule)
         ref, scale = dense(base, z, zp, c, rule)
         assert abs(got - ref) <= 4e-12 * scale
-        assert bool(calls) == sorted_taken
+        assert calls == ["sorted_matern_sum" if sorted_taken
+                         else "dense_matern_sum"]
 
 
 def test_ku_quadrature_refuses_derivative_profile():
@@ -237,17 +220,34 @@ def test_ku_quadrature_refuses_derivative_profile():
             ku_wave_quadrature(MaternSquaredBase(x0, rho, 1.0, 2), z, zp, 0.5, rule)
 
 
+def test_matern52_profile_matches_closed_derivatives():
+    rho, sigma2 = 0.37, 1.9
+    h = rho * np.array([0.0, 1e-3, -1e-3, 1.0, -1.0, 30.0, -30.0])
+    a = np.abs(h) / rho
+    for order, closed in enumerate((matern52, matern52_d1, matern52_d2)):
+        p, parity = oracle.matern52_profile(rho, sigma2, order)
+        got = np.exp(-a) * np.polynomial.polynomial.polyval(a, p)
+        got = np.where(h < 0.0, parity * got, got)
+        np.testing.assert_allclose(got, closed(h, rho, sigma2), rtol=1e-13,
+                                   atol=0.0)
+    # the speed prior's base is the negated second derivative
+    p, parity = MaternSquaredBase(np.zeros(3), rho, sigma2, 2).profile(0)
+    p2, parity2 = oracle.matern52_profile(rho, sigma2, 2)
+    assert np.array_equal(p, -p2) and parity == parity2 == 1.0
+
+
 def test_numerical_base_matches_analytic_terms():
     rng = np.random.default_rng(5)
     base_a = MaternRadiusBase([0.4, 0.4, 0.4], 0.35, 1.5)
-    base_n = NumericalBase(base_a.value, step=1e-6)
+    base_n = NumericalBase(lambda y1, y2: radial_matern(base_a, 0, y1, y2),
+                           step=1e-6)
     y1 = rng.uniform(0, 1, (4, 3))
     y2 = rng.uniform(0, 1, (5, 3))
     d1 = rng.normal(size=(4, 3))
     d1 /= np.linalg.norm(d1, axis=1, keepdims=True)
     d2 = rng.normal(size=(5, 3))
     d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
-    va, g1a, g2a, g12a = base_a.terms(y1, y2, d1, d2)
+    va, g1a, g2a, g12a = radial_matern_terms(base_a, y1, y2, d1, d2)
     assert np.allclose(g1a, base_n.grad1_dot(y1, y2, d1), atol=1e-6)
     assert np.allclose(g2a, base_n.grad2_dot(y1, y2, d2), atol=1e-6)
     assert np.allclose(g12a, base_n.cross_dot(y1, y2, d1, d2), atol=1e-4)
@@ -430,11 +430,12 @@ def test_gaussian_prefactor_calibration_consistency():
         h = rng.normal(size=3) * 0.3
         t, tp = rng.uniform(0.3, 1.0, 2)
         closed = stationary_gaussian_wave(h, t, tp, c, amp, length)
-        quad = kv_wave_quadrature(base, (h, t), (np.zeros(3), tp), c, rule)
+        quad, _ = dense_kv_quadrature(base.value, (h, t), (np.zeros(3), tp),
+                                      c, rule)
         assert closed == pytest.approx(quad, rel=1e-4)
     # and to 1e-6 at one reference geometry (unit amplitude, L = 0.4)
     h, t, tp = np.array([0.35, 0.0, 0.0]), 0.7, 0.45
     closed = stationary_gaussian_wave(h, t, tp, 1.0, 1.0, 0.4)
-    quad = kv_wave_quadrature(StationaryGaussianBase(1.0, 0.4), (h, t),
-                              (np.zeros(3), tp), 1.0, rule)
+    quad, _ = dense_kv_quadrature(StationaryGaussianBase(1.0, 0.4).value,
+                                  (h, t), (np.zeros(3), tp), 1.0, rule)
     assert quad == pytest.approx(closed, rel=1e-6)
