@@ -16,6 +16,8 @@ object with ``pairwise`` and ``diag``.  The Kriging mean takes a
 at a time, and a component sees a query only through (|x - x0|, t) about
 its own center.  On a grid at one time its mean is a function of the
 radius, evaluated once per distinct radius and scattered back to the grid.
+So is the mean's time derivative at t = 0+, the initial speed, taken in
+closed form: the u component is even in t and adds 0 (``posterior_speed``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from functools import cache
 import numpy as np
 
 from .exceptions import SingularCovarianceError
-from .kernels import _as_points, _time_sign, smooth_cutoff
+from .kernels import (RADIUS_CLAMP, _as_points, _features, _time_sign,
+                      matern52_d1, smooth_cutoff)
 from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
                      logdet_from_chol)
 
@@ -186,6 +189,30 @@ def posterior_mean(model, x, t):
             cross = kernel.radial(comp, r_in, fac.t_active, r[sel], tk[sel])
             g[sel] = cross.T @ model.alpha
         out += g[inverse]
+    return out
+
+
+def posterior_speed(model, x):
+    """Kriging mean's time derivative at t = 0+: the initial speed at x.
+
+    Only v adds: sum_j alpha_j sum_e' w_e'(z_j) m52'(r^2 - s_e'(z_j)) with
+    r = max(|x - x0_v|, RADIUS_CLAMP); an exact 0 for |x - x0_v| >= R_v,
+    where the R_v^2 clamp holds both radii.  A non-finite x: ValueError.
+    """
+    x, _ = _as_points(x, np.zeros(np.size(x) // 3))
+    src, fac, out = model.kernel.params.v, model.factor, np.zeros(len(x))
+    if src is None:
+        return out
+    w, s = _features("v", np.linalg.norm(fac.x_active - src.x0, axis=1),
+                     fac.t_active, model.kernel.params.c, src)
+    coef, s = (w * model.alpha).ravel(), s.ravel()
+    r = np.linalg.norm(x - src.x0, axis=1)
+    inside = r < src.radius
+    r, inverse = np.unique(np.maximum(r[inside], RADIUS_CLAMP),
+                           return_inverse=True)
+    out[inside] = np.concatenate([
+        matern52_d1(np.subtract.outer(rc * rc, s), src.rho, src.sigma2) @ coef
+        for rc in np.split(r, range(MEAN_CHUNK, r.size, MEAN_CHUNK))])[inverse]
     return out
 
 

@@ -50,6 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sim import _is_number
+
 # |t| below this is treated as t = 0 (sgn = 0, degenerate sphere).
 TIME_TOL = 1e-12
 # Plateau of the smooth cutoff phi: phi = 1 on [0, CUTOFF_ALPHA).
@@ -68,6 +70,12 @@ def matern52(h, rho, sigma2):
     """
     a = np.abs(h) / rho
     return sigma2 * (1.0 + a * (1.0 + a / 3.0)) * np.exp(-a)
+
+
+def matern52_d1(h, rho, sigma2):
+    """First derivative of :func:`matern52` with respect to h (odd in h)."""
+    a = np.abs(h) / rho
+    return -sigma2 * h * (1.0 + a) * np.exp(-a) / (3.0 * rho**2)
 
 
 def smooth_cutoff(s):
@@ -111,12 +119,12 @@ class SourceParams:
         object.__setattr__(self, "x0", x0)
         if not np.all(np.isfinite(x0)):
             raise ValueError("source center must be finite")
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if not (np.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not (_is_number(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be > 0, got {self.radius!r}")
+        if not (_is_number(self.rho) and 0.0 < self.rho < np.inf):
+            raise ValueError(f"rho must be finite > 0, got {self.rho!r}")
+        if not (_is_number(self.sigma2) and 0.0 < self.sigma2 < np.inf):
+            raise ValueError(f"sigma2 must be finite > 0, got {self.sigma2!r}")
 
 
 @dataclass(frozen=True)
@@ -132,10 +140,10 @@ class HyperParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"wave speed must be positive, got {self.c}")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"noise variance must be >= 0, got {self.lam}")
+        if not (_is_number(self.c) and 0.0 < self.c < np.inf):
+            raise ValueError(f"c must be finite > 0, got {self.c!r}")
+        if not (_is_number(self.lam) and 0.0 <= self.lam < np.inf):
+            raise ValueError(f"lam must be finite >= 0, got {self.lam!r}")
 
     @property
     def components(self):

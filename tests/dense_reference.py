@@ -9,8 +9,9 @@ function (and optionally its gradient) into an initial condition,
 contractions, ``light_cone_contains`` is the analytic membership in a
 wave kernel's support shells, ``r_infinity`` the dense-time correlation of
 sensor traces, ``subset`` restricts a sensor dataset to its first
-sensors, and ``rank_one`` states the point-source likelihood in the
-vectors F and W.  ``four_term_radial`` and ``four_term_kernel`` assemble
+sensors, ``speed_central_difference`` is the Kriging mean's central
+difference in t about t = 0, and ``rank_one`` states the point-source
+likelihood in the vectors F and W.  ``four_term_radial`` and ``four_term_kernel`` assemble
 the wave kernel's closed form with all four characteristic terms of every
 entry evaluated, including those with a zero weight; the package
 evaluates only the live terms and is compared against them.
@@ -24,7 +25,7 @@ sqrt(pi/2), and ``kirchhoff_eval`` / ``kirchhoff_trace`` the Kirchhoff
 solution formula on a spherical rule.
 
 The shell quadratures of ``oracle`` sum Matern-5/2 profile polynomials.
-Their dense references go another way: ``matern52_d1`` and
+Their dense references go another way: ``kernels.matern52_d1`` and
 ``matern52_d2`` are the closed derivatives of ``kernels.matern52``,
 ``radial_matern`` and ``radial_matern_terms`` the value and the chain-rule
 contractions of a radial oracle base built on them, and
@@ -39,7 +40,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from waveinform.fast import rank_one_objective
-from waveinform.kernels import _features, _time_sign, _weighted_matern, matern52
+from waveinform.kernels import (_features, _time_sign, _weighted_matern,
+                                matern52, matern52_d1)
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
 from waveinform.sim import FieldHistory, SensorDataset
@@ -137,12 +139,6 @@ class StationaryGaussianBase:
               + np.einsum("ij,ij->i", y2, y2)[None, :]
               - 2.0 * y1 @ y2.T)
         return self.amplitude * np.exp(-0.5 * np.maximum(sq, 0.0) / self.length**2)
-
-
-def matern52_d1(h, rho, sigma2):
-    """First derivative of ``kernels.matern52`` with respect to h (odd in h)."""
-    a = np.abs(h) / rho
-    return -sigma2 * h * (1.0 + a) * np.exp(-a) / (3.0 * rho**2)
 
 
 def matern52_d2(h, rho, sigma2):
@@ -325,6 +321,20 @@ def subset(dataset, n_sensors):
     return SensorDataset(positions=dataset.positions[:n_sensors],
                          times=dataset.times,
                          values=dataset.values[: n_sensors * dataset.n_times])
+
+
+def speed_central_difference(model, x, h=1e-4):
+    """(m(x, h) - m(x, -h)) / (2h) for the Kriging mean m of ``model``,
+    from the whole kernel's cross-covariance with the training points.
+
+    The position part of the kernel depends on |t| and cancels exactly;
+    the speed part is odd in t, so the error is O(h^2).
+    """
+    fac = model.factor
+    k_plus, k_minus = (model.kernel.pairwise(fac.x_active, fac.t_active, x,
+                                             np.full(len(x), t))
+                       for t in (h, -h))
+    return (k_plus - k_minus).T @ model.alpha / (2.0 * h)
 
 
 def rank_one(f, w, lam=None):

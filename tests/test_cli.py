@@ -1,4 +1,5 @@
-"""End-to-end command and CLI tests on a coarse configuration."""
+"""End-to-end command and CLI tests, on a coarse configuration unless a
+test says it runs at the production size."""
 
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_reference import subset
+from dense_reference import speed_central_difference, subset
 from waveinform import experiments
 from waveinform.cli import main
 from waveinform.experiments import (DEFAULT_SIM, ExperimentConfig, case_theta,
@@ -138,6 +139,32 @@ def test_reconstruct_outside_cone_exact_zero(coarse_config, simulated,
     pts = u_field.points()
     outside = np.linalg.norm(pts - theta.u.x0, axis=1) > theta.u.radius
     assert np.all(u_field.values[outside] == 0.0)
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_reconstructed_speed_at_production_size(case, tmp_path):
+    """The written v0 at the production config: all exact zeros without a
+    v component, exact zeros from R_v on, and the whole kernel's central
+    difference inside R_v, the ring's center node included (about 28.0 in
+    case 2)."""
+    cfg = ExperimentConfig(test_case=case, fit_n_mult=0)
+    _, dataset = cmd_simulate(cfg, str(tmp_path / "sim"))
+    theta = case_theta(case)
+    _, v_field, model = cmd_reconstruct(cfg, dataset, theta,
+                                        str(tmp_path / "rec"))
+    v0 = ScalarField3D.load(tmp_path / "rec" / "v0_recon").values
+    if theta.v is None:
+        assert np.all(v0 == 0.0)
+        return
+    pts = v_field.points()
+    r = np.linalg.norm(pts - theta.v.x0, axis=1)
+    inside = r < theta.v.radius
+    assert np.all(v0[~inside] == 0.0)
+    fd = speed_central_difference(model, pts[inside])
+    assert np.max(np.abs(v0[inside] - fd)) <= 1e-5 * np.max(np.abs(v0))
+    center = np.argmin(r)
+    assert r[center] < 1e-12
+    assert v0[center] == pytest.approx({2: 27.975, 3: 15.078}[case], abs=1e-3)
 
 
 def test_pointsource_scan_api(tmp_path):
@@ -473,6 +500,13 @@ def test_config_json_refuses_unknown_keys():
         ExperimentConfig.from_json(
             '{"sim": {"L": 1.0, "dx": 0.05, "dt": 0.01, "c": 0.5, "T": 1.0,'
             ' "dxx": 0.1}}')
+    # dt_v is a class constant, not a field: a config.json that names it,
+    # such as one written while v0 was a forward difference, is refused.
+    with pytest.raises(ValueError, match="unknown config keys: dt_v"):
+        ExperimentConfig.from_json('{"dt_v": 1e-7}')
+    with pytest.raises(TypeError, match="dt_v"):
+        ExperimentConfig(dt_v=1e-7)
+    assert "dt_v" not in ExperimentConfig().to_json()
 
 
 def test_config_json_fills_a_partial_sim_block():
@@ -489,7 +523,8 @@ def test_config_refuses_unknown_test_case():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("dx_grid", 0.0), ("dx_grid", -0.1), ("dt_v", 0.0), ("sample_rate", -1.0),
+    ("dx_grid", 0.0), ("dx_grid", -0.1), ("dx_grid", float("inf")),
+    ("sample_rate", -1.0),
     ("fit_tol", float("nan")), ("noise_sigma", -0.1), ("n_sensors", 0),
     ("fit_max_evals", 0), ("layout_restarts", 0), ("fit_n_mult", -1),
     ("sensor_bounds", (0.8, 0.2)), ("sensor_bounds", (0.2, float("inf"))),

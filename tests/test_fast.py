@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import dense_nll, light_cone_contains, r_infinity, rank_one
+from dense_reference import (dense_nll, light_cone_contains, r_infinity,
+                             rank_one, speed_central_difference)
 from waveinform import experiments, fast, gp
 from waveinform.fast import (detect_active, fast_nll, green_traces,
                              posterior_mean, posterior_var, regularized_green)
-from waveinform.kernels import HyperParams, SourceParams, WaveKernel
+from waveinform.kernels import (RADIUS_CLAMP, HyperParams, SourceParams,
+                                WaveKernel)
 from waveinform.linalg import assemble_covariance
 
 
@@ -186,7 +188,7 @@ def test_posterior_mean_matches_dense_cross(case):
     pts = experiments.reconstruction_grid(cfg).points()
     zero_t = np.zeros(len(pts))
     _assert_matches_dense(model, pts, zero_t)
-    assert np.any(_assert_matches_dense(model, pts, zero_t + cfg.dt_v))
+    assert np.any(_assert_matches_dense(model, pts, zero_t + 1e-7))
     # random queries, mixed signs of t, both zeros, repeated rows
     xq = rng.uniform(0, 1, (600, 3))
     tq = rng.uniform(-1.4, 1.4, 600)
@@ -194,6 +196,35 @@ def test_posterior_mean_matches_dense_cross(case):
     xq[100:150], tq[100:150] = xq[150:200], -tq[150:200]
     xq[200:250], tq[200:250] = xq[250:300], tq[250:300]
     assert np.any(_assert_matches_dense(model, xq, tq))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_posterior_speed_is_the_central_difference(case):
+    """v0 against the whole kernel's central difference at h = 1e-4, at
+    the center, below RADIUS_CLAMP, mid-shell and just inside and outside
+    R; an exact 0 from R on, and everywhere without a v component.  A
+    non-finite point is refused."""
+    rng = np.random.default_rng(50 + case)
+    params = experiments.case_theta(case)
+    x, t = _in_cone_points(rng, params, 40)
+    model = gp.fit_posterior(WaveKernel(params), x, t, rng.normal(size=40),
+                             params.lam)
+    src = params.v or params.u
+    radii = np.repeat([0.0, 0.5 * RADIUS_CLAMP, 0.5 * src.radius,
+                       src.radius - 1e-3, src.radius, src.radius + 1e-3], 5)
+    dirs = rng.normal(size=(radii.size, 3))
+    xq = src.x0 + radii[:, None] * dirs / np.linalg.norm(dirs, axis=1,
+                                                          keepdims=True)
+    v0 = fast.posterior_speed(model, xq)
+    r = np.linalg.norm(xq - src.x0, axis=1)
+    assert np.all(v0[r >= src.radius] == 0.0)
+    assert np.any(v0 != 0.0) == (params.v is not None)
+    # Within c h of R the clamp bends the difference quotient.
+    away = np.abs(r - src.radius) > params.c * 1e-4
+    fd = speed_central_difference(model, xq[away])
+    assert np.max(np.abs(v0[away] - fd)) <= 1e-5 * np.max(np.abs(v0))
+    with pytest.raises(ValueError, match="finite"):
+        fast.posterior_speed(model, [[0.3, np.nan, 0.7]])
 
 
 def test_rank_one_reference_value():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dense_reference import (SingularEvaluationError, four_term_kernel,
-                             four_term_radial, matern52_d1, matern52_d2,
+                             four_term_radial, matern52_d2,
                              stationary_ftft_density,
                              stationary_gaussian_wave)
 from waveinform import kernels
@@ -16,8 +16,8 @@ from waveinform.kernels import (CUTOFF_ALPHA, RADIUS_CLAMP, TIME_TOL,
                                 HyperParams, SourceParams, WaveKernel,
                                 _features,
                                 ku_wave_diag, ku_wave_radial, kv_wave_diag,
-                                kv_wave_radial, matern52, smooth_cutoff,
-                                wave_kernel, wave_kernel_diag)
+                                kv_wave_radial, matern52, matern52_d1,
+                                smooth_cutoff, wave_kernel, wave_kernel_diag)
 
 
 def random_source(rng, radius=None):
@@ -256,6 +256,20 @@ def test_hyperparams_validation():
         HyperParams(c=1.0, lam=-0.1)
 
 
+@pytest.mark.parametrize("cls, key, value", [
+    (HyperParams, "c", True), (HyperParams, "c", "x"),
+    (HyperParams, "lam", False), (HyperParams, "lam", "x"),
+    (SourceParams, "radius", True), (SourceParams, "radius", "x"),
+    (SourceParams, "rho", True), (SourceParams, "rho", "x"),
+    (SourceParams, "sigma2", True), (SourceParams, "sigma2", "x")])
+def test_params_refuse_a_bool_or_a_string(cls, key, value):
+    valid = {HyperParams: dict(c=0.5, lam=0.01),
+             SourceParams: dict(x0=[0.5] * 3, radius=0.2, rho=0.1,
+                                sigma2=1.0)}[cls]
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        cls(**{**valid, key: value})
+
+
 def _sign(t):
     return 0.0 if abs(t) < TIME_TOL else math.copysign(1.0, t)
 
@@ -385,8 +399,8 @@ def _live_term_batches(params, rng):
     mostly_zero = (at_zero[0], np.where(np.arange(20) < 4, 0.1, 0.0))
     random = rng.uniform(0.0, 1.0, (40, 3)), rng.uniform(-1.5, 1.5, 40)
     # At each center, r = 0 and r around RADIUS_CLAMP, at t = 0, within
-    # TIME_TOL of it, at +-1e-7 (the t = dt_v of the speed reconstruction)
-    # and at t = 0.5.
+    # TIME_TOL of it, at +-1e-7 (just off t = 0, where the in- and outgoing
+    # radii nearly coincide) and at t = 0.5.
     r, t = (a.ravel() for a in np.meshgrid(
         np.array([0.0, 0.3, 0.99, 1.0, 3.0]) * RADIUS_CLAMP,
         [0.0, 0.5 * TIME_TOL, -0.5 * TIME_TOL, 1e-7, -1e-7, 0.5]))

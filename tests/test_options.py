@@ -81,7 +81,6 @@ OPTIONS = [
     "experiments.ExperimentConfig.fit_max_evals",
     "experiments.ExperimentConfig.fit_tol",
     "experiments.ExperimentConfig.dx_grid",
-    "experiments.ExperimentConfig.dt_v",
     "experiments.cmd_fit(theta_true)",
     "experiments.cmd_verify(tamper_psd)",
     "fast.rank_one_objective(lam)",

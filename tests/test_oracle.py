@@ -7,13 +7,14 @@ import pytest
 
 from dense_reference import (NumericalBase, StationaryGaussianBase,
                              dense_ku_quadrature, dense_kv_quadrature,
-                             kirchhoff_eval, matern52_d1, matern52_d2,
+                             kirchhoff_eval, matern52_d2,
                              radial_matern, radial_matern_terms,
                              stationary_gaussian_wave)
 from waveinform import oracle
 from waveinform.fields import ScalarField3D
 from waveinform.kernels import (CUTOFF_ALPHA, HyperParams, SourceParams,
-                                ku_wave_radial, kv_wave_radial, matern52)
+                                ku_wave_radial, kv_wave_radial, matern52,
+                                matern52_d1)
 from waveinform.oracle import (MaternRadiusBase, MaternSquaredBase,
                                SphericalRule, dalembert_residuals,
                                is_smooth_point, ku_wave_quadrature,
