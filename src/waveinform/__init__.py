@@ -3,9 +3,9 @@
 from . import (design, experiments, fast, fields, gp, kernels, linalg, oracle,
                sim)
 from .exceptions import KernelEvaluationError, SingularCovarianceError
-from .fast import fast_nll, posterior_mean, posterior_var
+from .fast import (PosteriorModel, fast_nll, fit_posterior, posterior_mean,
+                   posterior_var)
 from .fields import ScalarField3D
-from .gp import PosteriorModel, fit_posterior
 from .kernels import (HyperParams, SourceParams, WaveKernel, matern52,
                       smooth_cutoff, wave_kernel, wave_kernel_diag)
 from .linalg import assemble_covariance

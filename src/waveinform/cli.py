@@ -142,15 +142,28 @@ def main(argv=None):
 
 
 def _load_history(directory):
+    """The round(T * sample_rate) snapshots that ``simulate`` wrote.  A
+    missing one, one past that count and one off the stored sim grid
+    (dims, dx, origin 0) are refused with ValueError naming the file."""
     stored = ExperimentConfig.load(os.path.join(directory, "config.json"))
-    prefix = os.path.join(directory, "snapshot_{:04d}")
+    sim, count = stored.sim, int(round(stored.sim.T * stored.sample_rate))
+    grid = ScalarField3D.zeros(np.zeros(3), sim.dx_eff, (sim.n_nodes,) * 3)
+    prefix = os.path.join(directory, "snapshot_{:04d}").format
+    if os.path.exists(prefix(count) + ".json"):
+        raise ValueError(f"{prefix(count)}.json is past the {count} "
+                         "snapshots of the stored T and sample_rate")
     snaps = []
-    while os.path.exists(prefix.format(len(snaps)) + ".json"):
-        snaps.append(ScalarField3D.load(prefix.format(len(snaps))).as_array())
-    if not snaps:
-        raise FileNotFoundError(f"no snapshots found in {directory}")
-    return FieldHistory(cfg=stored.sim,
-                        times=np.arange(len(snaps)) / stored.sample_rate,
+    for k in range(count):
+        if not os.path.exists(prefix(k) + ".json"):
+            raise ValueError(f"{prefix(k)}.json is missing; the stored T and "
+                             f"sample_rate give {count} snapshots")
+        field = ScalarField3D.load(prefix(k))
+        if not field.same_grid(grid):
+            raise ValueError(f"{prefix(k)}.json is on dims {field.dims}, dx "
+                             f"{field.dx!r}, origin {field.origin.tolist()}: "
+                             "not the stored sim grid")
+        snaps.append(field.as_array())
+    return FieldHistory(cfg=sim, times=np.arange(count) / stored.sample_rate,
                         snaps=np.stack(snaps))
 
 

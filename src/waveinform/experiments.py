@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import fast, gp
+from . import fast
 from .design import (HyperBox, lhs_design, multistart_fit, nll_objective,
                      write_trace_csv)
 from .fields import ScalarField3D, atomic_write_text, fmt17
@@ -353,7 +353,7 @@ def cmd_reconstruct(config: ExperimentConfig, dataset: SensorDataset,
     manifest = Manifest(outdir)
     kernel = WaveKernel(theta)
     x, t = dataset.points()
-    model = gp.fit_posterior(kernel, x, t, dataset.values, theta.lam)
+    model = fast.fit_posterior(kernel, x, t, dataset.values, theta.lam)
     grid = reconstruction_grid(config)
     pts = grid.points()
     u_field = grid.like(fast.posterior_mean(model, pts, np.zeros(len(pts))))

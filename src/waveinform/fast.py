@@ -6,11 +6,11 @@ diagonal entry.  Permuting the active (nonzero-diagonal) columns first puts
 the covariance in block form, so the Tikhonov-regularized inverse reduces to
 the active block plus a 1/lambda identity.  This module implements the
 active-set detection, the factorization of the active block that the
-likelihood and the posterior share, the reduced likelihood and Kriging
-formulas, and the rank-one point-source likelihood (Sherman-Morrison
-closed form and its small-lambda limit).
+likelihood and the posterior (``fit_posterior``, ``PosteriorModel``) share,
+the reduced likelihood and Kriging formulas, and the rank-one point-source
+likelihood (Sherman-Morrison closed form and its small-lambda limit).
 
-The likelihood, the factorization and the Kriging variance take any kernel
+The likelihood, the posterior and the Kriging variance take any kernel
 object with ``pairwise`` and ``diag``.  The Kriging mean takes a
 ``WaveKernel``: it is linear in the kernel, so it is taken one component
 at a time, and a component sees a query only through (|x - x0|, t) about
@@ -32,8 +32,8 @@ import numpy as np
 from .exceptions import SingularCovarianceError
 from .kernels import (RADIUS_CLAMP, _as_points, _features, _time_sign,
                       matern52_d1, smooth_cutoff)
-from .linalg import (assemble_covariance, chol_with_jitter, half_solve,
-                     logdet_from_chol)
+from .linalg import (assemble_covariance, chol_solve_vec, chol_with_jitter,
+                     half_solve, logdet_from_chol)
 
 # Query points per (n_active, chunk) cross-covariance block; the variance
 # block is smaller because its triangular solve is held next to it.
@@ -96,7 +96,7 @@ class ActiveFactor:
 def factor_active(kernel, x, t, y, lam):
     """Active set and Cholesky factor of K~ + lam I on the active block.
 
-    The step shared by ``fast_nll`` and ``gp.fit_posterior``.  Before the
+    The step shared by ``fast_nll`` and ``fit_posterior``.  Before the
     active set is detected, refuses a non-finite position or time, an
     observation vector whose length is not the point count, a non-finite
     observation, and a lam that is not finite and >= 0; before any
@@ -130,6 +130,33 @@ def factor_active(kernel, x, t, y, lam):
     return ActiveFactor(active_set=act, x_active=x_active, t_active=t_active,
                         y_active=y[act.active], y_inactive=y_inactive,
                         chol=chol, jitter=jitter)
+
+
+@dataclass(frozen=True)
+class PosteriorModel:
+    """Zero-mean GP posterior in reduced (active-set) form: the active-block
+    ``factor`` it was conditioned on, and alpha, which solves
+    (K~ + lam I) alpha = y_a for the observations y_a at the active points.
+    """
+
+    kernel: object
+    factor: ActiveFactor
+    alpha: np.ndarray
+
+    @property
+    def active_count(self):
+        return self.factor.active_set.p
+
+
+def fit_posterior(kernel, x, t, y, lam):
+    """Condition a zero-mean GP prior on observations through
+    ``factor_active``, whose refusals and jitter log apply; a rescue's jitter
+    stays in ``factor.jitter``.  With lam = 0 the observations at inactive
+    points must be 0: a prior with zero variance there cannot explain them.
+    """
+    fac = factor_active(kernel, x, t, y, lam)
+    return PosteriorModel(kernel=kernel, factor=fac,
+                          alpha=chol_solve_vec(fac.chol, fac.y_active))
 
 
 def fast_nll(kernel, x, t, y, lam):

@@ -115,10 +115,13 @@ class SourceParams:
     sigma2: float
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float).reshape(3)
-        object.__setattr__(self, "x0", x0)
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("source center must be finite")
+        # As objects, so a bool or a string is seen before numpy converts it.
+        x0 = np.asarray(self.x0, dtype=object).reshape(-1)
+        if not (x0.size == 3 and all(map(_is_number, x0))
+                and np.isfinite(x0.astype(float)).all()):
+            raise ValueError(f"x0 must be three finite numbers, got "
+                             f"{self.x0!r}")
+        object.__setattr__(self, "x0", x0.astype(float))
         if not (_is_number(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be > 0, got {self.radius!r}")
         if not (_is_number(self.rho) and 0.0 < self.rho < np.inf):
@@ -147,12 +150,8 @@ class HyperParams:
 
     @property
     def components(self):
-        names = []
-        if self.u is not None:
-            names.append("u")
-        if self.v is not None:
-            names.append("v")
-        return tuple(names)
+        return tuple(name for name in ("u", "v")
+                     if getattr(self, name) is not None)
 
     def to_vector(self):
         """Flat encoding: [x0, R, rho, sigma2] per enabled component, then c, lam."""
@@ -321,26 +320,26 @@ def _radial_diag(comp, src, c, r, t):
     return ((src.sigma2 * w + m * w[::-1]) * w).sum(axis=0)
 
 
-def _radii(x, src):
-    return np.linalg.norm(x - src.x0, axis=1)
-
-
-def _kernel(c, parts, x1, t1, x2, t2):
-    """Sum of the (component, source) parts, pairwise."""
+def wave_kernel(x1, t1, x2, t2, params: HyperParams):
+    """Full space-time wave kernel: sum of the enabled u and v components."""
     x1, t1 = _as_points(x1, t1)
     x2, t2 = _as_points(x2, t2)
     out = np.zeros((t1.size, t2.size))
-    for comp, src in parts:
-        out += _radial(comp, src, c, _radii(x1, src), t1, _radii(x2, src), t2)
+    for comp in params.components:
+        src = getattr(params, comp)
+        r1, r2 = (np.linalg.norm(x - src.x0, axis=1) for x in (x1, x2))
+        out += _radial(comp, src, params.c, r1, t1, r2, t2)
     return out
 
 
-def _kernel_diag(c, parts, x, t):
-    """Sum of the (component, source) parts' diagonals."""
+def wave_kernel_diag(x, t, params: HyperParams):
+    """Diagonal of :func:`wave_kernel`; exact zeros outside both light cones."""
     x, t = _as_points(x, t)
     out = np.zeros(t.shape)
-    for comp, src in parts:
-        out += _radial_diag(comp, src, c, _radii(x, src), t)
+    for comp in params.components:
+        src = getattr(params, comp)
+        r = np.linalg.norm(x - src.x0, axis=1)
+        out += _radial_diag(comp, src, params.c, r, t)
     return out
 
 
@@ -350,12 +349,12 @@ def kv_wave_radial(x1, t1, x2, t2, c, src):
     sgn(t t') / (16 c^2 r r') * sum_{eps,eps'} eps eps' m52(a_eps - a'_eps')
     with a_eps = min((r + eps c|t|)^2, R^2).  Exact 0 outside the light cone.
     """
-    return _kernel(c, [("v", src)], x1, t1, x2, t2)
+    return wave_kernel(x1, t1, x2, t2, HyperParams(c=c, v=src))
 
 
 def kv_wave_diag(x, t, c, src):
     """Diagonal kv_wave_radial(z, z); exact zeros outside the light cone."""
-    return _kernel_diag(c, [("v", src)], x, t)
+    return wave_kernel_diag(x, t, HyperParams(c=c, v=src))
 
 
 def ku_wave_radial(x1, t1, x2, t2, c, src):
@@ -365,26 +364,12 @@ def ku_wave_radial(x1, t1, x2, t2, c, src):
     m52(|b_eps| - |b'_eps'|) with b_eps = r + eps c|t|: a plain radial
     Matern prior on u0 cut off by phi.
     """
-    return _kernel(c, [("u", src)], x1, t1, x2, t2)
+    return wave_kernel(x1, t1, x2, t2, HyperParams(c=c, u=src))
 
 
 def ku_wave_diag(x, t, c, src):
     """Diagonal ku_wave_radial(z, z)."""
-    return _kernel_diag(c, [("u", src)], x, t)
-
-
-def _parts(params):
-    return [(name, getattr(params, name)) for name in params.components]
-
-
-def wave_kernel(x1, t1, x2, t2, params: HyperParams):
-    """Full space-time wave kernel: sum of the enabled u and v components."""
-    return _kernel(params.c, _parts(params), x1, t1, x2, t2)
-
-
-def wave_kernel_diag(x, t, params: HyperParams):
-    """Diagonal of :func:`wave_kernel`; exact zeros outside both light cones."""
-    return _kernel_diag(params.c, _parts(params), x, t)
+    return wave_kernel_diag(x, t, HyperParams(c=c, u=src))
 
 
 class WaveKernel:

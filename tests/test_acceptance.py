@@ -15,7 +15,7 @@ import pytest
 
 from dense_reference import (kirchhoff_trace, r_infinity, rank_one,
                              stationary_ftft_density, subset)
-from waveinform import fast, gp
+from waveinform import fast
 from waveinform.design import multistart_fit, nll_objective
 from waveinform.experiments import (ExperimentConfig, case_ics, case_theta,
                                     cmd_errors, cmd_fit, cmd_reconstruct,
@@ -50,7 +50,7 @@ def case1():
     dataset = add_noise(clean, cfg.noise_sigma, cfg.noise_seed)
     theta = case_theta(1)
     x, t = dataset.points()
-    model = gp.fit_posterior(WaveKernel(theta), x, t, dataset.values,
+    model = fast.fit_posterior(WaveKernel(theta), x, t, dataset.values,
                              theta.lam)
     return cfg, dataset, theta, model
 
@@ -147,7 +147,7 @@ def test_criterion_02_fast_path_exactness():
                      + np.linalg.slogdet(dense_k)[1])
         fast_nll_val = fast.fast_nll(kern, x, t, y, lam)
         worst = max(worst, abs(fast_nll_val - dense_nll) / abs(dense_nll))
-        model = gp.fit_posterior(kern, x, t, y, lam)
+        model = fast.fit_posterior(kern, x, t, y, lam)
         xq = rng.uniform(0, 1, (12, 3))
         tq = rng.uniform(0, 1.5, 12)
         mean = fast.posterior_mean(model, xq, tq)

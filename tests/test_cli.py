@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -238,6 +239,46 @@ def test_cli_end_to_end(tmp_path):
     assert a == b
 
 
+def _history_copy(simulated, tmp_path):
+    history = tmp_path / "history"
+    shutil.copytree(simulated[0], history)
+    return history
+
+
+def _sample_refused(history, tmp_path, match):
+    out = tmp_path / "resample"
+    with pytest.raises(ValueError, match=match):
+        main(["sample", "--config", str(history / "config.json"),
+              "--history", str(history), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_sample_refuses_a_missing_snapshot(simulated, tmp_path):
+    history = _history_copy(simulated, tmp_path)
+    (history / "snapshot_0010.json").unlink()
+    _sample_refused(history, tmp_path, "snapshot_0010.json is missing")
+
+
+def test_sample_refuses_a_snapshot_past_the_count(simulated, tmp_path):
+    # T = 1 at 20 snapshots per unit time: snapshot_0000 .. snapshot_0019.
+    history = _history_copy(simulated, tmp_path)
+    for ext in (".json", ".bin"):
+        shutil.copy(history / f"snapshot_0019{ext}",
+                    history / f"snapshot_0020{ext}")
+    _sample_refused(history, tmp_path, "snapshot_0020.json is past the 20")
+
+
+@pytest.mark.parametrize("dx", [0.1, 0.0625])
+def test_sample_refuses_snapshots_off_the_stored_grid(simulated, tmp_path,
+                                                       dx):
+    history = _history_copy(simulated, tmp_path)
+    blob = json.loads((history / "config.json").read_text())
+    blob["sim"]["dx"] = dx
+    (history / "config.json").write_text(json.dumps(blob))
+    _sample_refused(history, tmp_path,
+                    "snapshot_0000.json is on dims \\(13, 13, 13\\)")
+
+
 def test_config_json_roundtrip():
     cfg = ExperimentConfig(test_case=2, sim=COARSE_SIM, n_sensors=7,
                            noise_sigma=0.01)
@@ -323,7 +364,7 @@ def test_reconstruction_at_sensors_consistency():
     # Out-of-model data cannot be interpolated past the covariance
     # conditioning floor (~2e-4 here), so the draw comes from the prior.
     from waveinform.kernels import WaveKernel
-    from waveinform import fast, gp
+    from waveinform import fast
     from waveinform.linalg import assemble_covariance
 
     rng = np.random.default_rng(9)
@@ -338,7 +379,7 @@ def test_reconstruction_at_sensors_consistency():
     chol = np.linalg.cholesky(kmat + 1e-12 * np.eye(active.sum()))
     y = np.zeros(len(t))
     y[active] = chol @ rng.standard_normal(active.sum())
-    model = gp.fit_posterior(kern, x, t, y, 1e-10)
+    model = fast.fit_posterior(kern, x, t, y, 1e-10)
     fitted = fast.posterior_mean(model, x, t)
     assert np.abs(fitted - y).max() <= 1e-4 * np.abs(y).max()
 
@@ -599,12 +640,12 @@ def test_log_level_filters_package_warnings(tmp_path, capsys, level, shown):
     try:
         assert main(argv) == 0
         capsys.readouterr()
-        logging.getLogger("waveinform.gp").warning("jitter probe")
+        logging.getLogger("waveinform.fast").warning("jitter probe")
         err = capsys.readouterr().err
     finally:
         root.handlers[:] = saved[0]
         package.setLevel(saved[1])
-    assert ("WARNING waveinform.gp: jitter probe" in err) is shown
+    assert ("WARNING waveinform.fast: jitter probe" in err) is shown
 
 
 def test_log_level_refuses_unknown_level(capsys):

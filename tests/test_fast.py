@@ -7,7 +7,7 @@ import pytest
 
 from dense_reference import (dense_nll, light_cone_contains, r_infinity,
                              rank_one, speed_central_difference)
-from waveinform import experiments, fast, gp
+from waveinform import experiments, fast
 from waveinform.fast import (detect_active, fast_nll, green_traces,
                              posterior_mean, posterior_var, regularized_green)
 from waveinform.kernels import (RADIUS_CLAMP, HyperParams, SourceParams,
@@ -108,7 +108,7 @@ def test_fast_predict_matches_dense():
     rng = np.random.default_rng(4)
     kern, x, t, y = random_instance(rng, 25)
     lam = 1e-4
-    model = gp.fit_posterior(kern, x, t, y, lam)
+    model = fast.fit_posterior(kern, x, t, y, lam)
     xq = rng.uniform(0, 1, (30, 3))
     tq = rng.uniform(0, 1.5, 30)
     mean, var = posterior_mean(model, xq, tq), posterior_var(model, xq, tq)
@@ -133,7 +133,7 @@ def test_fast_predict_prunes_kernel_calls():
         if light_cone_contains(params, [xc], [tc])[0]:
             x.append(xc)
             t.append(tc)
-    model = gp.fit_posterior(kern, np.array(x), np.array(t),
+    model = fast.fit_posterior(kern, np.array(x), np.array(t),
                              rng.normal(size=10), 1e-6)
     # query grid mostly outside the light cone at t = 0; its first 100
     # points are queried twice
@@ -181,7 +181,7 @@ def test_posterior_mean_matches_dense_cross(case):
     rng = np.random.default_rng(40 + case)
     params = experiments.case_theta(case)
     x, t = _in_cone_points(rng, params, 40)
-    model = gp.fit_posterior(WaveKernel(params), x, t, rng.normal(size=40),
+    model = fast.fit_posterior(WaveKernel(params), x, t, rng.normal(size=40),
                              params.lam)
     # 0.05 spacing puts both source centers on nodes, so radii tie
     cfg = experiments.ExperimentConfig(test_case=case, dx_grid=0.05)
@@ -207,7 +207,7 @@ def test_posterior_speed_is_the_central_difference(case):
     rng = np.random.default_rng(50 + case)
     params = experiments.case_theta(case)
     x, t = _in_cone_points(rng, params, 40)
-    model = gp.fit_posterior(WaveKernel(params), x, t, rng.normal(size=40),
+    model = fast.fit_posterior(WaveKernel(params), x, t, rng.normal(size=40),
                              params.lam)
     src = params.v or params.u
     radii = np.repeat([0.0, 0.5 * RADIUS_CLAMP, 0.5 * src.radius,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dense_reference import FunctionKernel, dense_nll, light_cone_contains
-from waveinform import fast, gp
+from waveinform import fast
 from waveinform.exceptions import KernelEvaluationError, SingularCovarianceError
 from waveinform.experiments import case_theta
 from waveinform.kernels import HyperParams, SourceParams, WaveKernel, matern52
@@ -177,14 +177,14 @@ def test_posterior_and_likelihood_refuse_nonfinite_covariance():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0 if t1 == t2 else np.nan)
     x, t, y = np.zeros((2, 3)), [0.0, 1.0], [1.0, 2.0]
     with pytest.raises(KernelEvaluationError, match="points 0 and 1"):
-        gp.fit_posterior(kern, x, t, y, 1e-3)
+        fast.fit_posterior(kern, x, t, y, 1e-3)
     with pytest.raises(KernelEvaluationError, match="points 0 and 1"):
         fast.fast_nll(kern, x, t, y, 1e-3)
 
 
 def test_fit_single_point_scalar():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0)
-    model = gp.fit_posterior(kern, np.zeros((1, 3)), [0.0], [2.0], 0.0)
+    model = fast.fit_posterior(kern, np.zeros((1, 3)), [0.0], [2.0], 0.0)
     assert model.alpha == pytest.approx([2.0])
 
 
@@ -194,7 +194,7 @@ def test_interpolation_at_lam_zero():
     kern = WaveKernel(params)
     x, t = draw_conditioned(rng, params, kern, 6)
     y = rng.normal(size=6)
-    model = gp.fit_posterior(kern, x, t, y, 0.0)
+    model = fast.fit_posterior(kern, x, t, y, 0.0)
     mean = fast.posterior_mean(model, x, t)
     assert np.abs(mean - y).max() <= 1e-6 * np.abs(y).max()
 
@@ -205,7 +205,7 @@ def test_alpha_matches_dense_solve():
     kern = WaveKernel(params)
     x, t = draw_conditioned(rng, params, kern, 5)
     y = rng.normal(size=5)
-    model = gp.fit_posterior(kern, x, t, y, 0.0)
+    model = fast.fit_posterior(kern, x, t, y, 0.0)
     alpha_dense = dense_solve(kern, x, t, y, 0.0)
     assert np.allclose(model.alpha, alpha_dense, rtol=1e-10)
 
@@ -217,9 +217,9 @@ def test_fit_lam_zero_rejects_unexplainable_data():
     t = np.array([0.1, 0.01])  # second point is outside every cone
     assert kern.diag(x, t)[1] == 0.0
     with pytest.raises(SingularCovarianceError):
-        gp.fit_posterior(kern, x, t, [1.0, 0.5], 0.0)
+        fast.fit_posterior(kern, x, t, [1.0, 0.5], 0.0)
     # zero observation outside the support is fine
-    model = gp.fit_posterior(kern, x, t, [1.0, 0.0], 0.0)
+    model = fast.fit_posterior(kern, x, t, [1.0, 0.0], 0.0)
     assert model.active_count == 1
 
 
@@ -228,7 +228,7 @@ def test_predict_mean_outside_cone_is_zero():
     params = truncated_params()
     kern = WaveKernel(params)
     x, t = draw_points(rng, params, 5)
-    model = gp.fit_posterior(kern, x, t, rng.normal(size=5), 1e-6)
+    model = fast.fit_posterior(kern, x, t, rng.normal(size=5), 1e-6)
     xq = np.array([[0.99, 0.99, 0.99]])
     tq = np.array([0.02])
     assert kern.diag(xq, tq)[0] == 0.0
@@ -243,7 +243,7 @@ def test_predict_matches_dense_oracle():
     x, t = draw_points(rng, params, 8)
     y = rng.normal(size=8)
     lam = 1e-4
-    model = gp.fit_posterior(kern, x, t, y, lam)
+    model = fast.fit_posterior(kern, x, t, y, lam)
     xq, tq = draw_points(rng, params, 6, active=False)
     mean = fast.posterior_mean(model, xq, tq)
     var = fast.posterior_var(model, xq, tq)
@@ -261,14 +261,14 @@ def test_variance_bounds():
     params = truncated_params()
     kern = WaveKernel(params)
     x, t = draw_conditioned(rng, params, kern, 8)
-    model = gp.fit_posterior(kern, x, t, rng.normal(size=8), 1e-5)
+    model = fast.fit_posterior(kern, x, t, rng.normal(size=8), 1e-5)
     xq, tq = draw_points(rng, params, 40, active=False)
     var = fast.posterior_var(model, xq, tq)
     prior = kern.diag(xq, tq)
     assert np.all(var >= 0.0)
     assert np.all(var <= prior + 1e-10)
     # training variance vanishes for noiseless conditioning
-    model0 = gp.fit_posterior(kern, x, t, rng.normal(size=8), 0.0)
+    model0 = fast.fit_posterior(kern, x, t, rng.normal(size=8), 0.0)
     assert np.abs(fast.posterior_var(model0, x, t)).max() <= 1e-8
 
 
@@ -317,7 +317,7 @@ def test_jitter_ladder_exhaustion():
 
     kern = FunctionKernel(indefinite)
     with pytest.raises(SingularCovarianceError, match="jitters"):
-        gp.fit_posterior(kern, np.zeros((3, 3)), [0.0, 1.0, 2.0],
+        fast.fit_posterior(kern, np.zeros((3, 3)), [0.0, 1.0, 2.0],
                          [1.0, 2.0, 3.0], 0.0)
 
 
@@ -330,7 +330,7 @@ def test_jitter_rescue_is_logged(caplog):
     kern = FunctionKernel(slightly_indefinite)
     x, t, y = np.zeros((3, 3)), [0.0, 1.0, 2.0], [1.0, 2.0, 3.0]
     with caplog.at_level("WARNING", logger="waveinform"):
-        model = gp.fit_posterior(kern, x, t, y, 1e-12)
+        model = fast.fit_posterior(kern, x, t, y, 1e-12)
         fast.fast_nll(kern, x, t, y, 1e-12)
     assert model.factor.jitter > 0.0
     assert len(caplog.records) == 2
@@ -340,7 +340,7 @@ def test_jitter_rescue_is_logged(caplog):
         assert record.args == (3, 3, model.factor.jitter)
 
 
-@pytest.mark.parametrize("fit", [fast.fast_nll, gp.fit_posterior])
+@pytest.mark.parametrize("fit", [fast.fast_nll, fast.fit_posterior])
 @pytest.mark.parametrize("n_obs", [5, 7])
 def test_observation_length_must_match_point_count(fit, n_obs):
     kern = WaveKernel(case_theta(1))
@@ -350,7 +350,7 @@ def test_observation_length_must_match_point_count(fit, n_obs):
         fit(kern, x, t, rng.normal(size=n_obs), case_theta(1).lam)
 
 
-@pytest.mark.parametrize("fit", [fast.fast_nll, gp.fit_posterior])
+@pytest.mark.parametrize("fit", [fast.fast_nll, fast.fit_posterior])
 @pytest.mark.parametrize("nan_at, lam, match", [
     (3, 0.01, "observations must be finite"),
     (0, 0.01, "observations must be finite"),
@@ -371,7 +371,7 @@ def test_non_finite_input_is_refused_before_detection(fit, nan_at, lam,
     assert kern.eval_count == 0
 
 
-@pytest.mark.parametrize("fit", [fast.fast_nll, gp.fit_posterior])
+@pytest.mark.parametrize("fit", [fast.fast_nll, fast.fit_posterior])
 @pytest.mark.parametrize("where, value", [
     ("x", np.nan), ("x", np.inf), ("t", np.nan), ("t", np.inf)])
 def test_non_finite_point_is_refused_before_detection(fit, where, value):
@@ -394,7 +394,7 @@ def test_non_finite_query_is_refused(predict, where, value):
     params = case_theta(3)
     rng = np.random.default_rng(10)
     x, t = draw_points(rng, params, 6)
-    model = gp.fit_posterior(WaveKernel(params), x, t, rng.normal(size=6),
+    model = fast.fit_posterior(WaveKernel(params), x, t, rng.normal(size=6),
                              params.lam)
     xq, tq = x[:3].copy(), t[:3].copy()
     if where == "x":
@@ -407,6 +407,7 @@ def test_non_finite_query_is_refused(predict, where, value):
 
 def test_posterior_model_is_frozen():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0 if t1 == t2 else 0.0)
-    model = gp.fit_posterior(kern, np.zeros((2, 3)), [0.0, 1.0], [1.0, 2.0], 0.0)
+    model = fast.fit_posterior(kern, np.zeros((2, 3)), [0.0, 1.0], [1.0, 2.0],
+                               0.0)
     with pytest.raises(Exception):
         model.lam = 1.0

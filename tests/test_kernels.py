@@ -261,7 +261,9 @@ def test_hyperparams_validation():
     (HyperParams, "lam", False), (HyperParams, "lam", "x"),
     (SourceParams, "radius", True), (SourceParams, "radius", "x"),
     (SourceParams, "rho", True), (SourceParams, "rho", "x"),
-    (SourceParams, "sigma2", True), (SourceParams, "sigma2", "x")])
+    (SourceParams, "sigma2", True), (SourceParams, "sigma2", "x"),
+    (SourceParams, "x0", [True, 0, 0]), (SourceParams, "x0", [0.1, 0.2]),
+    (SourceParams, "x0", ["a", 0, 0])])
 def test_params_refuse_a_bool_or_a_string(cls, key, value):
     valid = {HyperParams: dict(c=0.5, lam=0.01),
              SourceParams: dict(x0=[0.5] * 3, radius=0.2, rho=0.1,

@@ -10,12 +10,18 @@ An uncalled public name is a module-level function, class or constant of
 of ``perfbench/`` references.  Such a name serves only the tests, so it
 belongs in ``tests/dense_reference.py`` unless ``UNCALLED`` gives the
 reason it stays.
+
+Every name that ``perfbench/tracing.py`` instruments must resolve, and
+``gp``, kept only for those names, must alias the package's own objects.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import waveinform
+from waveinform import fast, gp, linalg
 
 PACKAGE = Path(waveinform.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -141,3 +147,28 @@ def uncalled_public_names():
 
 def test_public_names_have_a_caller():
     assert uncalled_public_names() == sorted(UNCALLED)
+
+
+def _tracing():
+    """``perfbench/tracing.py``, loaded by path (it imports no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    for module_name, attr, _, _ in _tracing().INSTRUMENTED:
+        owner = importlib.import_module(f"waveinform.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr}"
+
+
+def test_gp_only_aliases_the_traced_names():
+    assert gp.fit_posterior is fast.fit_posterior
+    assert gp.assemble_covariance is linalg.assemble_covariance
+    assert gp.chol_with_jitter is linalg.chol_with_jitter
+    assert {name for name in vars(gp) if not name.startswith("_")} == {
+        "fit_posterior", "assemble_covariance", "chol_with_jitter"}
