@@ -18,7 +18,7 @@ import numpy as np
 from . import fast
 from .design import (HyperBox, lhs_design, multistart_fit, nll_objective,
                      write_trace_csv)
-from .fields import ScalarField3D, atomic_write_text, fmt17
+from .fields import ScalarField3D, _is_number, atomic_write_text, fmt17
 from .kernels import (HyperParams, SourceParams, WaveKernel, ku_wave_radial,
                       kv_wave_radial)
 from .linalg import assemble_covariance
@@ -27,8 +27,7 @@ from .oracle import (LP_STABILITY_TOL, MaternRadiusBase, MaternSquaredBase,
                      kv_wave_quadrature, ku_wave_quadrature,
                      lp_relative_error, lp_stability_check)
 from .sim import (ZERO_IC, FieldHistory, InitialCondition, SensorDataset,
-                  SimConfig, _is_number, add_noise, run_simulation,
-                  sample_sensors)
+                  SimConfig, add_noise, run_simulation, sample_sensors)
 
 DEFAULT_SIM = SimConfig(L=1.0, dx=0.043, dt=1.0 / 200.0, c=0.5, T=1.5)
 

@@ -5,10 +5,11 @@ zero; a necessary and sufficient condition for column j to vanish is a zero
 diagonal entry.  Permuting the active (nonzero-diagonal) columns first puts
 the covariance in block form, so the Tikhonov-regularized inverse reduces to
 the active block plus a 1/lambda identity.  This module implements the
-active-set detection, the factorization of the active block that the
-likelihood and the posterior (``fit_posterior``, ``PosteriorModel``) share,
-the reduced likelihood and Kriging formulas, and the rank-one point-source
-likelihood (Sherman-Morrison closed form and its small-lambda limit).
+active-set detection, the one conditioning step (``fit_posterior``) whose
+record (``PosteriorModel``: the active block's data and Cholesky factor,
+alpha solved on first read) the reduced likelihood and the Kriging formulas
+both read, and the rank-one point-source likelihood (Sherman-Morrison
+closed form and its small-lambda limit).
 
 The likelihood, the posterior and the Kriging variance take any kernel
 object with ``pairwise`` and ``diag``.  The Kriging mean takes a
@@ -25,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -77,13 +78,17 @@ def detect_active(kernel, x, t):
 
 
 @dataclass(frozen=True)
-class ActiveFactor:
-    """K~ + lam I factored on the active points; the data split by activity.
+class PosteriorModel:
+    """Zero-mean GP prior conditioned on observations, in reduced
+    (active-set) form.
 
-    ``chol`` is the lower Cholesky factor of the active block (0 x 0 when
-    p = 0) and ``jitter`` what its rescue added to the diagonal.
+    ``chol`` is the lower Cholesky factor of K~ + lam I on the active block
+    (0 x 0 when p = 0) and ``jitter`` what its rescue added to the diagonal.
+    ``alpha`` solves (K~ + lam I) alpha = y_active; it is solved on first
+    read, so the likelihood never pays for it.
     """
 
+    kernel: object
     active_set: ActiveSet
     x_active: np.ndarray
     t_active: np.ndarray
@@ -92,16 +97,24 @@ class ActiveFactor:
     chol: np.ndarray
     jitter: float
 
+    @property
+    def active_count(self):
+        return self.active_set.p
 
-def factor_active(kernel, x, t, y, lam):
-    """Active set and Cholesky factor of K~ + lam I on the active block.
+    @cached_property
+    def alpha(self):
+        return chol_solve_vec(self.chol, self.y_active)
 
-    The step shared by ``fast_nll`` and ``fit_posterior``.  Before the
-    active set is detected, refuses a non-finite position or time, an
-    observation vector whose length is not the point count, a non-finite
-    observation, and a lam that is not finite and >= 0; before any
-    covariance is assembled, lam = 0 with nonzero observations outside the
-    support (the reduced form has no variance to explain them).  A
+
+def fit_posterior(kernel, x, t, y, lam):
+    """Condition a zero-mean GP prior on observations: the active set and
+    the Cholesky factor of K~ + lam I on the active block.
+
+    Before the active set is detected, refuses a non-finite position or
+    time, an observation vector whose length is not the point count, a
+    non-finite observation, and a lam that is not finite and >= 0; before
+    any covariance is assembled, lam = 0 with nonzero observations outside
+    the support (a prior with zero variance there cannot explain them).  A
     non-finite covariance entry raises KernelEvaluationError.  A Cholesky
     that needs jitter is logged at WARNING with p and the jitter.
     """
@@ -127,36 +140,9 @@ def factor_active(kernel, x, t, y, lam):
         if jitter > 0.0:
             _log.warning("Cholesky of the %d x %d active block needed "
                          "jitter %.3g", act.p, act.p, jitter)
-    return ActiveFactor(active_set=act, x_active=x_active, t_active=t_active,
-                        y_active=y[act.active], y_inactive=y_inactive,
-                        chol=chol, jitter=jitter)
-
-
-@dataclass(frozen=True)
-class PosteriorModel:
-    """Zero-mean GP posterior in reduced (active-set) form: the active-block
-    ``factor`` it was conditioned on, and alpha, which solves
-    (K~ + lam I) alpha = y_a for the observations y_a at the active points.
-    """
-
-    kernel: object
-    factor: ActiveFactor
-    alpha: np.ndarray
-
-    @property
-    def active_count(self):
-        return self.factor.active_set.p
-
-
-def fit_posterior(kernel, x, t, y, lam):
-    """Condition a zero-mean GP prior on observations through
-    ``factor_active``, whose refusals and jitter log apply; a rescue's jitter
-    stays in ``factor.jitter``.  With lam = 0 the observations at inactive
-    points must be 0: a prior with zero variance there cannot explain them.
-    """
-    fac = factor_active(kernel, x, t, y, lam)
-    return PosteriorModel(kernel=kernel, factor=fac,
-                          alpha=chol_solve_vec(fac.chol, fac.y_active))
+    return PosteriorModel(kernel=kernel, active_set=act, x_active=x_active,
+                          t_active=t_active, y_active=y[act.active],
+                          y_inactive=y_inactive, chol=chol, jitter=jitter)
 
 
 def fast_nll(kernel, x, t, y, lam):
@@ -164,18 +150,18 @@ def fast_nll(kernel, x, t, y, lam):
 
     y_a^T (K~ + lam I)^{-1} y_a + |y_i|^2 / lam + log det(K~ + lam I)
     + q log lam, with y_a and y_i the observations at the active and the
-    inactive points.  Exactly equal to the dense formula.
-    Refusals, errors and the jitter log are those of ``factor_active``; a
-    rescued value is the likelihood of K~ + (lam + jitter) I on the active
-    block.
+    inactive points, read off ``fit_posterior``'s record without solving
+    for alpha.  Exactly equal to the dense formula.  Refusals, errors and
+    the jitter log are those of ``fit_posterior``; a rescued value is the
+    likelihood of K~ + (lam + jitter) I on the active block.
     """
     if not lam > 0.0:
         raise ValueError("fast_nll requires lam > 0")
-    fac = factor_active(kernel, x, t, y, lam)
-    v = half_solve(fac.chol, fac.y_active)
-    return (float(fac.y_inactive @ fac.y_inactive) / lam
-            + fac.active_set.q * math.log(lam)
-            + (float(v @ v) + logdet_from_chol(fac.chol)))
+    model = fit_posterior(kernel, x, t, y, lam)
+    v = half_solve(model.chol, model.y_active)
+    return (float(model.y_inactive @ model.y_inactive) / lam
+            + model.active_set.q * math.log(lam)
+            + (float(v @ v) + logdet_from_chol(model.chol)))
 
 
 def _distinct_rows(key):
@@ -199,10 +185,7 @@ def posterior_mean(model, x, t):
     exact 0.  A non-finite query point is refused with ValueError.
     """
     x, t = _as_points(x, t)
-    out = np.zeros(t.shape)
-    if model.active_count == 0:
-        return out
-    kernel, fac = model.kernel, model.factor
+    kernel, out = model.kernel, np.zeros(t.shape)
     for comp in kernel.params.components:
         x0 = getattr(kernel.params, comp).x0
         key = np.column_stack([np.linalg.norm(x - x0, axis=1), t])
@@ -210,10 +193,10 @@ def posterior_mean(model, x, t):
         r, tk = key[first, 0], key[first, 1]
         g = np.zeros(first.size)
         live = np.flatnonzero(kernel.radial_diag(comp, r, tk) > 0.0)
-        r_in = np.linalg.norm(fac.x_active - x0, axis=1)
+        r_in = np.linalg.norm(model.x_active - x0, axis=1)
         for lo in range(0, live.size, MEAN_CHUNK):
             sel = live[lo: lo + MEAN_CHUNK]
-            cross = kernel.radial(comp, r_in, fac.t_active, r[sel], tk[sel])
+            cross = kernel.radial(comp, r_in, model.t_active, r[sel], tk[sel])
             g[sel] = cross.T @ model.alpha
         out += g[inverse]
     return out
@@ -227,11 +210,11 @@ def posterior_speed(model, x):
     where the R_v^2 clamp holds both radii.  A non-finite x: ValueError.
     """
     x, _ = _as_points(x, np.zeros(np.size(x) // 3))
-    src, fac, out = model.kernel.params.v, model.factor, np.zeros(len(x))
+    src, out = model.kernel.params.v, np.zeros(len(x))
     if src is None:
         return out
-    w, s = _features("v", np.linalg.norm(fac.x_active - src.x0, axis=1),
-                     fac.t_active, model.kernel.params.c, src)
+    w, s = _features("v", np.linalg.norm(model.x_active - src.x0, axis=1),
+                     model.t_active, model.kernel.params.c, src)
     coef, s = (w * model.alpha).ravel(), s.ravel()
     r = np.linalg.norm(x - src.x0, axis=1)
     inside = r < src.radius
@@ -252,15 +235,12 @@ def posterior_var(model, x, t):
     x, t = _as_points(x, t)
     prior = np.asarray(model.kernel.diag(x, t), dtype=float)
     out = prior.copy()
-    if model.active_count == 0:
-        return np.maximum(out, 0.0)
     live = np.flatnonzero(prior > 0.0)
-    fac = model.factor
     for lo in range(0, live.size, VAR_CHUNK):
         sel = live[lo: lo + VAR_CHUNK]
-        cross = model.kernel.pairwise(fac.x_active, fac.t_active, x[sel],
+        cross = model.kernel.pairwise(model.x_active, model.t_active, x[sel],
                                       t[sel])
-        v = half_solve(fac.chol, cross)
+        v = half_solve(model.chol, cross)
         out[sel] = prior[sel] - np.einsum("ij,ij->j", v, v)
     return np.maximum(out, 0.0)
 

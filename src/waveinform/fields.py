@@ -8,11 +8,18 @@ volume dx^3.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _is_number(value):
+    """A Python or numpy real number; a bool is not one."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -51,11 +58,15 @@ class ScalarField3D:
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
         if not np.isfinite(self.origin).all():
             raise ValueError(f"origin must be finite, got {self.origin}")
-        if not (np.isfinite(self.dx) and self.dx > 0.0):
-            raise ValueError(f"dx must be finite and positive, got {self.dx}")
-        self.dims = tuple(int(d) for d in self.dims)
-        if any(d < 2 for d in self.dims):
-            raise ValueError(f"dims must all be >= 2, got {self.dims}")
+        if not (_is_number(self.dx) and 0.0 < self.dx < math.inf):
+            raise ValueError(f"dx must be finite and positive, got "
+                             f"{self.dx!r}")
+        dims = tuple(self.dims)
+        if not (len(dims) == 3 and all(
+                _is_number(d) and isinstance(d, (int, np.integer)) and d >= 2
+                for d in dims)):
+            raise ValueError(f"dims must be three integers >= 2, got {dims}")
+        self.dims = tuple(int(d) for d in dims)
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if self.values.size != int(np.prod(self.dims)):
             raise ValueError("values length must equal the product of dims")
@@ -109,9 +120,19 @@ class ScalarField3D:
 
     @classmethod
     def load(cls, prefix):
-        with open(str(prefix) + ".json", "r", encoding="utf-8") as fh:
-            header = json.load(fh)
-        with open(str(prefix) + ".bin", "rb") as fh:
-            values = np.frombuffer(fh.read(), dtype="<f8")
-        return cls(origin=[float(v) for v in header["origin"]],
-                   dx=float(header["dx"]), dims=header["dims"], values=values)
+        """Read what ``save`` wrote; every refusal names the prefix."""
+        try:
+            with open(str(prefix) + ".json", "r", encoding="utf-8") as fh:
+                header = json.load(fh)
+            with open(str(prefix) + ".bin", "rb") as fh:
+                data = fh.read()
+            if len(data) % 8:
+                raise ValueError(f"the .bin holds {len(data)} bytes, not a "
+                                 "whole number of float64 values")
+            return cls(origin=[float(v) for v in header["origin"]],
+                       dx=float(header["dx"]), dims=header["dims"],
+                       values=np.frombuffer(data, dtype="<f8"))
+        except KeyError as exc:
+            raise ValueError(f"{prefix}.json has no {exc} entry") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{prefix}: {exc}") from None

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import _is_number
+from .fields import _is_number
 
 # |t| below this is treated as t = 0 (sgn = 0, degenerate sphere).
 TIME_TOL = 1e-12

@@ -23,15 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField3D, atomic_write_text, fmt17
+from .fields import ScalarField3D, _is_number, atomic_write_text, fmt17
 
 CFL_LIMIT_3D = 1.0 / math.sqrt(3.0)
-
-
-def _is_number(value):
-    """A Python or numpy real number; a bool is not one."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -339,6 +333,9 @@ class SensorDataset:
         self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 3)
         self.times = np.asarray(self.times, dtype=float).reshape(-1)
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
+        for name in ("positions", "times", "values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("observation times must be strictly increasing")
         q, n_t = self.positions.shape[0], self.times.size
@@ -457,8 +454,8 @@ def sample_sensors(history: FieldHistory, positions):
 
 def add_noise(dataset: SensorDataset, sigma, seed):
     """Add i.i.d. centered Gaussian noise; deterministic under the seed."""
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    if not (_is_number(sigma) and 0.0 <= sigma < math.inf):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if sigma == 0.0:
         values = dataset.values.copy()
     else:

@@ -330,9 +330,8 @@ def speed_central_difference(model, x, h=1e-4):
     The position part of the kernel depends on |t| and cancels exactly;
     the speed part is odd in t, so the error is O(h^2).
     """
-    fac = model.factor
-    k_plus, k_minus = (model.kernel.pairwise(fac.x_active, fac.t_active, x,
-                                             np.full(len(x), t))
+    k_plus, k_minus = (model.kernel.pairwise(model.x_active, model.t_active,
+                                             x, np.full(len(x), t))
                        for t in (h, -h))
     return (k_plus - k_minus).T @ model.alpha / (2.0 * h)
 

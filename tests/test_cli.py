@@ -268,6 +268,14 @@ def test_sample_refuses_a_snapshot_past_the_count(simulated, tmp_path):
     _sample_refused(history, tmp_path, "snapshot_0020.json is past the 20")
 
 
+def test_sample_names_a_cut_snapshot(simulated, tmp_path):
+    history = _history_copy(simulated, tmp_path)
+    with open(history / "snapshot_0005.bin", "r+b") as fh:
+        fh.truncate(100)
+    _sample_refused(history, tmp_path,
+                    "snapshot_0005: the .bin holds 100 bytes")
+
+
 @pytest.mark.parametrize("dx", [0.1, 0.0625])
 def test_sample_refuses_snapshots_off_the_stored_grid(simulated, tmp_path,
                                                        dx):

@@ -169,7 +169,7 @@ def _assert_matches_dense(model, xq, tq):
     mean = posterior_mean(model, xq, tq)
     kern = model.kernel
     dense = np.where(kern.diag(xq, tq) > 0.0, kern.pairwise(
-        model.factor.x_active, model.factor.t_active, xq, tq).T @ model.alpha,
+        model.x_active, model.t_active, xq, tq).T @ model.alpha,
         0.0)
     assert np.array_equal(mean == 0.0, dense == 0.0)
     assert np.max(np.abs(mean - dense)) <= 1e-12 * np.max(np.abs(dense))

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import warnings
 
 import numpy as np
@@ -84,6 +85,52 @@ def test_dims_validation():
     with pytest.raises(ValueError):
         ScalarField3D(origin=[0, 0, 0], dx=0.1, dims=(2, 2, 2),
                       values=np.zeros(7))
+
+
+@pytest.mark.parametrize("dims", [(2.9, 3, 3), (3.0, 2, 3), (True, 3, 6),
+                                  ("3", 2, 3), (3, 6), (3, 3, 2, 1)])
+def test_dims_must_be_three_integers(dims):
+    with pytest.raises(ValueError, match="dims must be three integers >= 2"):
+        ScalarField3D(origin=[0, 0, 0], dx=0.1, dims=dims, values=np.zeros(18))
+
+
+def test_numpy_integer_dims_are_stored_as_ints():
+    field = ScalarField3D(origin=[0, 0, 0], dx=0.1, dims=np.array([2, 3, 3]),
+                          values=np.zeros(18))
+    assert field.dims == (2, 3, 3)
+    assert all(type(d) is int for d in field.dims)
+
+
+@pytest.mark.parametrize("dx", [True, "x", None])
+def test_dx_must_be_a_real_number(dx):
+    with pytest.raises(ValueError, match="dx must be finite and positive"):
+        ScalarField3D.zeros([0, 0, 0], dx, (2, 2, 2))
+
+
+@pytest.mark.parametrize("nbytes, match", [
+    (100, "the .bin holds 100 bytes, not a whole number of float64 values"),
+    (56, "values length must equal the product of dims"),
+], ids=["partial-float", "wrong-count"])
+def test_load_names_the_prefix_of_a_bin_of_the_wrong_length(tmp_path, nbytes,
+                                                            match):
+    prefix = tmp_path / "field"
+    ScalarField3D.zeros([0.0, 0.0, 0.0], 0.5, (3, 3, 3)).save(prefix)
+    raw = (tmp_path / "field.bin").read_bytes()
+    (tmp_path / "field.bin").write_bytes(raw[:nbytes])
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(prefix))}: {match}"):
+        ScalarField3D.load(prefix)
+
+
+def test_load_names_the_prefix_of_a_header_without_dims(tmp_path):
+    prefix = tmp_path / "field"
+    ScalarField3D.zeros([0.0, 0.0, 0.0], 0.5, (2, 2, 2)).save(prefix)
+    header = json.loads((tmp_path / "field.json").read_text())
+    del header["dims"]
+    (tmp_path / "field.json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=re.escape(f"{prefix}.json has no "
+                                                   "'dims' entry")):
+        ScalarField3D.load(prefix)
 
 
 @pytest.mark.parametrize("key, value, match", [

@@ -8,7 +8,7 @@ from waveinform import fast
 from waveinform.exceptions import KernelEvaluationError, SingularCovarianceError
 from waveinform.experiments import case_theta
 from waveinform.kernels import HyperParams, SourceParams, WaveKernel, matern52
-from waveinform.linalg import BAND, assemble_covariance
+from waveinform.linalg import BAND, assemble_covariance, chol_solve_vec
 
 
 def truncated_params(rng=None, both=True):
@@ -304,6 +304,57 @@ def test_nll_null_column_matches_dense_6x6():
         dense_nll(kern, x, t, y, lam), rel=1e-10)
 
 
+def _refuse_to_solve(*args):
+    raise AssertionError("alpha was solved")
+
+
+def test_nll_and_fit_never_solve_for_alpha(monkeypatch):
+    rng = np.random.default_rng(7)
+    params = truncated_params()
+    kern = WaveKernel(params)
+    x, t = draw_points(rng, params, 5)
+    x = np.vstack([x, [0.99, 0.99, 0.99]])
+    t = np.append(t, 0.02)
+    y, lam = rng.normal(size=6), 1e-3
+    expected = fast.fast_nll(kern, x, t, y, lam)
+    monkeypatch.setattr(fast, "chol_solve_vec", _refuse_to_solve)
+    assert fast.fast_nll(kern, x, t, y, lam).hex() == expected.hex()
+    model = fast.fit_posterior(kern, x, t, y, lam)
+    with pytest.raises(AssertionError, match="alpha was solved"):
+        model.alpha
+
+
+def test_alpha_is_solved_once_on_first_read():
+    rng = np.random.default_rng(2)
+    params = truncated_params()
+    kern = WaveKernel(params)
+    x, t = draw_conditioned(rng, params, kern, 5)
+    model = fast.fit_posterior(kern, x, t, rng.normal(size=5), 1e-3)
+    alpha = model.alpha
+    assert alpha.tobytes() == chol_solve_vec(model.chol,
+                                             model.y_active).tobytes()
+    assert model.alpha is alpha
+
+
+def test_predictions_from_an_empty_active_block():
+    # every training point lies outside both of case 3's cones: p = 0
+    theta = case_theta(3)
+    kern = WaveKernel(theta)
+    x, t = np.tile([0.98, 0.02, 0.02], (6, 1)), np.linspace(0.0, 0.1, 6)
+    model = fast.fit_posterior(kern, x, t, np.arange(1.0, 7.0), theta.lam)
+    assert model.active_count == 0
+    assert model.alpha.size == 0
+    rng = np.random.default_rng(11)
+    xq = np.vstack([theta.u.x0, theta.v.x0, rng.uniform(0.0, 1.0, (40, 3))])
+    tq = rng.uniform(0.0, 0.1, 42)
+    prior = kern.diag(xq, tq)
+    assert prior[0] > 0.0 and prior[1] > 0.0
+    zeros = np.zeros(42).tobytes()
+    assert fast.posterior_mean(model, xq, tq).tobytes() == zeros
+    assert fast.posterior_speed(model, xq).tobytes() == zeros
+    assert fast.posterior_var(model, xq, tq).tobytes() == prior.tobytes()
+
+
 def test_nll_requires_positive_lam():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0)
     with pytest.raises(ValueError):
@@ -332,12 +383,12 @@ def test_jitter_rescue_is_logged(caplog):
     with caplog.at_level("WARNING", logger="waveinform"):
         model = fast.fit_posterior(kern, x, t, y, 1e-12)
         fast.fast_nll(kern, x, t, y, 1e-12)
-    assert model.factor.jitter > 0.0
+    assert model.jitter > 0.0
     assert len(caplog.records) == 2
     for record in caplog.records:
         assert record.name == "waveinform.fast"
         assert record.levelname == "WARNING"
-        assert record.args == (3, 3, model.factor.jitter)
+        assert record.args == (3, 3, model.jitter)
 
 
 @pytest.mark.parametrize("fit", [fast.fast_nll, fast.fit_posterior])

@@ -315,6 +315,29 @@ def test_dataset_validation():
         SensorDataset(positions=[[0, 0, 0]], times=[0.0, 0.1], values=[1.0])
 
 
+@pytest.mark.parametrize("name, entry", [
+    ("positions", dict(positions=[[np.nan, 0.0, 0.0]])),
+    ("positions", dict(positions=[[0.1, -np.inf, 0.3]])),
+    ("times", dict(times=[0.0, np.nan])),
+    ("values", dict(values=[1.0, np.inf])),
+    ("values", dict(values=[np.nan, 2.0])),
+], ids=["position-nan", "position-inf", "time-nan", "value-inf", "value-nan"])
+def test_dataset_refuses_a_non_finite_entry(name, entry):
+    fields = dict(positions=[[0.1, 0.2, 0.3]], times=[0.0, 0.1],
+                  values=[1.0, 2.0])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SensorDataset(**{**fields, **entry})
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1, True, False, "x",
+                                   None])
+def test_noise_refuses_a_sigma_that_is_not_a_finite_real(sigma):
+    ds = SensorDataset(positions=[[0.1, 0.2, 0.3]], times=[0.0, 0.1],
+                       values=[1.0, 2.0])
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        add_noise(ds, sigma, 1)
+
+
 def test_dataset_points_ordering():
     ds = SensorDataset(positions=[[0, 0, 0], [1, 1, 1]], times=[0.0, 0.5],
                        values=[10.0, 11.0, 20.0, 21.0])
