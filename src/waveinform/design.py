@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from .exceptions import KernelEvaluationError, SingularCovarianceError
@@ -108,6 +107,10 @@ def minimize_box(objective, box: HyperBox, x_start, tol, max_evals):
     counts every objective call.  A non-finite value at the start point
     (Nelder-Mead's first evaluation) raises ValueError.
     """
+    # Imported here: scipy.optimize is a third of the package's import time
+    # and only the likelihood fit needs it.
+    from scipy.optimize import minimize
+
     x_start = np.asarray(x_start, dtype=float).reshape(-1)
     if x_start.size != box.dim:
         raise ValueError("start point dimension mismatch")

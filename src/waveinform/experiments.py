@@ -18,7 +18,8 @@ import numpy as np
 from . import fast
 from .design import (HyperBox, lhs_design, multistart_fit, nll_objective,
                      write_trace_csv)
-from .fields import ScalarField3D, _is_number, atomic_write_text, fmt17
+from .fields import (ScalarField3D, _is_integer, _is_number, atomic_write_text,
+                     fmt17)
 from .kernels import (HyperParams, SourceParams, WaveKernel, ku_wave_radial,
                       kv_wave_radial)
 from .linalg import assemble_covariance
@@ -198,10 +199,6 @@ def _refuse_values(blob, names, where, rule, ok):
         if not ok(blob[name]):
             raise ValueError(f"{where} {name} must be {rule}, "
                              f"got {blob[name]!r}")
-
-
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _numeric_array(value):
@@ -489,7 +486,7 @@ def _verify_kernel_psd(params, tamper):
     x = rng.uniform(0.0, 1.0, (40, 3))
     t = rng.uniform(0.0, 1.4, 40)
     kernel = WaveKernel(params)
-    kmat = assemble_covariance(kernel, x, t)
+    kmat = assemble_covariance(kernel, kernel.batch(x, t))
     if tamper:
         kmat = -kmat
     eig_min = float(np.linalg.eigvalsh(kmat).min())
@@ -530,16 +527,17 @@ def _verify_pde_residual(params):
     zp_x = getattr(params, params.components[0]).x0 + 0.21
     zp_t = 0.8
     kernel = WaveKernel(params)
+    zp = kernel.batch([zp_x], [zp_t])
 
     def slice_fn(x, t):
-        return kernel.pairwise(x, t, [zp_x], [zp_t])[:, 0]
+        return kernel.pairwise(kernel.batch(x, t), zp)[:, 0]
 
     xs, ts = [], []
     while len(ts) < 40:
         x = rng.uniform(0.0, 1.0, 3)
         t = rng.uniform(0.1, 1.3)
         if (is_smooth_point(params, [x], [t], step)[0]
-                and kernel.diag([x], [t])[0] > 1e-6):
+                and kernel.diag(kernel.batch([x], [t]))[0] > 1e-6):
             xs.append(x)
             ts.append(t)
     res = dalembert_residuals(slice_fn, np.array(xs), np.array(ts), params.c,

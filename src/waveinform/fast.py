@@ -12,7 +12,11 @@ both read, and the rank-one point-source likelihood (Sherman-Morrison
 closed form and its small-lambda limit).
 
 The likelihood, the posterior and the Kriging variance take any kernel
-object with ``pairwise`` and ``diag``.  The Kriging mean takes a
+object with ``batch``, ``pairwise`` and ``diag``.  ``fit_posterior``
+builds one batch of all its points, so each point is featurized once: the
+active set is read off that batch's diagonal, and the covariance of the
+active points is assembled on the batch indexed by them.  The Kriging
+mean takes a
 ``WaveKernel``: it is linear in the kernel, so it is taken one component
 at a time, and a component sees a query only through (|x - x0|, t) about
 its own center.  On a grid at one time its mean is a function of the
@@ -31,7 +35,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .exceptions import SingularCovarianceError
-from .kernels import (RADIUS_CLAMP, _as_points, _features, _time_sign,
+from .kernels import (RADIUS_CLAMP, PointBatch, _as_points, _time_sign,
                       matern52_d1, smooth_cutoff)
 from .linalg import (assemble_covariance, chol_solve_vec, chol_with_jitter,
                      half_solve, logdet_from_chol)
@@ -64,13 +68,13 @@ class ActiveSet:
         return self.permutation[self.p:]
 
 
-def detect_active(kernel, x, t):
-    """Active set from n diagonal kernel calls.
+def detect_active(kernel, batch):
+    """Active set of a point batch from its n diagonal kernel entries.
 
     For truncated kernels the diagonal is exactly zero outside the support,
     so a point is active iff its diagonal entry is positive.
     """
-    diag = np.asarray(kernel.diag(x, t), dtype=float)
+    diag = np.asarray(kernel.diag(batch), dtype=float)
     live = diag > 0.0
     active, inactive = np.flatnonzero(live), np.flatnonzero(~live)
     return ActiveSet(permutation=np.concatenate([active, inactive]),
@@ -82,7 +86,8 @@ class PosteriorModel:
     """Zero-mean GP prior conditioned on observations, in reduced
     (active-set) form.
 
-    ``chol`` is the lower Cholesky factor of K~ + lam I on the active block
+    ``points`` is the kernel's batch of the active points.  ``chol`` is
+    the lower Cholesky factor of K~ + lam I on the active block
     (0 x 0 when p = 0) and ``jitter`` what its rescue added to the diagonal.
     ``alpha`` solves (K~ + lam I) alpha = y_active; it is solved on first
     read, so the likelihood never pays for it.
@@ -90,8 +95,7 @@ class PosteriorModel:
 
     kernel: object
     active_set: ActiveSet
-    x_active: np.ndarray
-    t_active: np.ndarray
+    points: PointBatch
     y_active: np.ndarray
     y_inactive: np.ndarray
     chol: np.ndarray
@@ -110,38 +114,39 @@ def fit_posterior(kernel, x, t, y, lam):
     """Condition a zero-mean GP prior on observations: the active set and
     the Cholesky factor of K~ + lam I on the active block.
 
-    Before the active set is detected, refuses a non-finite position or
-    time, an observation vector whose length is not the point count, a
+    The points are featurized once, as one ``kernel.batch``.  Before the
+    active set is detected, refuses a non-finite position or time, an
+    observation vector whose length is not the point count, a
     non-finite observation, and a lam that is not finite and >= 0; before
     any covariance is assembled, lam = 0 with nonzero observations outside
     the support (a prior with zero variance there cannot explain them).  A
     non-finite covariance entry raises KernelEvaluationError.  A Cholesky
     that needs jitter is logged at WARNING with p and the jitter.
     """
-    x, t = _as_points(x, t)
+    batch = kernel.batch(x, t)
     y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != t.size:
+    if y.size != len(batch):
         raise ValueError("observation vector length must match point count")
     if not np.isfinite(y).all():
         raise ValueError("observations must be finite")
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    act = detect_active(kernel, x, t)
-    x_active, t_active = x[act.active], t[act.active]
+    act = detect_active(kernel, batch)
+    points = batch[act.active]
     y_inactive = y[act.inactive]
     if lam == 0.0 and np.any(y_inactive != 0.0):
         raise SingularCovarianceError(
             "lam = 0 with nonzero observations outside the kernel support")
     chol, jitter = np.zeros((0, 0)), 0.0
     if act.p > 0:
-        kmat = assemble_covariance(kernel, x_active, t_active)
+        kmat = assemble_covariance(kernel, points)
         kmat.flat[::act.p + 1] += lam
         chol, jitter = chol_with_jitter(kmat)
         if jitter > 0.0:
             _log.warning("Cholesky of the %d x %d active block needed "
                          "jitter %.3g", act.p, act.p, jitter)
-    return PosteriorModel(kernel=kernel, active_set=act, x_active=x_active,
-                          t_active=t_active, y_active=y[act.active],
+    return PosteriorModel(kernel=kernel, active_set=act, points=points,
+                          y_active=y[act.active],
                           y_inactive=y_inactive, chol=chol, jitter=jitter)
 
 
@@ -193,10 +198,11 @@ def posterior_mean(model, x, t):
         r, tk = key[first, 0], key[first, 1]
         g = np.zeros(first.size)
         live = np.flatnonzero(kernel.radial_diag(comp, r, tk) > 0.0)
-        r_in = np.linalg.norm(model.x_active - x0, axis=1)
+        r_in = np.linalg.norm(model.points.x - x0, axis=1)
         for lo in range(0, live.size, MEAN_CHUNK):
             sel = live[lo: lo + MEAN_CHUNK]
-            cross = kernel.radial(comp, r_in, model.t_active, r[sel], tk[sel])
+            cross = kernel.radial(comp, r_in, model.points.t, r[sel],
+                                  tk[sel])
             g[sel] = cross.T @ model.alpha
         out += g[inverse]
     return out
@@ -213,8 +219,7 @@ def posterior_speed(model, x):
     src, out = model.kernel.params.v, np.zeros(len(x))
     if src is None:
         return out
-    w, s = _features("v", np.linalg.norm(model.x_active - src.x0, axis=1),
-                     model.t_active, model.kernel.params.c, src)
+    w, s = model.points.features["v"]
     coef, s = (w * model.alpha).ravel(), s.ravel()
     r = np.linalg.norm(x - src.x0, axis=1)
     inside = r < src.radius
@@ -229,17 +234,17 @@ def posterior_speed(model, x):
 def posterior_var(model, x, t):
     """Kriging variance k(z,z) - k(X_in,z)^T (K~+lam I)^{-1} k(X_in,z).
 
-    Clamped below at zero against floating-point cancellation.  A
-    non-finite query point is refused with ValueError.
+    Clamped below at zero against floating-point cancellation.  The
+    queries are featurized once, as one batch.  A non-finite query point
+    is refused with ValueError.
     """
-    x, t = _as_points(x, t)
-    prior = np.asarray(model.kernel.diag(x, t), dtype=float)
+    query = model.kernel.batch(x, t)
+    prior = np.asarray(model.kernel.diag(query), dtype=float)
     out = prior.copy()
     live = np.flatnonzero(prior > 0.0)
     for lo in range(0, live.size, VAR_CHUNK):
         sel = live[lo: lo + VAR_CHUNK]
-        cross = model.kernel.pairwise(model.x_active, model.t_active, x[sel],
-                                      t[sel])
+        cross = model.kernel.pairwise(model.points, query[sel])
         v = half_solve(model.chol, cross)
         out[sel] = prior[sel] - np.einsum("ij,ij->j", v, v)
     return np.maximum(out, 0.0)

@@ -22,6 +22,11 @@ def _is_number(value):
             and not isinstance(value, bool))
 
 
+def _is_integer(value):
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def atomic_write_bytes(path, data: bytes):
     """Write a file atomically (write-temp-rename)."""
     directory = os.path.dirname(os.path.abspath(path))

@@ -23,6 +23,12 @@ m52(s_0 - s_1).  Values and diagonals are bitwise the four-term sum's; one
 component's pairwise block alone (``WaveKernel.radial``) may differ from
 it in the sign of an exact 0.
 
+A point batch (``PointBatch``, built by ``WaveKernel.batch``) carries
+each enabled component's features of its points, computed once: a
+likelihood evaluation featurizes its points once and every diagonal and
+covariance band reads slices of that batch.  The features are elementwise
+in the points, so a slice of a batch is bitwise the batch of the slice.
+
 This module implements the feature map and its assembly, the Matern-5/2
 base profile and the smooth compact-support cutoff phi.  phi's plateau is
 one constant, ``CUTOFF_ALPHA``, shared with the regularized Green bump of
@@ -40,8 +46,9 @@ units m^2.  (A radius-difference K_v would give the initial-speed prior a
 time-derivative reconstruction there; the squared-radius form is regular.)
 
 Everything here is a pure function of immutable parameters and is safe for
-unrestricted concurrent evaluation.  Point batches are passed as arrays:
-positions with shape (n, 3) and times with shape (n,), all finite.
+unrestricted concurrent evaluation.  Points are positions with shape
+(n, 3) and times with shape (n,), all finite; ``wave_kernel`` and
+``wave_kernel_diag`` take them as arrays, ``WaveKernel`` as batches.
 """
 
 from __future__ import annotations
@@ -311,36 +318,89 @@ def _radial(comp, src, c, r1, t1, r2, t2):
                      *_features(comp, r2, t2, c, src), src)
 
 
-def _radial_diag(comp, src, c, r, t):
-    """One component's diagonal at radii r = |x - x0|: sum_e' w_e'
-    (sigma2 w_e' + m52(s_0 - s_1) w_-e'), the four-term sum's products
-    added in its order."""
-    w, s = _features(comp, r, t, c, src)
+def _diag_of(w, s, src):
+    """One component's diagonal from its features: sum_e' w_e' (sigma2
+    w_e' + m52(s_0 - s_1) w_-e'), the four-term sum's products added in
+    its order."""
     m = matern52(s[0] - s[1], src.rho, src.sigma2)
     return ((src.sigma2 * w + m * w[::-1]) * w).sum(axis=0)
 
 
-def wave_kernel(x1, t1, x2, t2, params: HyperParams):
-    """Full space-time wave kernel: sum of the enabled u and v components."""
-    x1, t1 = _as_points(x1, t1)
-    x2, t2 = _as_points(x2, t2)
-    out = np.zeros((t1.size, t2.size))
+@dataclass(frozen=True, eq=False)
+class PointBatch:
+    """Finite space-time points and the kernel features of each point.
+
+    ``x`` is (n, 3) and ``t`` is (n,).  ``features`` maps each enabled
+    component of ``params`` to its (w, s) pair, (2, n) each; a kernel
+    object that reads its points directly leaves it empty, with ``params``
+    None.  Features are elementwise in the points, so ``batch[index]``
+    (a slice or an index array) slices them with the points and is
+    bitwise the batch of the indexed points, without recomputing them.
+    """
+
+    x: np.ndarray
+    t: np.ndarray
+    features: dict
+    params: HyperParams | None
+
+    def __len__(self):
+        return self.t.size
+
+    def __getitem__(self, index):
+        return PointBatch(self.x[index], self.t[index],
+                          {comp: (w[:, index], s[:, index])
+                           for comp, (w, s) in self.features.items()},
+                          self.params)
+
+
+def _featurize(params, x, t):
+    """The batch of points (x, t): their features under ``params``, each
+    component's radii and (w, s) computed once; refused as
+    :func:`_as_points` refuses."""
+    x, t = _as_points(x, t)
+    features = {}
     for comp in params.components:
         src = getattr(params, comp)
-        r1, r2 = (np.linalg.norm(x - src.x0, axis=1) for x in (x1, x2))
-        out += _radial(comp, src, params.c, r1, t1, r2, t2)
+        features[comp] = _features(comp, np.linalg.norm(x - src.x0, axis=1),
+                                   t, params.c, src)
+    return PointBatch(x, t, features, params)
+
+
+def _features_of(params, batch):
+    """The batch's features, refused unless computed under this very
+    ``params`` object (equal parameters in another object are refused)."""
+    if batch.params is not params:
+        raise ValueError("point batch was built for other kernel parameters")
+    return batch.features
+
+
+def _pairwise(params, b1, b2):
+    """Sum over the enabled components of their (len(b1), len(b2)) blocks."""
+    f1, f2 = _features_of(params, b1), _features_of(params, b2)
+    out = np.zeros((len(b1), len(b2)))
+    for comp in params.components:
+        out += _assemble(*f1[comp], *f2[comp], getattr(params, comp))
     return out
+
+
+def _diag(params, batch):
+    """Sum over the enabled components of their diagonals."""
+    features = _features_of(params, batch)
+    out = np.zeros(len(batch))
+    for comp in params.components:
+        out += _diag_of(*features[comp], getattr(params, comp))
+    return out
+
+
+def wave_kernel(x1, t1, x2, t2, params: HyperParams):
+    """Full space-time wave kernel: sum of the enabled u and v components."""
+    return _pairwise(params, _featurize(params, x1, t1),
+                     _featurize(params, x2, t2))
 
 
 def wave_kernel_diag(x, t, params: HyperParams):
     """Diagonal of :func:`wave_kernel`; exact zeros outside both light cones."""
-    x, t = _as_points(x, t)
-    out = np.zeros(t.shape)
-    for comp in params.components:
-        src = getattr(params, comp)
-        r = np.linalg.norm(x - src.x0, axis=1)
-        out += _radial_diag(comp, src, params.c, r, t)
-    return out
+    return _diag(params, _featurize(params, x, t))
 
 
 def kv_wave_radial(x1, t1, x2, t2, c, src):
@@ -373,12 +433,15 @@ def ku_wave_diag(x, t, c, src):
 
 
 class WaveKernel:
-    """Space-time covariance object backed by :func:`wave_kernel`.
+    """Space-time covariance object over point batches.
 
-    Immutable apart from ``eval_count``, a diagnostic counter of how many
-    kernel entries have been returned (used to check light-cone pruning).
-    It counts entries, not the Matern terms behind them, which the
-    assembly skips where a weight is 0.
+    ``batch(x, t)`` refuses ragged or non-finite points and computes their
+    features once; ``pairwise`` and ``diag`` read the features of the
+    batches they are given, which must come from a kernel with the same
+    ``params``.  Immutable apart from ``eval_count``, a diagnostic counter
+    of how many kernel entries have been returned (used to check
+    light-cone pruning).  It counts entries, not the Matern terms behind
+    them, which the assembly skips where a weight is 0.
     """
 
     def __init__(self, params: HyperParams):
@@ -389,11 +452,17 @@ class WaveKernel:
         self.eval_count += out.size
         return out
 
-    def pairwise(self, x1, t1, x2, t2):
-        return self._count(wave_kernel(x1, t1, x2, t2, self.params))
+    def batch(self, x, t):
+        """The :class:`PointBatch` of positions (n, 3) and times (n,)."""
+        return _featurize(self.params, x, t)
 
-    def diag(self, x, t):
-        return self._count(wave_kernel_diag(x, t, self.params))
+    def pairwise(self, b1, b2):
+        """The (len(b1), len(b2)) covariance block of two batches."""
+        return self._count(_pairwise(self.params, b1, b2))
+
+    def diag(self, batch):
+        """The covariance of each point of a batch with itself."""
+        return self._count(_diag(self.params, batch))
 
     def radial(self, comp, r1, t1, r2, t2):
         """Component ``comp`` alone, pairwise, at radii r = |x - x0| about
@@ -409,5 +478,6 @@ class WaveKernel:
 
     def radial_diag(self, comp, r, t):
         """The diagonal of :meth:`radial`; refuses what it refuses."""
-        return self._count(_radial_diag(comp, getattr(self.params, comp),
-                                        self.params.c, *_as_radii(r, t)))
+        src = getattr(self.params, comp)
+        w, s = _features(comp, *_as_radii(r, t), self.params.c, src)
+        return self._count(_diag_of(w, s, src))

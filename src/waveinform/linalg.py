@@ -1,5 +1,8 @@
 """Covariance assembly and dense Cholesky helpers.
 
+The assembly takes a kernel object and one point batch of that kernel
+(``kernel.batch(x, t)``) and evaluates it in row bands that are slices of
+the batch, so the points' features are computed once, not once per band.
 Cholesky failures are rescued by escalating jitter (the ladder below).
 """
 
@@ -31,7 +34,7 @@ JITTER_MAX = 1e-4
 BAND = 64
 
 
-def assemble_covariance(kernel, x, t):
+def assemble_covariance(kernel, batch):
     """Covariance matrix of a kernel on one batch of space-time points.
 
     Only the upper triangle is evaluated: rows [a, a + BAND) are one
@@ -41,18 +44,17 @@ def assemble_covariance(kernel, x, t):
     BAND) below the band, and the lower half of its diagonal square is
     taken from the upper half, so the result is symmetric to exact
     arithmetic.  Non-finite entries raise KernelEvaluationError naming the
-    offending pair.  A kernel object must provide
-    ``pairwise(x1, t1, x2, t2) -> (n, m)``.
+    offending pair.  ``batch`` is ``kernel.batch(x, t)``, and a kernel
+    object must provide ``pairwise(b1, b2) -> (len(b1), len(b2))`` over
+    slices of it.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if t.size == 0:
+    p = len(batch)
+    if p == 0:
         raise ValueError("point batch must be nonempty")
-    p = t.size
     kmat = np.empty((p, p))
     for a in range(0, p, BAND):
         b = min(a + BAND, p)
-        band = kernel.pairwise(x[a:b], t[a:b], x[a:], t[a:])
+        band = kernel.pairwise(batch[a:b], batch[a:])
         kmat[a:b, a:] = band
         kmat[b:, a:b] = band[:, b - a:].T
         i, j = _strict_lower(b - a)
@@ -62,7 +64,8 @@ def assemble_covariance(kernel, x, t):
         i, j = np.argwhere(~np.isfinite(kmat))[0]
         raise KernelEvaluationError(
             f"non-finite covariance between points {i} and {j}: "
-            f"z_i=({x[i]}, {t[i]}), z_j=({x[j]}, {t[j]})")
+            f"z_i=({batch.x[i]}, {batch.t[i]}), "
+            f"z_j=({batch.x[j]}, {batch.t[j]})")
     return kmat
 
 

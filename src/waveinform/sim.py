@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField3D, _is_number, atomic_write_text, fmt17
+from .fields import (ScalarField3D, _is_integer, _is_number, atomic_write_text,
+                     fmt17)
 
 CFL_LIMIT_3D = 1.0 / math.sqrt(3.0)
 
@@ -453,9 +454,15 @@ def sample_sensors(history: FieldHistory, positions):
 
 
 def add_noise(dataset: SensorDataset, sigma, seed):
-    """Add i.i.d. centered Gaussian noise; deterministic under the seed."""
+    """Add i.i.d. centered Gaussian noise; deterministic under the seed.
+
+    ``seed`` must be an integer >= 0 (a bool or a float is refused, not
+    truncated).
+    """
     if not (_is_number(sigma) and 0.0 <= sigma < math.inf):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if sigma == 0.0:
         values = dataset.values.copy()
     else:

@@ -40,8 +40,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from waveinform.fast import rank_one_objective
-from waveinform.kernels import (_features, _time_sign, _weighted_matern,
-                                matern52, matern52_d1)
+from waveinform.kernels import (PointBatch, _features, _time_sign,
+                                _weighted_matern, matern52, matern52_d1)
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
 from waveinform.sim import FieldHistory, SensorDataset
@@ -52,25 +52,29 @@ class SingularEvaluationError(ArithmeticError):
 
 
 class FunctionKernel:
-    """Adapter turning a scalar two-point function into a kernel object."""
+    """Adapter turning a scalar two-point function into a kernel object.
+
+    Its batch is the plain (x, t) points, with no features.
+    """
 
     def __init__(self, func):
         self.func = func
         self.eval_count = 0
 
-    def pairwise(self, x1, t1, x2, t2):
-        x1, t1 = _as_points(x1, t1)
-        x2, t2 = _as_points(x2, t2)
-        out = np.empty((x1.shape[0], x2.shape[0]))
-        for i in range(x1.shape[0]):
-            for j in range(x2.shape[0]):
-                out[i, j] = self.func(x1[i], t1[i], x2[j], t2[j])
+    def batch(self, x, t):
+        return PointBatch(*_as_points(x, t), {}, None)
+
+    def pairwise(self, b1, b2):
+        out = np.empty((len(b1), len(b2)))
+        for i in range(len(b1)):
+            for j in range(len(b2)):
+                out[i, j] = self.func(b1.x[i], b1.t[i], b2.x[j], b2.t[j])
         self.eval_count += out.size
         return out
 
-    def diag(self, x, t):
-        x, t = _as_points(x, t)
-        out = np.array([self.func(x[i], t[i], x[i], t[i]) for i in range(len(t))])
+    def diag(self, b):
+        out = np.array([self.func(b.x[i], b.t[i], b.x[i], b.t[i])
+                        for i in range(len(b))])
         self.eval_count += out.size
         return out
 
@@ -330,9 +334,9 @@ def speed_central_difference(model, x, h=1e-4):
     The position part of the kernel depends on |t| and cancels exactly;
     the speed part is odd in t, so the error is O(h^2).
     """
-    k_plus, k_minus = (model.kernel.pairwise(model.x_active, model.t_active,
-                                             x, np.full(len(x), t))
-                       for t in (h, -h))
+    k_plus, k_minus = (model.kernel.pairwise(
+        model.points, model.kernel.batch(x, np.full(len(x), t)))
+        for t in (h, -h))
     return (k_plus - k_minus).T @ model.alpha / (2.0 * h)
 
 
@@ -403,10 +407,9 @@ def four_term_kernel(params, x1, t1, x2=None, t2=None):
 
 def dense_nll(kernel, x, t, y, lam):
     """Likelihood from the Cholesky factor of the full (n, n) covariance."""
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    t = np.asarray(t, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    kmat = assemble_covariance(kernel, x, t) + lam * np.eye(t.size)
+    kmat = (assemble_covariance(kernel, kernel.batch(x, t))
+            + lam * np.eye(y.size))
     chol, _ = chol_with_jitter(kmat)
     v = half_solve(chol, y)
     return float(v @ v) + logdet_from_chol(chol)

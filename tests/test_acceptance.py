@@ -137,12 +137,13 @@ def test_criterion_02_fast_path_exactness():
         if trial == 1:  # force p = n: untruncated prior
             kern = WaveKernel(HyperParams(c=0.5, u=SourceParams(
                 x0=[0.5, 0.5, 0.5], radius=np.inf, rho=0.3, sigma2=1.0)))
-        act = fast.detect_active(kern, x, t)
+        batch = kern.batch(x, t)
+        act = fast.detect_active(kern, batch)
         if act.p == 0:
             edge_counts["p0"] += 1
         if act.p == n:
             edge_counts["pn"] += 1
-        dense_k = assemble_covariance(kern, x, t) + lam * np.eye(n)
+        dense_k = assemble_covariance(kern, batch) + lam * np.eye(n)
         dense_nll = (float(y @ np.linalg.solve(dense_k, y))
                      + np.linalg.slogdet(dense_k)[1])
         fast_nll_val = fast.fast_nll(kern, x, t, y, lam)
@@ -152,9 +153,10 @@ def test_criterion_02_fast_path_exactness():
         tq = rng.uniform(0, 1.5, 12)
         mean = fast.posterior_mean(model, xq, tq)
         var = fast.posterior_var(model, xq, tq)
-        cross = kern.pairwise(x, t, xq, tq)
+        query = kern.batch(xq, tq)
+        cross = kern.pairwise(batch, query)
         dmean = cross.T @ np.linalg.solve(dense_k, y)
-        dvar = np.maximum(kern.diag(xq, tq) - np.einsum(
+        dvar = np.maximum(kern.diag(query) - np.einsum(
             "ij,ij->j", cross, np.linalg.solve(dense_k, cross)), 0.0)
         scale = max(float(np.abs(dmean).max()), 1.0)
         worst = max(worst, float(np.abs(mean - dmean).max()) / scale)
@@ -174,7 +176,7 @@ def _smooth_points(rng, params, kernel, n_points, step):
         x = rng.uniform(0.05, 0.95, 3)
         t = rng.uniform(0.1, 1.3)
         if (is_smooth_point(params, [x], [t], step)[0]
-                and kernel.diag([x], [t])[0] > 1e-8):
+                and kernel.diag(kernel.batch([x], [t]))[0] > 1e-8):
             xs.append(x)
             ts.append(t)
     return np.array(xs), np.array(ts)
@@ -196,10 +198,10 @@ def test_criterion_03_pde_residuals(case1):
         v=SourceParams(x0=[0.3, 0.6, 0.7], radius=0.15, rho=0.03, sigma2=3.0),
         lam=0.0081)
     kern = WaveKernel(params)
-    zp = (np.array([0.42, 0.52, 0.61]), 0.8)
+    zp = kern.batch([[0.42, 0.52, 0.61]], [0.8])
 
     def slice_fn(x, t):
-        return kern.pairwise(x, t, [zp[0]], [zp[1]])[:, 0]
+        return kern.pairwise(kern.batch(x, t), zp)[:, 0]
 
     rng = np.random.default_rng(12)
     xs, ts = _smooth_points(rng, params, kern, 200, step)

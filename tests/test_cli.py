@@ -382,8 +382,9 @@ def test_reconstruction_at_sensors_consistency():
     times = np.arange(1, 16) / 15.0
     x = np.repeat(sensors, 15, axis=0)
     t = np.tile(times, 6)
-    active = kern.diag(x, t) > 0
-    kmat = assemble_covariance(kern, x[active], t[active])
+    batch = kern.batch(x, t)
+    active = kern.diag(batch) > 0
+    kmat = assemble_covariance(kern, batch[active])
     chol = np.linalg.cholesky(kmat + 1e-12 * np.eye(active.sum()))
     y = np.zeros(len(t))
     y[active] = chol @ rng.standard_normal(active.sum())

@@ -36,7 +36,7 @@ def test_detect_active_all_positive():
     kern = WaveKernel(params)
     x = rng.uniform(0, 1, (6, 3))
     t = rng.uniform(0, 1, 6)
-    act = detect_active(kern, x, t)
+    act = detect_active(kern, kern.batch(x, t))
     assert act.p == 6 and act.q == 0
     assert np.array_equal(act.permutation, np.arange(6))
 
@@ -44,8 +44,9 @@ def test_detect_active_all_positive():
 def test_detect_active_matches_column_scan():
     rng = np.random.default_rng(1)
     kern, x, t, _ = random_instance(rng, 30)
-    act = detect_active(kern, x, t)
-    kmat = assemble_covariance(kern, x, t)
+    batch = kern.batch(x, t)
+    act = detect_active(kern, batch)
+    kmat = assemble_covariance(kern, batch)
     brute = np.flatnonzero(np.abs(kmat).sum(axis=0) > 0.0)
     assert np.array_equal(np.sort(act.active), brute)
 
@@ -57,7 +58,7 @@ def test_detect_active_sensor_outside_all_cones():
     times = np.linspace(0.0, 1.5, 10)
     # sensor distance 0.86 > c*T + R = 0.8: never reached
     x = np.tile([1.0, 1.0, 1.0], (10, 1))
-    act = detect_active(kern, x, times)
+    act = detect_active(kern, kern.batch(x, times))
     assert act.p == 0 and act.q == 10
 
 
@@ -65,7 +66,7 @@ def test_light_cone_agrees_with_diagonal():
     rng = np.random.default_rng(2)
     kern, x, t, _ = random_instance(rng, 200)
     analytic = light_cone_contains(kern.params, x, t)
-    diag = kern.diag(x, t) > 0.0
+    diag = kern.diag(kern.batch(x, t)) > 0.0
     assert np.array_equal(analytic, diag)
 
 
@@ -112,10 +113,11 @@ def test_fast_predict_matches_dense():
     xq = rng.uniform(0, 1, (30, 3))
     tq = rng.uniform(0, 1.5, 30)
     mean, var = posterior_mean(model, xq, tq), posterior_var(model, xq, tq)
-    kmat = assemble_covariance(kern, x, t) + lam * np.eye(25)
-    cross = kern.pairwise(x, t, xq, tq)
+    batch, query = kern.batch(x, t), kern.batch(xq, tq)
+    kmat = assemble_covariance(kern, batch) + lam * np.eye(25)
+    cross = kern.pairwise(batch, query)
     dmean = cross.T @ np.linalg.solve(kmat, y)
-    dvar = kern.diag(xq, tq) - np.einsum(
+    dvar = kern.diag(query) - np.einsum(
         "ij,ij->j", cross, np.linalg.solve(kmat, cross))
     assert np.allclose(mean, dmean, rtol=1e-10, atol=1e-12)
     assert np.allclose(var, np.maximum(dvar, 0.0), rtol=1e-8, atol=1e-10)
@@ -168,9 +170,9 @@ def _assert_matches_dense(model, xq, tq):
     """
     mean = posterior_mean(model, xq, tq)
     kern = model.kernel
-    dense = np.where(kern.diag(xq, tq) > 0.0, kern.pairwise(
-        model.x_active, model.t_active, xq, tq).T @ model.alpha,
-        0.0)
+    query = kern.batch(xq, tq)
+    dense = np.where(kern.diag(query) > 0.0,
+                     kern.pairwise(model.points, query).T @ model.alpha, 0.0)
     assert np.array_equal(mean == 0.0, dense == 0.0)
     assert np.max(np.abs(mean - dense)) <= 1e-12 * np.max(np.abs(dense))
     return dense

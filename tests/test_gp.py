@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dense_reference import FunctionKernel, dense_nll, light_cone_contains
-from waveinform import fast
+from waveinform import fast, kernels
 from waveinform.exceptions import KernelEvaluationError, SingularCovarianceError
 from waveinform.experiments import case_theta
 from waveinform.kernels import HyperParams, SourceParams, WaveKernel, matern52
@@ -33,7 +33,8 @@ def draw_points(rng, params, n, active=True):
 
 
 def dense_solve(kernel, x, t, y, lam):
-    kmat = assemble_covariance(kernel, x, t) + lam * np.eye(len(t))
+    kmat = (assemble_covariance(kernel, kernel.batch(x, t))
+            + lam * np.eye(len(t)))
     return np.linalg.solve(kmat, y)
 
 
@@ -45,21 +46,21 @@ def draw_conditioned(rng, params, kern, n, cond_max=1e8):
     """
     while True:
         x, t = draw_points(rng, params, n)
-        kmat = assemble_covariance(kern, x, t)
+        kmat = assemble_covariance(kern, kern.batch(x, t))
         if np.linalg.cond(kmat) < cond_max:
             return x, t
 
 
 def test_assemble_constant_kernel():
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0)
-    k = assemble_covariance(kern, np.zeros((2, 3)), [0.0, 1.0])
+    k = assemble_covariance(kern, kern.batch(np.zeros((2, 3)), [0.0, 1.0]))
     assert np.array_equal(k, np.ones((2, 2)))
 
 
 def test_assemble_single_point_matern():
     kern = FunctionKernel(
         lambda x1, t1, x2, t2: matern52(np.linalg.norm(x1 - x2), 1.0, 3.0))
-    k = assemble_covariance(kern, np.zeros((1, 3)), [0.0])
+    k = assemble_covariance(kern, kern.batch(np.zeros((1, 3)), [0.0]))
     assert k.shape == (1, 1) and k[0, 0] == pytest.approx(3.0)
 
 
@@ -69,7 +70,7 @@ def test_assemble_exact_symmetry_truncated_kernel():
     kern = WaveKernel(params)
     x = rng.uniform(0, 1, (10, 3))
     t = rng.uniform(0, 1.4, 10)
-    k = assemble_covariance(kern, x, t)
+    k = assemble_covariance(kern, kern.batch(x, t))
     assert np.array_equal(k, k.T)
     assert np.linalg.eigvalsh(k).min() >= -1e-8 * max(k.diagonal().max(), 1e-30)
 
@@ -80,16 +81,17 @@ def test_assemble_nonfinite_raises_with_pair():
             return np.nan
         return 1.0 if np.allclose(x1, x2) and t1 == t2 else 0.5
 
+    kern = FunctionKernel(bad)
     with pytest.raises(KernelEvaluationError, match="points 1"):
-        assemble_covariance(FunctionKernel(bad), np.zeros((2, 3)), [0.0, 1.0])
+        assemble_covariance(kern, kern.batch(np.zeros((2, 3)), [0.0, 1.0]))
 
 
 BAND_SIZES = [1, BAND - 1, BAND, BAND + 1, 2 * BAND + 7]
 
 
-def single_call_assembly(kernel, x, t):
+def single_call_assembly(kernel, batch):
     """One pairwise call on the whole block, upper triangle mirrored."""
-    k = kernel.pairwise(x, t, x, t)
+    k = kernel.pairwise(batch, batch)
     return np.triu(k) + np.triu(k, 1).T
 
 
@@ -109,8 +111,9 @@ def test_banded_assembly_is_bitwise_the_single_call(case, n):
     params = case_theta(case)
     x, t = mixed_points(rng, params, n)
     kern = WaveKernel(params)
-    k = assemble_covariance(kern, x, t)
-    assert k.tobytes() == single_call_assembly(kern, x, t).tobytes()
+    batch = kern.batch(x, t)
+    k = assemble_covariance(kern, batch)
+    assert k.tobytes() == single_call_assembly(kern, batch).tobytes()
     if n > BAND:
         inside = light_cone_contains(params, x, t)
         assert inside.any() and not inside.all() and np.any(k == 0.0)
@@ -120,7 +123,7 @@ def test_banded_assembly_is_bitwise_the_single_call(case, n):
 def test_banded_assembly_evaluates_the_upper_band_only(n):
     kern = FunctionKernel(lambda x1, t1, x2, t2: 1.0 + t1 * t2)
     t = np.linspace(0.0, 1.0, n)
-    k = assemble_covariance(kern, np.zeros((n, 3)), t)
+    k = assemble_covariance(kern, kern.batch(np.zeros((n, 3)), t))
     assert np.array_equal(k, 1.0 + np.outer(t, t))
     starts = range(0, n, BAND)
     assert kern.eval_count == sum(min(BAND, n - a) * (n - a) for a in starts)
@@ -132,18 +135,87 @@ def test_banded_assembly_names_a_nonfinite_pair_in_a_later_band():
     def nan_at_pair(x1, t1, x2, t2):
         return np.nan if {t1, t2} == {i, j} else float(t1 == t2)
 
+    kern = FunctionKernel(nan_at_pair)
     with pytest.raises(KernelEvaluationError, match=f"points {i} and {j}:"):
-        assemble_covariance(FunctionKernel(nan_at_pair), np.zeros((n, 3)),
-                            np.arange(n, dtype=float))
+        assemble_covariance(kern, kern.batch(np.zeros((n, 3)),
+                                             np.arange(n, dtype=float)))
 
 
-def triu_mirror_assembly(kernel, x, t):
+def _batch_arrays(kernel, batch):
+    """Everything a batch hands to the assembly, as bytes."""
+    arrays = [batch.x, batch.t]
+    for comp in kernel.params.components:
+        arrays.extend(batch.features[comp])
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_an_indexed_batch_is_bitwise_the_batch_of_its_points(case):
+    rng = np.random.default_rng(60 + case)
+    params = case_theta(case)
+    n = 2 * BAND + 7
+    x, t = mixed_points(rng, params, n)
+    kern = WaveKernel(params)
+    whole = kern.batch(x, t)
+    indices = [slice(5, n - 3), slice(BAND, None), slice(None, None, 3),
+               rng.choice(n, 40, replace=False), np.flatnonzero(
+                   light_cone_contains(params, x, t)),
+               rng.uniform(size=n) < 0.5]
+    for idx in indices:
+        sub, fresh = whole[idx], kern.batch(x[idx], t[idx])
+        assert len(sub) == len(fresh) == t[idx].size
+        assert _batch_arrays(kern, sub) == _batch_arrays(kern, fresh)
+        assert kern.diag(sub).tobytes() == kern.diag(fresh).tobytes()
+        for other, other_fresh in ((sub, fresh), (whole, kern.batch(x, t))):
+            assert (kern.pairwise(sub, other).tobytes()
+                    == kern.pairwise(fresh, other_fresh).tobytes())
+
+
+def test_a_batch_of_other_parameters_is_refused():
+    x, t = np.full((2, 3), 0.5), np.array([0.1, 0.2])
+    kern, other = WaveKernel(case_theta(1)), WaveKernel(case_theta(3))
+    same = WaveKernel(kern.params)
+    assert np.array_equal(same.diag(kern.batch(x, t)),
+                          kern.diag(kern.batch(x, t)))
+    refusal = "built for other kernel parameters"
+    for batch in (other.batch(x, t), FunctionKernel(None).batch(x, t)):
+        with pytest.raises(ValueError, match=refusal):
+            kern.diag(batch)
+        with pytest.raises(ValueError, match=refusal):
+            kern.pairwise(kern.batch(x, t), batch)
+    assert kern.eval_count == 2
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_a_likelihood_featurizes_each_point_once(case, monkeypatch):
+    rng = np.random.default_rng(70 + case)
+    params = case_theta(case)
+    n = 2 * BAND + 7
+    x, t = mixed_points(rng, params, n)
+    y = rng.normal(size=n)
+    p = int(light_cone_contains(params, x, t).sum())
+    assert BAND < p < n
+    calls, features = [], kernels._features
+
+    def counted(comp, r, t, c, src):
+        calls.append((comp, np.size(r)))
+        return features(comp, r, t, c, src)
+
+    monkeypatch.setattr(kernels, "_features", counted)
+    kern = WaveKernel(params)
+    fast.fast_nll(kern, x, t, y, params.lam)
+    assert calls == [(comp, n) for comp in params.components]
+    # The diagonal of every point, then the upper bands of the active block.
+    assert kern.eval_count == n + sum(min(BAND, p - a) * (p - a)
+                                      for a in range(0, p, BAND))
+
+
+def triu_mirror_assembly(kernel, batch):
     """The banded upper triangle, mirrored afterwards through np.triu."""
-    p = t.size
+    p = len(batch)
     kmat = np.zeros((p, p))
     for a in range(0, p, BAND):
-        kmat[a:a + BAND, a:] = kernel.pairwise(x[a:a + BAND], t[a:a + BAND],
-                                               x[a:], t[a:])
+        kmat[a:a + BAND, a:] = kernel.pairwise(batch[a:a + BAND], batch[a:])
     return np.triu(kmat) + np.triu(kmat, 1).T
 
 
@@ -153,23 +225,25 @@ def test_band_mirror_is_bitwise_the_triu_mirror(n):
     rng = np.random.default_rng(n)
     x, t = mixed_points(rng, case_theta(3), n)
     kern = WaveKernel(case_theta(3))
-    k = assemble_covariance(kern, x, t)
+    batch = kern.batch(x, t)
+    k = assemble_covariance(kern, batch)
     assert k.tobytes() == k.T.tobytes()
-    assert k.tobytes() == triu_mirror_assembly(kern, x, t).tobytes()
+    assert k.tobytes() == triu_mirror_assembly(kern, batch).tobytes()
     # A kernel that is not symmetric shows which half is kept.
     skew = FunctionKernel(lambda x1, t1, x2, t2: t1 - 2.0 * t2)
     t = rng.uniform(0.0, 1.0, n)
-    k = assemble_covariance(skew, x, t)
-    assert k.tobytes() == triu_mirror_assembly(skew, x, t).tobytes()
+    batch = skew.batch(x, t)
+    k = assemble_covariance(skew, batch)
+    assert k.tobytes() == triu_mirror_assembly(skew, batch).tobytes()
     # A non-finite entry is named by the same pair as before.
     i, j = np.sort(rng.integers(0, n, 2))
     nan_at = FunctionKernel(
         lambda x1, t1, x2, t2: np.nan if {t1, t2} == {t[i], t[j]}
         else t1 - 2.0 * t2)
-    first = np.argwhere(np.isnan(triu_mirror_assembly(nan_at, x, t)))[0]
+    first = np.argwhere(np.isnan(triu_mirror_assembly(nan_at, batch)))[0]
     with pytest.raises(KernelEvaluationError,
                        match=f"points {first[0]} and {first[1]}:"):
-        assemble_covariance(nan_at, x, t)
+        assemble_covariance(nan_at, batch)
 
 
 def test_posterior_and_likelihood_refuse_nonfinite_covariance():
@@ -215,7 +289,7 @@ def test_fit_lam_zero_rejects_unexplainable_data():
     kern = WaveKernel(params)
     x = np.array([[0.65, 0.3, 0.5], [0.01, 0.01, 0.01]])
     t = np.array([0.1, 0.01])  # second point is outside every cone
-    assert kern.diag(x, t)[1] == 0.0
+    assert kern.diag(kern.batch(x, t))[1] == 0.0
     with pytest.raises(SingularCovarianceError):
         fast.fit_posterior(kern, x, t, [1.0, 0.5], 0.0)
     # zero observation outside the support is fine
@@ -231,7 +305,7 @@ def test_predict_mean_outside_cone_is_zero():
     model = fast.fit_posterior(kern, x, t, rng.normal(size=5), 1e-6)
     xq = np.array([[0.99, 0.99, 0.99]])
     tq = np.array([0.02])
-    assert kern.diag(xq, tq)[0] == 0.0
+    assert kern.diag(kern.batch(xq, tq))[0] == 0.0
     assert fast.posterior_mean(model, xq, tq)[0] == 0.0
     assert fast.posterior_var(model, xq, tq)[0] == 0.0
 
@@ -247,10 +321,11 @@ def test_predict_matches_dense_oracle():
     xq, tq = draw_points(rng, params, 6, active=False)
     mean = fast.posterior_mean(model, xq, tq)
     var = fast.posterior_var(model, xq, tq)
-    kmat = assemble_covariance(kern, x, t) + lam * np.eye(8)
-    cross = kern.pairwise(x, t, xq, tq)
+    batch, query = kern.batch(x, t), kern.batch(xq, tq)
+    kmat = assemble_covariance(kern, batch) + lam * np.eye(8)
+    cross = kern.pairwise(batch, query)
     dmean = cross.T @ np.linalg.solve(kmat, y)
-    prior = kern.diag(xq, tq)
+    prior = kern.diag(query)
     dvar = prior - np.einsum("ij,ij->j", cross, np.linalg.solve(kmat, cross))
     assert np.allclose(mean, dmean, rtol=1e-10, atol=1e-12)
     assert np.allclose(var, np.maximum(dvar, 0.0), rtol=1e-8, atol=1e-10)
@@ -264,7 +339,7 @@ def test_variance_bounds():
     model = fast.fit_posterior(kern, x, t, rng.normal(size=8), 1e-5)
     xq, tq = draw_points(rng, params, 40, active=False)
     var = fast.posterior_var(model, xq, tq)
-    prior = kern.diag(xq, tq)
+    prior = kern.diag(kern.batch(xq, tq))
     assert np.all(var >= 0.0)
     assert np.all(var <= prior + 1e-10)
     # training variance vanishes for noiseless conditioning
@@ -285,7 +360,7 @@ def test_nll_zero_data_is_logdet():
     x, t = draw_points(rng, params, 5)
     lam = 1e-3
     val = fast.fast_nll(kern, x, t, np.zeros(5), lam)
-    kmat = assemble_covariance(kern, x, t) + lam * np.eye(5)
+    kmat = assemble_covariance(kern, kern.batch(x, t)) + lam * np.eye(5)
     assert val == pytest.approx(np.linalg.slogdet(kmat)[1], rel=1e-10)
 
 
@@ -297,7 +372,7 @@ def test_nll_null_column_matches_dense_6x6():
     # append a point outside every light cone: one exactly-null column
     x = np.vstack([x, [0.99, 0.99, 0.99]])
     t = np.append(t, 0.02)
-    assert kern.diag(x, t)[5] == 0.0
+    assert kern.diag(kern.batch(x, t))[5] == 0.0
     y = rng.normal(size=6)
     lam = 1e-3
     assert fast.fast_nll(kern, x, t, y, lam) == pytest.approx(
@@ -347,7 +422,7 @@ def test_predictions_from_an_empty_active_block():
     rng = np.random.default_rng(11)
     xq = np.vstack([theta.u.x0, theta.v.x0, rng.uniform(0.0, 1.0, (40, 3))])
     tq = rng.uniform(0.0, 0.1, 42)
-    prior = kern.diag(xq, tq)
+    prior = kern.diag(kern.batch(xq, tq))
     assert prior[0] > 0.0 and prior[1] > 0.0
     zeros = np.zeros(42).tobytes()
     assert fast.posterior_mean(model, xq, tq).tobytes() == zeros

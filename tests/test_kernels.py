@@ -185,9 +185,9 @@ def test_wave_kernel_component_sum():
 def test_wave_kernel_eval_counter():
     rng = np.random.default_rng(12)
     kern = WaveKernel(HyperParams(c=0.5, u=random_source(rng)))
-    kern.pairwise(rng.uniform(0, 1, (3, 3)), rng.uniform(0, 1, 3),
-                  rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, 5))
-    kern.diag(rng.uniform(0, 1, (7, 3)), rng.uniform(0, 1, 7))
+    kern.pairwise(kern.batch(rng.uniform(0, 1, (3, 3)), rng.uniform(0, 1, 3)),
+                  kern.batch(rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, 5)))
+    kern.diag(kern.batch(rng.uniform(0, 1, (7, 3)), rng.uniform(0, 1, 7)))
     assert kern.eval_count == 15 + 7
 
 
@@ -440,7 +440,7 @@ def test_live_term_assembly_is_bitwise_the_four_term_sum(variant):
     kern = WaveKernel(params)
     zeros = nonzeros = 0
     for x1, t1 in batches:
-        assert (kern.diag(x1, t1).tobytes()
+        assert (kern.diag(kern.batch(x1, t1)).tobytes()
                 == four_term_kernel(params, x1, t1).tobytes())
         for comp in params.components:
             src = getattr(params, comp)
@@ -451,7 +451,8 @@ def test_live_term_assembly_is_bitwise_the_four_term_sum(variant):
             assert got.tobytes() == ref.tobytes()
             zeros += np.sum(got == 0.0)
         for x2, t2 in batches:
-            assert (kern.pairwise(x1, t1, x2, t2).tobytes()
+            assert (kern.pairwise(kern.batch(x1, t1),
+                                  kern.batch(x2, t2)).tobytes()
                     == four_term_kernel(params, x1, t1, x2, t2).tobytes())
             for comp in params.components:
                 src = getattr(params, comp)
@@ -496,5 +497,6 @@ def test_diagonal_evaluates_one_matern_value_per_point(monkeypatch):
         return matern52(h, rho, sigma2)
 
     monkeypatch.setattr(kernels, "matern52", counted)
-    WaveKernel(params).diag(x, t)
+    kern = WaveKernel(params)
+    kern.diag(kern.batch(x, t))
     assert sizes == [50, 50]

@@ -18,6 +18,8 @@ Every name that ``perfbench/tracing.py`` instruments must resolve, and
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import waveinform
@@ -172,3 +174,13 @@ def test_gp_only_aliases_the_traced_names():
     assert gp.chol_with_jitter is linalg.chol_with_jitter
     assert {name for name in vars(gp) if not name.startswith("_")} == {
         "fit_posterior", "assemble_covariance", "chol_with_jitter"}
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Only the likelihood fit needs scipy.optimize; it is imported there."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            "import waveinform; print(waveinform.__file__); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == [waveinform.__file__, "False"]

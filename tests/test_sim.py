@@ -338,6 +338,23 @@ def test_noise_refuses_a_sigma_that_is_not_a_finite_real(sigma):
         add_noise(ds, sigma, 1)
 
 
+@pytest.mark.parametrize("seed", [1.9, 1.0, True, False, -1, "x", None,
+                                  np.float64(3.0)])
+def test_noise_refuses_a_seed_that_is_not_an_integer(seed):
+    ds = SensorDataset(positions=[[0.1, 0.2, 0.3]], times=[0.0, 0.1],
+                       values=[1.0, 2.0])
+    for sigma in (0.1, 0.0):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            add_noise(ds, sigma, seed)
+
+
+def test_noise_takes_a_numpy_integer_seed():
+    ds = SensorDataset(positions=[[0.1, 0.2, 0.3]], times=[0.0, 0.1],
+                       values=[1.0, 2.0])
+    assert (add_noise(ds, 0.1, np.int64(7)).values.tobytes()
+            == add_noise(ds, 0.1, 7).values.tobytes())
+
+
 def test_dataset_points_ordering():
     ds = SensorDataset(positions=[[0, 0, 0], [1, 1, 1]], times=[0.0, 0.5],
                        values=[10.0, 11.0, 20.0, 21.0])
