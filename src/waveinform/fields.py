@@ -2,7 +2,7 @@
 
 The flat value ordering is x-fastest: entry ix + nx*(iy + ny*iz) holds the
 value at (origin + dx*[ix, iy, iz]).  Lp norms are Riemann sums with cell
-volume dx^3.
+volume dx^3 (``lp_norm``).
 """
 
 from __future__ import annotations
@@ -25,6 +25,26 @@ def _is_number(value):
 def _is_integer(value):
     """A Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def lp_order(p):
+    """Refuse an Lp order p that is not a real number >= 1 or inf."""
+    if not (_is_number(p) and p >= 1):
+        raise ValueError(f"an Lp norm needs a real p >= 1 or inf, got {p!r}")
+
+
+def lp_norm(values, dx, p):
+    """Riemann-sum Lp norm of grid values with cell volume dx^3.
+
+    The max norm for p = inf.  ``values`` may be the nonzero part of a
+    field, the other nodes being exact zeros; no values read as 0.  p must
+    pass :func:`lp_order`.
+    """
+    lp_order(p)
+    if p == np.inf:
+        return float(np.abs(values).max(initial=0.0))
+    p = float(p)
+    return float((np.abs(values) ** p).sum() * dx**3) ** (1.0 / p)
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -105,11 +125,8 @@ class ScalarField3D:
         return self.values.reshape(self.dims, order="F")
 
     def norm(self, p):
-        """Riemann-sum Lp norm (max norm for p = inf)."""
-        if p == np.inf:
-            return float(np.abs(self.values).max())
-        p = float(p)
-        return float((np.abs(self.values) ** p).sum() * self.dx**3) ** (1.0 / p)
+        """Riemann-sum Lp norm (max norm for p = inf), see ``lp_norm``."""
+        return lp_norm(self.values, self.dx, p)
 
     def save(self, prefix):
         """Write <prefix>.bin (little-endian float64) and <prefix>.json."""

@@ -6,6 +6,12 @@ finite-difference d'Alembertian residual checker: the checks that
 ``experiments.cmd_verify`` runs.  These are deliberately independent
 evaluation paths: they never reuse the characteristic-radii closed forms
 they are used to validate, nor the Matern functions of ``kernels``.
+The Lp stability check evaluates each radial field only on the grid nodes
+of the ball where it can be nonzero: radius c|t| + R about x0 for a
+propagated field, R for a truth.  A field of initial conditions supported
+within R of x0 vanishes exactly beyond c|t| + R (every shell of radius
+c|t| about such a point misses the support), so the Riemann-sum norms of
+the ball's values are the full-grid norms.
 Each quadrature states its integrand once, as a list of Matern-5/2 profile
 terms in the increment of the base's radial scalar
 (``matern52_profile``).  The double sum of that list over node pairs is
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .fields import ScalarField3D
+from .fields import ScalarField3D, _is_number, lp_norm, lp_order
 from .kernels import CUTOFF_ALPHA, RADIUS_CLAMP, _as_points, _time_sign
 
 # Rows per block of the dense quadrature double sum.
@@ -35,6 +41,9 @@ QUAD_CHUNK = 256
 SORTED_SPREAD_MAX = 64.0
 # Relative slack of the Lp stability bounds for the Riemann-sum norms.
 LP_STABILITY_TOL = 0.02
+# Relative slack of the radius of a field's ball in the Lp stability check:
+# far above the rounding of a radius, far below a grid cell.
+BALL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -273,29 +282,29 @@ def ku_wave_quadrature(base, z, zp, c, rule):
                       [(w, w, g), (wp, w, g1), (w, wq, g1), (wp, wq, g2)])
 
 
-def spherical_mean_radial(antideriv, x, t, c):
+def spherical_mean_radial(antideriv, r, t, c):
     """Shell average of a radial function, exactly, from an antiderivative.
 
     For g(y) = f(|y|^2) with F an antiderivative of f, the shell convolution
     at radius c|t| equals sgn(t)/(4 c r) * (F((r+c|t|)^2) - F((r-c|t|)^2)).
-    Positions are taken relative to the profile center.
+    ``r`` is the distance from the profile center, clamped below at
+    ``RADIUS_CLAMP``.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    r = np.maximum(np.linalg.norm(x, axis=1), RADIUS_CLAMP)
+    r = np.maximum(np.asarray(r, dtype=float), RADIUS_CLAMP)
     ct = c * abs(t)
     return (_time_sign(t) * (antideriv((r + ct) ** 2)
                              - antideriv((r - ct) ** 2)) / (4.0 * c * r))
 
 
-def spherical_mean_radial_dt(profile, x, t, c):
+def spherical_mean_radial_dt(profile, r, t, c):
     """Time derivative of the shell average of a radial function.
 
     Equals (1/(2 r)) * sum_eps (r + eps c|t|) f((r + eps c|t|)^2) for
-    g(y) = f(|y|^2); used for exact grid evaluation of the differentiated
-    shell convolution of radial initial positions.
+    g(y) = f(|y|^2), ``r`` the clamped distance from the profile center;
+    used for exact grid evaluation of the differentiated shell convolution
+    of radial initial positions.
     """
-    x = np.asarray(x, dtype=float).reshape(-1, 3)
-    r = np.maximum(np.linalg.norm(x, axis=1), RADIUS_CLAMP)
+    r = np.maximum(np.asarray(r, dtype=float), RADIUS_CLAMP)
     ct = c * abs(t)
     bp = r + ct
     bm = r - ct
@@ -378,33 +387,106 @@ def lp_relative_error(approx: ScalarField3D, truth: ScalarField3D, p):
     return diff.norm(p) / denom
 
 
+def _squared_radii(grid, center):
+    """|x - center|^2 at every node of ``grid``, x-fastest, with no point
+    array.  The terms are added as dx^2 + dy^2 + dz^2, the order of
+    ``np.linalg.norm(..., axis=1)``, so sqrt gives its radii bitwise."""
+    dx2, dy2, dz2 = ((axis - x0) ** 2 for axis, x0 in zip(grid.axes(), center))
+    return ((dx2[None, None, :] + dy2[None, :, None])
+            + dz2[:, None, None]).ravel()
+
+
+def _grid_points(grid, index):
+    """The (m, 3) nodes of ``grid`` at the flat (x-fastest) ``index``."""
+    return np.column_stack([axis[i] for axis, i in zip(
+        grid.axes(), np.unravel_index(index, grid.dims, order="F"))])
+
+
+def _stability_balls(u0_ic, v0_ic, c, t, grid):
+    """Nodes where each field of :func:`lp_stability_check` can be nonzero.
+
+    Maps "v" and "u" (the propagated fields, radius c|t| + R about x0) and
+    "v0" and "u0" (the truths, radius R) to ``(index, r)``: flat node
+    indices and their distances from x0.  A zero condition has none.  The
+    radius carries a relative ``BALL_SLACK``, so a node whose rounded
+    radius lands on the sphere is kept.
+    """
+    ct = c * abs(t)
+    radii = {}
+    balls = {}
+    for name, ic, extra in (("v", v0_ic, ct), ("u", u0_ic, ct),
+                            ("v0", v0_ic, 0.0), ("u0", u0_ic, 0.0)):
+        if ic.support_radius == 0.0:
+            balls[name] = (np.zeros(0, dtype=np.intp), np.zeros(0))
+            continue
+        key = ic.x0.tobytes()
+        if key not in radii:
+            radii[key] = _squared_radii(grid, ic.x0)
+        s = radii[key]
+        bound = (extra + ic.support_radius) * (1.0 + BALL_SLACK)
+        index = np.flatnonzero(s <= bound * bound)
+        balls[name] = (index, np.sqrt(s[index]))
+    return balls
+
+
 def lp_stability_check(u0_ic, v0_ic, c, t, norms, grid: ScalarField3D):
     """Check the Lp stability bounds of the propagated initial conditions.
 
     Verifies ||shell_mean(v0)||_p <= |t| ||v0||_p and
     ||d/dt shell_mean(u0)||_p <= ||u0||_p + 3 c |t| ||grad u0||_p, each with
     the multiplicative grid tolerance ``LP_STABILITY_TOL``, for every p in
-    ``norms``.  The fields are built once and shared by the norms.  Returns
-    one report dict with both sides per norm, in the order given.
+    ``norms``.  Returns one report dict with both sides per norm, in the
+    order given.
+
+    Each field is evaluated only inside the ball where it can be nonzero
+    (:func:`_stability_balls`).  A condition supported in the ball of
+    radius R about x0 propagates into the ball of radius c|t| + R: beyond
+    it both antiderivative arguments of ``spherical_mean_radial`` clip to
+    R^2, and both profile arguments of ``spherical_mean_radial_dt`` lie
+    past R, so the fields are exact zeros there.  The truths and the
+    gradient vanish beyond R.  The norms are Riemann sums over these
+    values (``fields.lp_norm``), so they are the full-grid norms.  A grid
+    that does not contain both propagated balls, a c that is not finite
+    and positive, a t that is not finite, or a p that is not a real >= 1
+    or inf is refused with a ValueError.
     """
-    pts = grid.points()
-    v_field = grid.like(spherical_mean_radial(
-        v0_ic.profile_antideriv, pts - v0_ic.x0, t, c))
-    v_truth = grid.like(v0_ic.eval(pts))
-    u_field = grid.like(spherical_mean_radial_dt(
-        u0_ic.profile, pts - u0_ic.x0, t, c))
-    u_truth = grid.like(u0_ic.eval(pts))
-    grad = np.abs(u0_ic.grad(pts))
+    if not (_is_number(c) and 0.0 < c < math.inf):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
+    if not (_is_number(t) and math.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t!r}")
+    norms = tuple(norms)
+    for p in norms:
+        lp_order(p)
+    lo = grid.origin
+    hi = grid.origin + grid.dx * (np.array(grid.dims) - 1)
+    slack = 1e-9 * grid.dx
+    for name, ic in (("u", u0_ic), ("v", v0_ic)):
+        radius = c * abs(t) + ic.support_radius
+        if ic.support_radius > 0.0 and (np.any(ic.x0 - radius < lo - slack)
+                                        or np.any(ic.x0 + radius > hi + slack)):
+            raise ValueError(
+                f"the grid box {lo.tolist()} to {hi.tolist()} does not contain "
+                f"the ball of radius {radius} about {ic.x0.tolist()} where the "
+                f"propagated {name} field can be nonzero")
+    balls = _stability_balls(u0_ic, v0_ic, c, t, grid)
+    v_field = spherical_mean_radial(v0_ic.profile_antideriv, balls["v"][1],
+                                    t, c)
+    u_field = spherical_mean_radial_dt(u0_ic.profile, balls["u"][1], t, c)
+    v_truth = v0_ic.eval(_grid_points(grid, balls["v0"][0]))
+    u_points = _grid_points(grid, balls["u0"][0])
+    u_truth = u0_ic.eval(u_points)
+    grad = np.abs(u0_ic.grad(u_points))
     reports = []
     for p in norms:
         if p == np.inf:
             grad_mag = grad.max(axis=1)
         else:
             grad_mag = (grad ** p).sum(axis=1) ** (1.0 / p)
-        lhs_v = v_field.norm(p)
-        rhs_v = abs(t) * v_truth.norm(p)
-        lhs_u = u_field.norm(p)
-        rhs_u = u_truth.norm(p) + 3.0 * c * abs(t) * grid.like(grad_mag).norm(p)
+        lhs_v = lp_norm(v_field, grid.dx, p)
+        rhs_v = abs(t) * lp_norm(v_truth, grid.dx, p)
+        lhs_u = lp_norm(u_field, grid.dx, p)
+        rhs_u = (lp_norm(u_truth, grid.dx, p)
+                 + 3.0 * c * abs(t) * lp_norm(grad_mag, grid.dx, p))
         reports.append({
             "t": t, "p": p, "tol": LP_STABILITY_TOL,
             "v_lhs": lhs_v, "v_rhs": rhs_v,
@@ -412,5 +494,3 @@ def lp_stability_check(u0_ic, v0_ic, c, t, norms, grid: ScalarField3D):
             "u_lhs": lhs_u, "u_rhs": rhs_u,
             "u_ok": bool(lhs_u <= rhs_u * (1.0 + LP_STABILITY_TOL) + 1e-12)})
     return reports
-
-

@@ -15,6 +15,9 @@ likelihood in the vectors F and W.  ``four_term_radial`` and ``four_term_kernel`
 the wave kernel's closed form with all four characteristic terms of every
 entry evaluated, including those with a zero weight; the package
 evaluates only the live terms and is compared against them.
+``lp_stability_fields`` and ``lp_stability_dense`` are the Lp stability
+check evaluated at every grid node, where ``oracle.lp_stability_check``
+evaluates each field only inside its ball.
 
 The paper's stationary-prior closed forms and the Kirchhoff formula are
 independent checks of the theory that no pipeline stage runs:
@@ -44,6 +47,8 @@ from waveinform.kernels import (PointBatch, _features, _time_sign,
                                 _weighted_matern, matern52, matern52_d1)
 from waveinform.linalg import (assemble_covariance, chol_with_jitter,
                                half_solve, logdet_from_chol)
+from waveinform.oracle import (LP_STABILITY_TOL, spherical_mean_radial,
+                               spherical_mean_radial_dt)
 from waveinform.sim import FieldHistory, SensorDataset
 
 
@@ -525,3 +530,43 @@ def reference_simulation(cfg, u0, v0, sample_rate=50.0):
     if recorded != n_samples:
         raise ValueError("simulation too short for the requested samples")
     return FieldHistory(cfg=cfg, times=times, snaps=snaps)
+
+
+def lp_stability_fields(u0_ic, v0_ic, c, t, grid):
+    """The Lp stability check's fields at every node of ``grid``, as fields:
+    the propagated "v" and "u", the truths "v0" and "u0", and "grad", the
+    (N, 3) absolute gradient of u0."""
+    pts = grid.points()
+    return {
+        "v": grid.like(spherical_mean_radial(
+            v0_ic.profile_antideriv, np.linalg.norm(pts - v0_ic.x0, axis=1),
+            t, c)),
+        "v0": grid.like(v0_ic.eval(pts)),
+        "u": grid.like(spherical_mean_radial_dt(
+            u0_ic.profile, np.linalg.norm(pts - u0_ic.x0, axis=1), t, c)),
+        "u0": grid.like(u0_ic.eval(pts)),
+        "grad": np.abs(u0_ic.grad(pts))}
+
+
+def lp_stability_dense(u0_ic, v0_ic, c, t, norms, grid):
+    """``oracle.lp_stability_check``'s reports from the full-grid fields."""
+    fields = lp_stability_fields(u0_ic, v0_ic, c, t, grid)
+    grad = fields["grad"]
+    reports = []
+    for p in norms:
+        if p == np.inf:
+            grad_mag = grad.max(axis=1)
+        else:
+            grad_mag = (grad ** p).sum(axis=1) ** (1.0 / p)
+        lhs_v = fields["v"].norm(p)
+        rhs_v = abs(t) * fields["v0"].norm(p)
+        lhs_u = fields["u"].norm(p)
+        rhs_u = (fields["u0"].norm(p)
+                 + 3.0 * c * abs(t) * grid.like(grad_mag).norm(p))
+        reports.append({
+            "t": t, "p": p, "tol": LP_STABILITY_TOL,
+            "v_lhs": lhs_v, "v_rhs": rhs_v,
+            "v_ok": bool(lhs_v <= rhs_v * (1.0 + LP_STABILITY_TOL) + 1e-12),
+            "u_lhs": lhs_u, "u_rhs": rhs_u,
+            "u_ok": bool(lhs_u <= rhs_u * (1.0 + LP_STABILITY_TOL) + 1e-12)})
+    return reports

@@ -400,6 +400,29 @@ def test_verify_full_selector(tmp_path):
     assert report["passed"]
 
 
+def test_pde_residual_points_match_sequential_draws():
+    from waveinform.kernels import HyperParams, WaveKernel
+    from waveinform.oracle import is_smooth_point
+    params = HyperParams(c=0.5, u=case_theta(1).u, v=case_theta(2).v,
+                         lam=0.09**2)
+    kernel = WaveKernel(params)
+    xs, ts = experiments._pde_residual_points(params, kernel, 1e-3,
+                                              np.random.default_rng(2))
+    # one candidate per turn, two kernel calls each
+    rng = np.random.default_rng(2)
+    want_x, want_t = [], []
+    while len(want_t) < 40:
+        x = rng.uniform(0.0, 1.0, 3)
+        t = rng.uniform(0.1, 1.3)
+        if (is_smooth_point(params, [x], [t], 1e-3)[0]
+                and kernel.diag(kernel.batch([x], [t]))[0] > 1e-6):
+            want_x.append(x)
+            want_t.append(t)
+    assert xs.shape == (40, 3) and ts.shape == (40,)
+    assert np.array_equal(xs, np.array(want_x))
+    assert np.array_equal(ts, np.array(want_t))
+
+
 def test_pointsource_scan_wrong_speed_has_no_deep_minimum():
     from waveinform.fast import green_traces
     from waveinform.experiments import scan_limit_profile

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from waveinform.fields import ScalarField3D, fmt17
+from waveinform.fields import ScalarField3D, fmt17, lp_norm
+from waveinform.oracle import lp_relative_error
 
 
 def test_points_x_fastest_ordering():
@@ -46,6 +47,33 @@ def test_norms_riemann():
     assert field.norm(np.inf) == 3.0
     assert field.norm(1) == pytest.approx(3.0 * 8 * 0.125)
     assert field.norm(2) == pytest.approx(np.sqrt(9.0 * 8 * 0.125))
+
+
+@pytest.mark.parametrize("p", [0, -1, 0.5, True, np.nan, -np.inf, "2", None])
+def test_norm_refuses_an_order_that_is_not_a_norm(p):
+    # p = 0 divided by zero, p = -1 read 0.0, p = 0.5 gave no norm and
+    # True counted as p = 1
+    field = ScalarField3D(origin=[0, 0, 0], dx=0.5, dims=(2, 2, 2),
+                          values=np.arange(8.0))
+    with pytest.raises(ValueError, match=f"real p >= 1 or inf, got {p!r}"):
+        field.norm(p)
+    with pytest.raises(ValueError, match=f"got {p!r}"):
+        lp_relative_error(field, field, p)
+
+
+def test_norm_accepts_every_real_order_from_one():
+    values = np.array([3.0, -4.0])
+    assert lp_norm(values, 1.0, 1) == 7.0
+    assert lp_norm(values, 1.0, np.float64(2.0)) == 5.0
+    assert lp_norm(values, 1.0, 1.5) == pytest.approx(
+        (3.0**1.5 + 4.0**1.5) ** (1 / 1.5), rel=1e-15)
+    assert lp_norm(values, 1.0, float("inf")) == 4.0
+
+
+def test_norm_of_no_values_is_zero():
+    # the nonzero part of a zero field is empty; RuntimeWarnings are errors
+    for p in (1, 2, np.inf):
+        assert lp_norm(np.zeros(0), 0.1, p) == 0.0
 
 
 def test_binary_json_roundtrip(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 from dense_reference import (NumericalBase, StationaryGaussianBase,
                              dense_ku_quadrature, dense_kv_quadrature,
-                             kirchhoff_eval, matern52_d2,
+                             kirchhoff_eval, lp_stability_dense,
+                             lp_stability_fields, matern52_d2,
                              radial_matern, radial_matern_terms,
                              stationary_gaussian_wave)
 from waveinform import oracle
@@ -258,13 +259,14 @@ def test_spherical_mean_radial_constant_profile():
     # f = 1 has antiderivative F(s) = s, and the shell mean of 1 is t
     pts = np.array([[0.3, 0.2, 0.1], [0.9, 0.0, 0.0]])
     for t in (0.4, -0.7):
-        vals = spherical_mean_radial(lambda s: s, pts, t, 0.5)
+        vals = spherical_mean_radial(lambda s: s,
+                                     np.linalg.norm(pts, axis=1), t, 0.5)
         assert np.allclose(vals, t, rtol=1e-12)
 
 
 def test_spherical_mean_radial_time_zero():
-    pts = np.array([[0.3, 0.2, 0.1]])
-    assert spherical_mean_radial(lambda s: s**2, pts, 0.0, 0.5)[0] == 0.0
+    r = np.linalg.norm([[0.3, 0.2, 0.1]], axis=1)
+    assert spherical_mean_radial(lambda s: s**2, r, 0.0, 0.5)[0] == 0.0
 
 
 def test_spherical_mean_gaussian_vs_quadrature():
@@ -280,7 +282,7 @@ def test_spherical_mean_gaussian_vs_quadrature():
     rule = SphericalRule.product(48)
     x = np.array([0.25, 0.1, -0.2])
     t, c = 0.6, 0.7
-    exact = spherical_mean_radial(antideriv, x[None], t, c)[0]
+    exact = spherical_mean_radial(antideriv, np.linalg.norm(x), t, c)
     nodes = x[None, :] - c * abs(t) * rule.nodes
     quad = t * float(rule.weights @ g(nodes))
     assert exact == pytest.approx(quad, rel=1e-8)
@@ -291,14 +293,16 @@ def test_spherical_mean_polynomial_exactness():
     x = np.array([[0.4, 0.1, 0.2]])
     r2 = float(np.einsum("ij,ij->i", x, x)[0])
     t, c = 0.5, 0.8
-    got = spherical_mean_radial(lambda s: 0.5 * s * s, x, t, c)[0]
+    got = spherical_mean_radial(lambda s: 0.5 * s * s,
+                                np.linalg.norm(x, axis=1), t, c)[0]
     assert got == pytest.approx(t * (r2 + c * c * t * t), rel=1e-12)
 
 
 def test_spherical_mean_dt_constant():
     # d/dt of the shell convolution of 1 is 1
     x = np.array([[0.3, -0.2, 0.4]])
-    got = spherical_mean_radial_dt(lambda s: np.ones_like(s), x, 0.7, 0.5)[0]
+    got = spherical_mean_radial_dt(lambda s: np.ones_like(s),
+                                   np.linalg.norm(x, axis=1), 0.7, 0.5)[0]
     assert got == pytest.approx(1.0, rel=1e-12)
 
 
@@ -419,6 +423,101 @@ def test_lp_stability_ring_speed_bound():
     [rep] = lp_stability_check(u0, v0, 0.5, 0.5, (2,), grid)
     assert rep["v_ok"]
     assert rep["v_lhs"] <= 0.5 * grid.like(v0.eval(grid.points())).norm(2) * 1.02
+
+
+RAISED = InitialCondition(x0=[0, 0, 0], mid=0.0, half=0.25, amplitude=5.0)
+RING = InitialCondition(x0=[0, 0, 0], mid=(0.05 + 0.15) / 2,
+                        half=(0.15 - 0.05) / 2, amplitude=50.0)
+# Radius 0.004 about a cell centre of the 0.025 grid: no node inside.
+TINY = InitialCondition(x0=[0.0125] * 3, mid=0.0, half=0.004, amplitude=1.0)
+LP_CASES = {
+    "centred": (RAISED, RING, 0.5),
+    "off_node": (InitialCondition(x0=[0.013, -0.0271, 0.0093], mid=0.0,
+                                  half=0.25, amplitude=5.0),
+                 InitialCondition(x0=[-0.021, 0.017, 0.004], mid=0.1,
+                                  half=0.05, amplitude=50.0), 0.35),
+    "zero_u0": (ZERO_IC, RING, 0.5),
+    "zero_v0": (RAISED, ZERO_IC, 0.5),
+    "ring_u0": (InitialCondition(x0=[0, 0, 0], mid=0.15, half=0.1,
+                                 amplitude=5.0),
+                InitialCondition(x0=[0.01, 0, 0], mid=0.0, half=0.2,
+                                 amplitude=3.0), 0.45),
+    "negative_t": (RAISED, RING, -0.4),
+    "t_zero": (RAISED, RING, 0.0),
+    "t_zero_empty": (TINY, TINY, 0.0),
+}
+
+
+def _lp_grid():
+    return ScalarField3D.zeros([-0.65] * 3, 0.025, (53, 53, 53))
+
+
+@pytest.mark.parametrize("case", sorted(LP_CASES))
+def test_lp_stability_matches_dense_reference(case):
+    u0, v0, t = LP_CASES[case]
+    grid = _lp_grid()
+    norms = (1, 2, np.inf)
+    got = lp_stability_check(u0, v0, 0.5, t, norms, grid)
+    want = lp_stability_dense(u0, v0, 0.5, t, norms, grid)
+    for rep, ref in zip(got, want, strict=True):
+        assert rep.keys() == ref.keys()
+        for key, value in ref.items():
+            if isinstance(value, float) and key.endswith(("lhs", "rhs")):
+                assert rep[key] == pytest.approx(value, rel=1e-14, abs=0.0)
+            else:
+                assert rep[key] == value
+    if case == "t_zero_empty":
+        assert all(rep[k] == 0.0 for rep in got
+                   for k in ("v_lhs", "v_rhs", "u_lhs", "u_rhs"))
+
+
+@pytest.mark.parametrize("case", sorted(LP_CASES))
+def test_lp_stability_balls_hold_every_nonzero_node(case):
+    u0, v0, t = LP_CASES[case]
+    grid = _lp_grid()
+    fields = lp_stability_fields(u0, v0, 0.5, t, grid)
+    balls = oracle._stability_balls(u0, v0, 0.5, t, grid)
+    pts = grid.points()
+    for name, ic in (("v", v0), ("u", u0), ("v0", v0), ("u0", u0)):
+        index, r = balls[name]
+        assert np.isin(np.flatnonzero(fields[name].values), index).all()
+        # the ball's radii are the norms of its nodes, bitwise
+        assert np.array_equal(r, np.linalg.norm(pts[index] - ic.x0, axis=1))
+    nonzero_grad = np.flatnonzero(fields["grad"].any(axis=1))
+    assert np.isin(nonzero_grad, balls["u0"][0]).all()
+
+
+def test_lp_stability_refuses_a_grid_cutting_the_support():
+    # At t = 0.5 the raised cosine's propagated ball has radius 0.5; the
+    # grid reaches 0.2, inside even the support's radius 0.25.
+    grid = ScalarField3D.zeros([-0.2] * 3, 0.02, (21, 21, 21))
+    with pytest.raises(ValueError, match=r"radius 0\.5 .*propagated u"):
+        lp_stability_check(RAISED, ZERO_IC, 0.5, 0.5, (2,), grid)
+    # the ring's ball (0.4) leaves a grid that holds the zero u0's
+    grid = ScalarField3D.zeros([-0.3] * 3, 0.02, (31, 31, 31))
+    with pytest.raises(ValueError, match=r"\[-0\.3, -0\.3, -0\.3\].*"
+                                         r"propagated v"):
+        lp_stability_check(ZERO_IC, RING, 0.5, 0.5, (2,), grid)
+    # the same ring fits at t = 0.2 (radius 0.25)
+    lp_stability_check(ZERO_IC, RING, 0.5, 0.2, (2,), grid)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.5, np.inf, np.nan, True, "0.5"])
+def test_lp_stability_refuses_bad_c(c):
+    with pytest.raises(ValueError, match="c must be finite and positive"):
+        lp_stability_check(RAISED, RING, c, 0.5, (2,), _lp_grid())
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, None])
+def test_lp_stability_refuses_bad_t(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        lp_stability_check(RAISED, RING, 0.5, t, (2,), _lp_grid())
+
+
+@pytest.mark.parametrize("p", [0, -1, 0.5, True, np.nan, "2"])
+def test_lp_stability_refuses_bad_norm(p):
+    with pytest.raises(ValueError, match=f"got {p!r}"):
+        lp_stability_check(RAISED, RING, 0.5, 0.5, (2, p), _lp_grid())
 
 
 def test_gaussian_prefactor_calibration_consistency():
