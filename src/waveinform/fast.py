@@ -16,11 +16,11 @@ object with ``batch``, ``pairwise`` and ``diag``.  ``fit_posterior``
 builds one batch of all its points, so each point is featurized once: the
 active set is read off that batch's diagonal, and the covariance of the
 active points is assembled on the batch indexed by them.  The Kriging
-mean takes a
-``WaveKernel``: it is linear in the kernel, so it is taken one component
-at a time, and a component sees a query only through (|x - x0|, t) about
-its own center.  On a grid at one time its mean is a function of the
-radius, evaluated once per distinct radius and scattered back to the grid.
+mean takes a ``WaveKernel``: it is linear in the kernel, so it is taken
+one component at a time, and a component sees a query only through
+(|x - x0|, t) about its own center.  On a grid at one time its mean is a
+function of the radius, evaluated once per distinct radius (one
+``radial_batch``) and scattered back to the grid.
 So is the mean's time derivative at t = 0+, the initial speed, taken in
 closed form: the u component is even in t and adds 0 (``posterior_speed``).
 """
@@ -195,15 +195,12 @@ def posterior_mean(model, x, t):
         x0 = getattr(kernel.params, comp).x0
         key = np.column_stack([np.linalg.norm(x - x0, axis=1), t])
         first, inverse = _distinct_rows(key)
-        r, tk = key[first, 0], key[first, 1]
+        query = kernel.radial_batch(comp, key[first, 0], key[first, 1])
         g = np.zeros(first.size)
-        live = np.flatnonzero(kernel.radial_diag(comp, r, tk) > 0.0)
-        r_in = np.linalg.norm(model.points.x - x0, axis=1)
+        live = np.flatnonzero(kernel.diag(query) > 0.0)
         for lo in range(0, live.size, MEAN_CHUNK):
             sel = live[lo: lo + MEAN_CHUNK]
-            cross = kernel.radial(comp, r_in, model.points.t, r[sel],
-                                  tk[sel])
-            g[sel] = cross.T @ model.alpha
+            g[sel] = kernel.pairwise(model.points, query[sel]).T @ model.alpha
         out += g[inverse]
     return out
 

@@ -19,15 +19,15 @@ terms are exact zeros, so the assembly evaluates the Matern terms of the
 nonzero weights only: for most data points the outgoing radius r + c|t|
 is past R.  As m52(0) = sigma2 and m52 is even, the diagonal takes one
 Matern value per point: k(z, z) = sigma2 (w_0^2 + w_1^2) + 2 w_0 w_1
-m52(s_0 - s_1).  Values and diagonals are bitwise the four-term sum's; one
-component's pairwise block alone (``WaveKernel.radial``) may differ from
-it in the sign of an exact 0.
+m52(s_0 - s_1).  Values and diagonals are bitwise the four-term sum's.
 
 A point batch (``PointBatch``, built by ``WaveKernel.batch``) carries
 each enabled component's features of its points, computed once: a
 likelihood evaluation featurizes its points once and every diagonal and
 covariance band reads slices of that batch.  The features are elementwise
 in the points, so a slice of a batch is bitwise the batch of the slice.
+``WaveKernel.radial_batch`` holds one component at radii |x - x0|, and
+``pairwise`` and ``diag`` sum over the components their batches carry.
 
 This module implements the feature map and its assembly, the Matern-5/2
 base profile and the smooth compact-support cutoff phi.  phi's plateau is
@@ -201,11 +201,6 @@ def _as_points(x, t):
                      "positions")
 
 
-def _as_radii(r, t):
-    """(n,) radii and (n,) times, refused as :func:`_as_points` refuses."""
-    return _as_batch(np.asarray(r, dtype=float).reshape(-1), t, "radii")
-
-
 def _as_batch(a, t, name):
     t = np.asarray(t, dtype=float).reshape(-1)
     if a.shape[0] != t.shape[0]:
@@ -312,12 +307,6 @@ def _assemble(w1, s1, w2, s2, src):
     return np.zeros((n, m)) if acc is None else acc
 
 
-def _radial(comp, src, c, r1, t1, r2, t2):
-    """One component's (len(r1), len(r2)) block at radii r = |x - x0|."""
-    return _assemble(*_features(comp, r1, t1, c, src),
-                     *_features(comp, r2, t2, c, src), src)
-
-
 def _diag_of(w, s, src):
     """One component's diagonal from its features: sum_e' w_e' (sigma2
     w_e' + m52(s_0 - s_1) w_-e'), the four-term sum's products added in
@@ -331,11 +320,13 @@ class PointBatch:
     """Finite space-time points and the kernel features of each point.
 
     ``x`` is (n, 3) and ``t`` is (n,).  ``features`` maps each enabled
-    component of ``params`` to its (w, s) pair, (2, n) each; a kernel
-    object that reads its points directly leaves it empty, with ``params``
-    None.  Features are elementwise in the points, so ``batch[index]``
-    (a slice or an index array) slices them with the points and is
-    bitwise the batch of the indexed points, without recomputing them.
+    component of ``params`` to its (w, s) pair, (2, n) each, in
+    ``params.components`` order; a batch at radii carries one component
+    and (n, 0) positions.  A kernel object that reads its points directly
+    leaves it empty, with ``params`` None.  Features are elementwise in
+    the points, so ``batch[index]`` (a slice or an index array) slices
+    them with the points and is bitwise the batch of the indexed points,
+    without recomputing them.
     """
 
     x: np.ndarray
@@ -375,20 +366,19 @@ def _features_of(params, batch):
 
 
 def _pairwise(params, b1, b2):
-    """Sum over the enabled components of their (len(b1), len(b2)) blocks."""
+    """Sum over the components both batches carry of their blocks."""
     f1, f2 = _features_of(params, b1), _features_of(params, b2)
     out = np.zeros((len(b1), len(b2)))
-    for comp in params.components:
+    for comp in [comp for comp in f1 if comp in f2]:
         out += _assemble(*f1[comp], *f2[comp], getattr(params, comp))
     return out
 
 
 def _diag(params, batch):
-    """Sum over the enabled components of their diagonals."""
-    features = _features_of(params, batch)
+    """Sum over the components the batch carries of their diagonals."""
     out = np.zeros(len(batch))
-    for comp in params.components:
-        out += _diag_of(*features[comp], getattr(params, comp))
+    for comp, (w, s) in _features_of(params, batch).items():
+        out += _diag_of(w, s, getattr(params, comp))
     return out
 
 
@@ -436,12 +426,14 @@ class WaveKernel:
     """Space-time covariance object over point batches.
 
     ``batch(x, t)`` refuses ragged or non-finite points and computes their
-    features once; ``pairwise`` and ``diag`` read the features of the
-    batches they are given, which must come from a kernel with the same
-    ``params``.  Immutable apart from ``eval_count``, a diagnostic counter
-    of how many kernel entries have been returned (used to check
-    light-cone pruning).  It counts entries, not the Matern terms behind
-    them, which the assembly skips where a weight is 0.
+    features once, ``radial_batch(comp, r, t)`` those of one component at
+    radii; ``pairwise`` and ``diag`` read the features of the batches they
+    are given, which must come from a kernel with the same ``params``, and
+    sum over the components the batches carry.  Immutable apart from
+    ``eval_count``, a diagnostic counter of how many kernel entries have
+    been returned (used to check light-cone pruning).  It counts entries,
+    not the Matern terms behind them, which the assembly skips where a
+    weight is 0.
     """
 
     def __init__(self, params: HyperParams):
@@ -456,6 +448,19 @@ class WaveKernel:
         """The :class:`PointBatch` of positions (n, 3) and times (n,)."""
         return _featurize(self.params, x, t)
 
+    def radial_batch(self, comp, r, t):
+        """The batch of component ``comp`` alone at radii r = |x - x0| and
+        times t, with (n, 0) positions; refuses a component that is not
+        enabled, and non-finite or ragged radii and times, with ValueError."""
+        if comp not in self.params.components:
+            raise ValueError(f"component {comp!r} is not enabled; the "
+                             f"enabled ones are {self.params.components}")
+        r, t = _as_batch(np.asarray(r, dtype=float).reshape(-1), t, "radii")
+        src = getattr(self.params, comp)
+        return PointBatch(np.empty((t.size, 0)), t,
+                          {comp: _features(comp, r, t, self.params.c, src)},
+                          self.params)
+
     def pairwise(self, b1, b2):
         """The (len(b1), len(b2)) covariance block of two batches."""
         return self._count(_pairwise(self.params, b1, b2))
@@ -463,21 +468,3 @@ class WaveKernel:
     def diag(self, batch):
         """The covariance of each point of a batch with itself."""
         return self._count(_diag(self.params, batch))
-
-    def radial(self, comp, r1, t1, r2, t2):
-        """Component ``comp`` alone, pairwise, at radii r = |x - x0| about
-        its center: the (len(r1), len(r2)) block.
-
-        Each component sees a point only through (r, t), so a caller can
-        evaluate it once per distinct pair.  Non-finite radii or times, and
-        radii and times of different lengths, are refused with ValueError.
-        """
-        return self._count(_radial(comp, getattr(self.params, comp),
-                                   self.params.c, *_as_radii(r1, t1),
-                                   *_as_radii(r2, t2)))
-
-    def radial_diag(self, comp, r, t):
-        """The diagonal of :meth:`radial`; refuses what it refuses."""
-        src = getattr(self.params, comp)
-        w, s = _features(comp, *_as_radii(r, t), self.params.c, src)
-        return self._count(_diag_of(w, s, src))

@@ -385,7 +385,10 @@ def four_term_assemble(w1, s1, w2, s2, src):
 
 
 def four_term_radial(comp, src, c, r1, t1, r2=None, t2=None):
-    """``WaveKernel.radial`` through ``four_term_assemble``."""
+    """One component's (len(r1), len(r2)) block at radii r = |x - x0|, or
+    its diagonal when r2 is None, through ``four_term_assemble``.
+    ``WaveKernel`` returns it plus +0: ``pairwise`` against a
+    ``radial_batch`` at (r2, t2), ``diag`` of one at (r1, t1)."""
     w1, s1 = _features(comp, r1, t1, c, src)
     if r2 is None:
         return four_term_assemble(w1, s1, w1, s1, src)

@@ -210,6 +210,40 @@ def test_a_likelihood_featurizes_each_point_once(case, monkeypatch):
                                       for a in range(0, p, BAND))
 
 
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_a_reconstruction_featurizes_each_point_once(case, monkeypatch):
+    rng = np.random.default_rng(80 + case)
+    params = case_theta(case)
+    n = 2 * BAND + 7
+    x, t = mixed_points(rng, params, n)
+    y = rng.normal(size=n)
+    axis = np.linspace(0.0, 1.0, 21)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    # At t = 0 the v component is 0, so the grid is taken at t > 0.
+    tq = np.full(len(grid), 0.2)
+    radii = {comp: np.unique(np.linalg.norm(grid - getattr(params, comp).x0,
+                                            axis=1))
+             for comp in params.components}
+    chunk = 16
+    # Several chunks of keys within each component's shell |r - c t| < R.
+    assert all(np.sum(np.abs(r - params.c * tq[0])
+                      < getattr(params, comp).radius) > 2 * chunk
+               for comp, r in radii.items())
+    calls, features = [], kernels._features
+
+    def counted(comp, r, t, c, src):
+        calls.append((comp, np.size(r)))
+        return features(comp, r, t, c, src)
+
+    monkeypatch.setattr(kernels, "_features", counted)
+    monkeypatch.setattr(fast, "MEAN_CHUNK", chunk)
+    model = fast.fit_posterior(WaveKernel(params), x, t, y, params.lam)
+    fast.posterior_mean(model, grid, tq)
+    assert calls == ([(comp, n) for comp in params.components]
+                     + [(comp, r.size) for comp, r in radii.items()])
+
+
 def triu_mirror_assembly(kernel, batch):
     """The banded upper triangle, mirrored afterwards through np.triu."""
     p = len(batch)

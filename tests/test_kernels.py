@@ -440,32 +440,28 @@ def test_live_term_assembly_is_bitwise_the_four_term_sum(variant):
     kern = WaveKernel(params)
     zeros = nonzeros = 0
     for x1, t1 in batches:
-        assert (kern.diag(kern.batch(x1, t1)).tobytes()
+        full = kern.batch(x1, t1)
+        assert (kern.diag(full).tobytes()
                 == four_term_kernel(params, x1, t1).tobytes())
         for comp in params.components:
             src = getattr(params, comp)
             r1 = np.linalg.norm(x1 - src.x0, axis=1)
-            # One component's diagonal keeps the four-term sum's sign of 0.
-            got = kern.radial_diag(comp, r1, t1)
-            ref = four_term_radial(comp, src, params.c, r1, t1)
+            # A one-component sum starts from +0, so an exact 0 of the
+            # four-term sum is compared after adding +0 to it.
+            got = kern.diag(kern.radial_batch(comp, r1, t1))
+            ref = four_term_radial(comp, src, params.c, r1, t1) + 0.0
             assert got.tobytes() == ref.tobytes()
             zeros += np.sum(got == 0.0)
         for x2, t2 in batches:
-            assert (kern.pairwise(kern.batch(x1, t1),
-                                  kern.batch(x2, t2)).tobytes()
+            assert (kern.pairwise(full, kern.batch(x2, t2)).tobytes()
                     == four_term_kernel(params, x1, t1, x2, t2).tobytes())
             for comp in params.components:
                 src = getattr(params, comp)
                 r1 = np.linalg.norm(x1 - src.x0, axis=1)
                 r2 = np.linalg.norm(x2 - src.x0, axis=1)
-                # One component's pairwise block alone may hold an exact 0
-                # of either sign where the four-term sum has the other;
-                # every caller adds it into +0 (``wave_kernel``,
-                # ``posterior_mean``), so the comparison is made after
-                # adding +0.
-                got = kern.radial(comp, r1, t1, r2, t2)
+                got = kern.pairwise(full, kern.radial_batch(comp, r2, t2))
                 ref = four_term_radial(comp, src, params.c, r1, t1, r2, t2)
-                assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
+                assert got.tobytes() == (ref + 0.0).tobytes()
                 zeros += np.sum(got == 0.0)
                 nonzeros += np.sum(got != 0.0)
     assert zeros > 0 and nonzeros > 0
@@ -476,14 +472,25 @@ def test_live_term_assembly_is_bitwise_the_four_term_sum(variant):
                                   ([0.1, 0.2], [0.5])])
 def test_radial_refuses_non_finite_or_ragged_input(r, t):
     kern = WaveKernel(case_theta(3))
-    ok = np.array([0.1]), np.array([0.5])
-    with pytest.raises(ValueError, match="radii and times must"):
-        kern.radial("v", r, t, *ok)
-    with pytest.raises(ValueError, match="radii and times must"):
-        kern.radial("u", *ok, r, t)
-    with pytest.raises(ValueError, match="radii and times must"):
-        kern.radial_diag("u", r, t)
+    for comp in ("u", "v"):
+        with pytest.raises(ValueError, match="radii and times must"):
+            kern.radial_batch(comp, r, t)
     assert kern.eval_count == 0
+
+
+@pytest.mark.parametrize("case, comp", [(1, "v"), (2, "u"), (3, "w"),
+                                        (3, "U"), (1, None)])
+def test_radial_batch_refuses_a_component_that_is_not_enabled(
+        case, comp, monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "_features",
+                        lambda *args: calls.append(args))
+    params = case_theta(case)
+    kern = WaveKernel(params)
+    with pytest.raises(ValueError, match="not enabled") as err:
+        kern.radial_batch(comp, [0.1], [0.5])
+    assert str(params.components) in str(err.value)
+    assert calls == [] and kern.eval_count == 0
 
 
 def test_diagonal_evaluates_one_matern_value_per_point(monkeypatch):
