@@ -196,7 +196,10 @@ def multistart_fit(objective, box: HyperBox, n_mult, seed, tol, max_evals):
 
 
 def write_trace_csv(trace, components, path):
-    """Fit trace as CSV: start_id, theta_start..., theta_end..., nll_end, evals."""
+    """Fit trace as CSV: start_id, theta_start..., theta_end..., nll_end, evals.
+
+    Returns the bytes written.
+    """
     names = HyperParams.vector_names(components)
     header = (["start_id"] + [f"start_{n}" for n in names]
               + [f"end_{n}" for n in names] + ["nll_end", "evals"])
@@ -207,4 +210,4 @@ def write_trace_csv(trace, components, path):
                  + [fmt17(v) for v in row.theta_end]
                  + [fmt17(row.nll_end), str(row.evals)])
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, "\n".join(lines) + "\n")

@@ -18,8 +18,8 @@ import numpy as np
 from . import fast
 from .design import (HyperBox, lhs_design, multistart_fit, nll_objective,
                      write_trace_csv)
-from .fields import (ScalarField3D, _is_integer, _is_number, atomic_write_text,
-                     fmt17)
+from .fields import (ScalarField3D, _is_integer, _is_number,
+                     atomic_write_bytes, atomic_write_text, fmt17)
 from .kernels import (HyperParams, SourceParams, WaveKernel, ku_wave_radial,
                       kv_wave_radial)
 from .linalg import assemble_covariance
@@ -241,7 +241,10 @@ def theta_from_json(text):
 
 
 class Manifest:
-    """Collects output files and writes a hash manifest."""
+    """Collects output files and writes a hash manifest.
+
+    A file's SHA-256 is taken from the bytes written to it, not read back.
+    """
 
     def __init__(self, outdir):
         self.outdir = outdir
@@ -252,11 +255,22 @@ class Manifest:
     def path(self, name):
         return os.path.join(self.outdir, name)
 
-    def register(self, *names):
-        for name in names:
-            with open(self.path(name), "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            self.entries[name] = digest
+    def add(self, name, data):
+        """List the file ``name``, which was written with the bytes ``data``."""
+        self.entries[name] = hashlib.sha256(data).hexdigest()
+
+    def write_bytes(self, name, data):
+        atomic_write_bytes(self.path(name), data)
+        self.add(name, data)
+
+    def write_text(self, name, text):
+        self.add(name, atomic_write_text(self.path(name), text))
+
+    def save_field(self, name, field):
+        """``field.save`` to <name>.bin and <name>.json, both listed."""
+        data, header = field.save(self.path(name))
+        self.add(name + ".bin", data)
+        self.add(name + ".json", header)
 
     def write(self):
         blob = {"files": self.entries, **self.meta}
@@ -269,28 +283,32 @@ def cmd_simulate(config: ExperimentConfig, outdir):
     manifest = Manifest(outdir)
     u0, v0 = case_ics(config.test_case)
     history = run_simulation(config.sim, u0, v0, sample_rate=config.sample_rate)
+    # The snapshots share one grid, so one .json header.
+    header = history.snapshot_field(0).header_text().encode("utf-8")
     for k in range(len(history.times)):
-        prefix = manifest.path(f"snapshot_{k:04d}")
-        history.snapshot_field(k).save(prefix)
-        manifest.register(f"snapshot_{k:04d}.bin", f"snapshot_{k:04d}.json")
-    dataset = cmd_sample(config, history, outdir)
-    manifest.register("sensors.csv")
+        manifest.write_bytes(f"snapshot_{k:04d}.bin", history.snapshot_bytes(k))
+        manifest.write_bytes(f"snapshot_{k:04d}.json", header)
+    dataset = _sample_into(manifest, config, history)
     manifest.meta["n_observations"] = dataset.n
     manifest.meta["n_sensors"] = dataset.q
     manifest.meta["n_times"] = dataset.n_times
-    atomic_write_text(manifest.path("config.json"), config.to_json() + "\n")
-    manifest.register("config.json")
+    manifest.write_text("config.json", config.to_json() + "\n")
     manifest.write()
     return history, dataset
+
+
+def _sample_into(manifest, config, history):
+    """Sample the sensors, add the seeded noise and write sensors.csv."""
+    clean = sample_sensors(history, config.sensors())
+    noisy = add_noise(clean, config.noise_sigma, config.noise_seed)
+    manifest.add("sensors.csv", noisy.to_csv(manifest.path("sensors.csv")))
+    return noisy
 
 
 def cmd_sample(config: ExperimentConfig, history: FieldHistory, outdir):
     """Sensor sampling plus seeded noise; writes sensors.csv."""
     manifest = Manifest(outdir)
-    clean = sample_sensors(history, config.sensors())
-    noisy = add_noise(clean, config.noise_sigma, config.noise_seed)
-    noisy.to_csv(manifest.path("sensors.csv"))
-    manifest.register("sensors.csv")
+    noisy = _sample_into(manifest, config, history)
     manifest.write()
     return noisy
 
@@ -322,8 +340,9 @@ def cmd_fit(config: ExperimentConfig, dataset: SensorDataset, outdir,
             tol=config.fit_tol, max_evals=config.fit_max_evals)
         best = HyperParams.from_vector(best_vec, components)
     manifest = Manifest(outdir)
-    atomic_write_text(manifest.path("theta.json"), theta_to_json(best) + "\n")
-    write_trace_csv(trace, components, manifest.path("fit_trace.csv"))
+    manifest.write_text("theta.json", theta_to_json(best) + "\n")
+    manifest.add("fit_trace.csv", write_trace_csv(
+        trace, components, manifest.path("fit_trace.csv")))
     summary = ["case,n_sensors," + ",".join(
         f"{f}_{c}" for c in components for f in ("rho", "sigma2")) + ",lam"]
     row = [str(config.test_case), str(dataset.q)]
@@ -332,8 +351,7 @@ def cmd_fit(config: ExperimentConfig, dataset: SensorDataset, outdir,
         row.extend([fmt17(src.rho), fmt17(src.sigma2)])
     row.append(fmt17(best.lam))
     summary.append(",".join(row))
-    atomic_write_text(manifest.path("fit_summary.csv"), "\n".join(summary) + "\n")
-    manifest.register("theta.json", "fit_trace.csv", "fit_summary.csv")
+    manifest.write_text("fit_summary.csv", "\n".join(summary) + "\n")
     manifest.write()
     return best, trace
 
@@ -356,10 +374,8 @@ def cmd_reconstruct(config: ExperimentConfig, dataset: SensorDataset,
     pts = grid.points()
     u_field = grid.like(fast.posterior_mean(model, pts, np.zeros(len(pts))))
     v_field = grid.like(fast.posterior_speed(model, pts))
-    u_field.save(manifest.path("u0_recon"))
-    v_field.save(manifest.path("v0_recon"))
-    manifest.register("u0_recon.bin", "u0_recon.json",
-                      "v0_recon.bin", "v0_recon.json")
+    manifest.save_field("u0_recon", u_field)
+    manifest.save_field("v0_recon", v_field)
     manifest.write()
     return u_field, v_field, model
 
@@ -386,8 +402,7 @@ def cmd_errors(config: ExperimentConfig, u_field, v_field, outdir):
             err = lp_relative_error(approx, truth, p)
             report[(name, p)] = err
             lines.append(f"{name},{p},{fmt17(err)}")
-    atomic_write_text(manifest.path("errors.csv"), "\n".join(lines) + "\n")
-    manifest.register("errors.csv")
+    manifest.write_text("errors.csv", "\n".join(lines) + "\n")
     manifest.write()
     return report
 
@@ -469,16 +484,14 @@ def cmd_pointsource_scan(dataset: SensorDataset, scan_grid: ScalarField3D,
     # Only now: a scan that refuses its inputs leaves no directory behind.
     manifest = Manifest(outdir)
     volume = scan_grid.like(vals)
-    volume.save(manifest.path("scan_volume"))
+    manifest.save_field("scan_volume", volume)
     best = int(np.argmin(vals))
     result = {"argmin_index": best,
               "argmin_point": [fmt17(v) for v in pts[best]],
               "argmin_value": fmt17(vals[best]),
               "mode": mode}
-    atomic_write_text(manifest.path("scan_argmin.json"),
-                      json.dumps(result, sort_keys=True, indent=1) + "\n")
-    manifest.register("scan_volume.bin", "scan_volume.json",
-                      "scan_argmin.json")
+    manifest.write_text("scan_argmin.json",
+                        json.dumps(result, sort_keys=True, indent=1) + "\n")
     manifest.write()
     return volume, pts[best]
 
@@ -616,9 +629,8 @@ def cmd_verify(selector, outdir, tamper_psd=False):
               "passed": all(c["passed"] for c in checks),
               "checks": checks}
     manifest = Manifest(outdir)
-    atomic_write_text(manifest.path("verify.json"),
-                      json.dumps(report, sort_keys=True, indent=1,
-                                 default=float) + "\n")
-    manifest.register("verify.json")
+    manifest.write_text("verify.json",
+                        json.dumps(report, sort_keys=True, indent=1,
+                                   default=float) + "\n")
     manifest.write()
     return report

@@ -62,7 +62,10 @@ def atomic_write_bytes(path, data: bytes):
 
 
 def atomic_write_text(path, text: str):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write UTF-8 text atomically; returns the bytes written."""
+    data = text.encode("utf-8")
+    atomic_write_bytes(path, data)
+    return data
 
 
 def fmt17(x):
@@ -128,17 +131,24 @@ class ScalarField3D:
         """Riemann-sum Lp norm (max norm for p = inf), see ``lp_norm``."""
         return lp_norm(self.values, self.dx, p)
 
-    def save(self, prefix):
-        """Write <prefix>.bin (little-endian float64) and <prefix>.json."""
-        atomic_write_bytes(str(prefix) + ".bin",
-                           self.values.astype("<f8").tobytes())
+    def header_text(self):
+        """The <prefix>.json text that ``save`` writes: origin, dx, dims."""
         header = {
             "origin": [fmt17(v) for v in self.origin],
             "dx": fmt17(self.dx),
             "dims": list(self.dims),
         }
-        atomic_write_text(str(prefix) + ".json",
-                          json.dumps(header, sort_keys=True, indent=1) + "\n")
+        return json.dumps(header, sort_keys=True, indent=1) + "\n"
+
+    def save(self, prefix):
+        """Write <prefix>.bin (little-endian float64) and <prefix>.json.
+
+        Returns the bytes written to the two files, in that order.
+        """
+        data = self.values.astype("<f8", copy=False).tobytes()
+        atomic_write_bytes(str(prefix) + ".bin", data)
+        return data, atomic_write_text(str(prefix) + ".json",
+                                       self.header_text())
 
     @classmethod
     def load(cls, prefix):

@@ -8,12 +8,12 @@ seeded Gaussian noise injection.
 
 A time step is a handful of array operations.  The interior update writes
 2 w - w_prev + cou2 * lap(w) into the next level in place, slab by slab of
-x-planes through two cache-sized buffers, and three levels rotate.  Every
-boundary write reads only interior nodes of the new level and the two old
-levels, so the boundary nodes are independent of each other: a plan of
-flat indices, built once per run, updates all of them with one gather and
-scatter for the second-order faces and one for the first-order edges and
-corners.
+whole x-planes, each a contiguous run of flat indices, through two
+cache-sized buffers, and three levels rotate.  Every boundary value kept
+reads only interior nodes of the new level and the two old levels, so the
+boundary nodes are independent of each other: a plan of flat indices,
+built once per run, updates all of them with one gather and scatter for
+the second-order faces and one for the first-order edges and corners.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (ScalarField3D, _is_integer, _is_number, atomic_write_text,
-                     fmt17)
+from .fields import ScalarField3D, _is_integer, _is_number, atomic_write_text
 
 CFL_LIMIT_3D = 1.0 / math.sqrt(3.0)
 
@@ -166,27 +165,37 @@ class FieldHistory:
                              dims=self.snaps.shape[1:],
                              values=self.snaps[index].ravel(order="F"))
 
+    def snapshot_bytes(self, index):
+        """The .bin bytes that ``snapshot_field(index).save`` writes, taken
+        from one transposed copy of the snapshot."""
+        return self.snaps[index].astype("<f8", copy=False).tobytes(order="F")
 
-# Bytes of one slab buffer of the interior step.  A slab's two buffers
-# and its reads of w then stay in a core's L2 cache: at 101^3 on a 2 MiB
-# L2 this was the fastest of 64 KiB - 4 MiB, 20% under one full pass.
+
+# Bytes of one slab buffer of the interior step, a run of whole x-planes.
+# A slab's two buffers and its reads of w then stay in a core's L2 cache.
+# On a 2-vCPU Xeon (2 MiB L2 per core), best of 5 runs over 64 KiB - 1 MiB
+# and one full pass: at 25^3 the whole interior (115 KiB) is one slab; at
+# 48^3 and 101^3 this size ran 16% and 44% under one full pass, within 4%
+# of the fastest size.
 _SLAB_BYTES = 256 * 1024
 
 
-def _laplacian_into(w, lo, hi, out, scratch):
-    """Undivided 7-point Laplacian of w on x-planes lo..hi-1, written to out.
+def _laplacian_into(w, lo, hi, n, out, scratch):
+    """Undivided 7-point Laplacian of the flat n^3 grid w at lo..hi-1.
 
-    ``out`` and ``scratch`` have shape (hi - lo, n - 2, n - 2): the y and z
-    interior.  The sum runs x, y, z, each +1 before -1, and the centre term
-    is subtracted last.
+    The stencil offsets are +-n^2 (x), +-n (y) and +-1 (z); the sum runs
+    x, y, z, each +1 before -1, and the centre term is subtracted last.
+    ``lo`` and ``hi`` bound whole x-planes of the interior, so every read is
+    in the grid.  At the y and z face nodes of those planes the offsets
+    wrap to other rows, and ``out`` holds a value the caller discards.
     """
-    np.add(w[lo + 1:hi + 1, 1:-1, 1:-1], w[lo - 1:hi - 1, 1:-1, 1:-1],
-           out=out)
-    out += w[lo:hi, 2:, 1:-1]
-    out += w[lo:hi, :-2, 1:-1]
-    out += w[lo:hi, 1:-1, 2:]
-    out += w[lo:hi, 1:-1, :-2]
-    np.multiply(w[lo:hi, 1:-1, 1:-1], 6.0, out=scratch)
+    nn = n * n
+    np.add(w[lo + nn:hi + nn], w[lo - nn:hi - nn], out=out)
+    out += w[lo + n:hi + n]
+    out += w[lo - n:hi - n]
+    out += w[lo + 1:hi + 1]
+    out += w[lo - 1:hi - 1]
+    np.multiply(w[lo:hi], 6.0, out=scratch)
     out -= scratch
     return out
 
@@ -198,20 +207,21 @@ def _boundary_plan(n, cdt, dx):
     from the two old levels only, so the nodes are independent and one
     gather/scatter per formula updates them all.
 
-    ``face`` is the second-order face formula's plan (planes, boundary,
-    inner): ``planes`` (6, 2, n, n) holds each face's boundary and inner
-    layer, its two tangential axes in increasing order, and ``boundary``
-    / ``inner`` are the face interiors of those layers.  ``mur`` holds
+    ``face`` (2, 6 n^2) holds the six faces' boundary layers (row 0) and
+    inner layers (row 1), each face's two tangential axes in increasing
+    order: gathered into one contiguous buffer, the tangential neighbours
+    of a face node are at flat offsets +-n and +-1.  The second-order
+    face formula also writes each face's border, the cube's edges and
+    corners, with a value that ``mur`` then overwrites.  ``mur`` holds
     every edge and corner node, its inward-diagonal node and the
     first-order coefficient (cdt - d) / (cdt + d); d is sqrt(2) dx on the
     edges and sqrt(3) dx on the corners.
     """
     idx = np.arange(n ** 3).reshape(n, n, n)
     sides = ((0, 1), (-1, -2))  # (boundary index, inner index)
-    planes = np.stack([np.moveaxis(idx, axis, 0)[[b, i]]
-                       for axis in range(3) for b, i in sides])
-    face = (planes, planes[:, 0, 1:-1, 1:-1].copy(),
-            planes[:, 1, 1:-1, 1:-1].copy())
+    face = np.stack([np.moveaxis(idx, axis, 0)[[b, i]]
+                     for axis in range(3) for b, i in sides],
+                    axis=1).reshape(2, -1)
     # (boundary nodes, inward-diagonal nodes, distance d)
     mur = []
     for a in range(3):
@@ -236,6 +246,12 @@ def _boundary_plan(n, cdt, dx):
     return face, mur
 
 
+def _guard(w, step):
+    """The instability guard: raise unless every value of w is finite."""
+    if not np.isfinite(w).all():
+        raise FloatingPointError(f"instability detected at step {step}")
+
+
 def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
                    sample_rate):
     """Leapfrog FDTD of the initial value problem; returns stored snapshots.
@@ -243,7 +259,8 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
     Snapshots are recorded at t_k = k / sample_rate for
     k = 0 .. round(T * sample_rate) - 1; the sample rate must divide the
     simulation rate.  Raises on CFL violation (at construction) and on
-    non-finite field values (instability guard).
+    non-finite field values (instability guard): every snapshot is checked
+    as it is recorded, and the field every 25 steps.
     """
     stride_f = 1.0 / (cfg.dt * sample_rate)
     stride = int(round(stride_f))
@@ -255,6 +272,7 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
                             or np.any(ic.x0 + reach > cfg.L)):
             raise ValueError("initial condition support leaves the box")
     n = cfg.n_nodes
+    nn = n * n
     dx = cfg.dx_eff
     axis = np.linspace(0.0, cfg.L, n)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -267,52 +285,74 @@ def run_simulation(cfg: SimConfig, u0: InitialCondition, v0: InitialCondition,
     k1 = (cdt - dx) / (cdt + dx)
     k2 = 2.0 * dx / (cdt + dx)
     k3 = cdt * cdt / (2.0 * dx * (cdt + dx))
-    (planes, fb, fi), (mur_b, mur_d, mur_c) = _boundary_plan(n, cdt, dx)
+    face, (mur_b, mur_d, mur_c) = _boundary_plan(n, cdt, dx)
+    fb, fi = face
+    face = face.reshape(-1)
+    half = fb.size
+    tan = np.zeros(2 * half)
     n_samples = int(round(cfg.T * sample_rate))
     snaps = np.empty((n_samples, n, n, n))
     times = np.arange(n_samples) / sample_rate
 
     w_prev = u_grid.copy()
+    _guard(w_prev, 0)
     snaps[0] = w_prev
-    # Second-order accurate first step.
+    # Second-order accurate first step; the Laplacian is 0 on the boundary.
     lap0 = np.zeros_like(u_grid)
-    _laplacian_into(u_grid, 1, n - 1, lap0[1:-1, 1:-1, 1:-1],
-                    np.empty((n - 2,) * 3))
+    _laplacian_into(u_grid.reshape(-1), nn, (n - 1) * nn, n,
+                    lap0.reshape(-1)[nn:(n - 1) * nn],
+                    np.empty((n - 2) * nn))
+    lap0[:, [0, -1]] = 0.0
+    lap0[:, :, [0, -1]] = 0.0
     w = u_grid + cfg.dt * v_grid + 0.5 * cou2 * lap0
-    w_next = np.empty_like(w)
-    # The interior step runs over slabs of x-planes, through two buffers.
-    depth = max(1, _SLAB_BYTES // (8 * (n - 2) ** 2))
-    slabs = [(lo, min(lo + depth, n - 1)) for lo in range(1, n - 1, depth)]
-    lap_buf = np.empty((min(depth, n - 2), n - 2, n - 2))
+    # Zeros, not np.empty: the face update reads some stale boundary values
+    # of the new level.  The edge update overwrites what it computes from
+    # them, but they must be finite numbers.
+    w_next = np.zeros_like(w)
+    # The interior step runs over slabs of whole x-planes, each one
+    # contiguous run of flat indices, through two buffers.
+    depth = max(1, _SLAB_BYTES // (8 * nn))
+    slabs = [(lo * nn, min(lo + depth, n - 1) * nn)
+             for lo in range(1, n - 1, depth)]
+    lap_buf = np.empty(min(depth, n - 2) * nn)
     tmp_buf = np.empty_like(lap_buf)
     recorded = 1
     for step in range(1, cfg.n_steps + 1):
         if step % stride == 0 and recorded < n_samples:
+            _guard(w, step)
             snaps[recorded] = w
             recorded += 1
         if recorded >= n_samples:
             break
-        # Interior: w_next = 2 w - w_prev + cou2 * lap(w), in that order.
+        wn, wc, wm = w_next.reshape(-1), w.reshape(-1), w_prev.reshape(-1)
+        # Interior: wn = 2 wc - wm + cou2 * lap(wc), in that order.  The
+        # slabs also write the y and z face nodes; the boundary update
+        # overwrites them, and no value it keeps reads them.
         for lo, hi in slabs:
             lap, tmp = lap_buf[:hi - lo], tmp_buf[:hi - lo]
-            _laplacian_into(w, lo, hi, lap, tmp)
+            _laplacian_into(wc, lo, hi, n, lap, tmp)
             lap *= cou2
-            np.multiply(w[lo:hi, 1:-1, 1:-1], 2.0, out=tmp)
-            tmp -= w_prev[lo:hi, 1:-1, 1:-1]
-            np.add(tmp, lap, out=w_next[lo:hi, 1:-1, 1:-1])
-        # Boundary: every node reads interior w_next and the old levels
-        # only, so w_next's stale boundary values are never read.
-        wn, wc, wm = w_next.reshape(-1), w.reshape(-1), w_prev.reshape(-1)
-        f = wc[planes]
-        tan = (f[..., 2:, 1:-1] + f[..., :-2, 1:-1] + f[..., 1:-1, 2:]
-               + f[..., 1:-1, :-2] - 4.0 * f[..., 1:-1, 1:-1])
-        wn[fb] = (-wm[fi] + k1 * (wn[fi] + wm[fb])
-                  + k2 * (f[:, 0, 1:-1, 1:-1] + f[:, 1, 1:-1, 1:-1])
-                  + k3 * (tan[:, 0] + tan[:, 1]))
+            np.multiply(wc[lo:hi], 2.0, out=tmp)
+            tmp -= wm[lo:hi]
+            np.add(tmp, lap, out=wn[lo:hi])
+        # Boundary: every node kept reads interior wn and the old levels
+        # only.  Faces: both layers of all six, gathered into f once; the
+        # tangential Laplacian runs over f at offsets +-n and +-1.
+        f = wc[face]
+        np.add(f[2 * n:], f[:-2 * n], out=tan[n:-n])
+        tan[n:-n] += f[n + 1:-n + 1]
+        tan[n:-n] += f[n - 1:-n - 1]
+        tan[n:-n] -= 4.0 * f[n:-n]
+        m = wm[face]
+        new = k1 * (wn[fi] + m[:half])
+        new -= m[half:]
+        new += k2 * (f[:half] + f[half:])
+        new += k3 * (tan[:half] + tan[half:])
+        wn[fb] = new
         wn[mur_b] = wc[mur_d] + mur_c * (wn[mur_d] - wc[mur_b])
         w_prev, w, w_next = w, w_next, w_prev
-        if step % 25 == 0 and not np.isfinite(w).all():
-            raise FloatingPointError(f"instability detected at step {step}")
+        if step % 25 == 0:
+            _guard(w, step)
     if recorded != n_samples:
         raise ValueError("simulation too short for the requested samples")
     return FieldHistory(cfg=cfg, times=times, snaps=snaps)
@@ -370,14 +410,14 @@ class SensorDataset:
         return self.values.reshape(self.q, self.n_times)
 
     def to_csv(self, path):
+        """Write one row per observation, sensor-major, every float with 17
+        significant digits (as ``fmt17``); returns the bytes written."""
+        x, t = self.points()
+        rows = zip(np.repeat(np.arange(self.q), self.n_times).tolist(),
+                   *x.T.tolist(), t.tolist(), self.values.tolist())
         lines = ["sensor_id,x,y,z,t,value"]
-        for i in range(self.q):
-            px, py, pz = self.positions[i]
-            for k, t in enumerate(self.times):
-                v = self.values[i * self.n_times + k]
-                lines.append(",".join([str(i)] + [fmt17(u) for u in
-                                                  (px, py, pz, t, v)]))
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        lines.extend("%d,%.17g,%.17g,%.17g,%.17g,%.17g" % row for row in rows)
+        return atomic_write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path):

@@ -40,17 +40,22 @@ def simulated(coarse_config, tmp_path_factory):
     return outdir, history, dataset
 
 
-def test_simulate_outputs_and_manifest(simulated, coarse_config):
-    outdir, history, dataset = simulated
+def _assert_manifest_matches(outdir):
+    """Every file listed in outdir's manifest hashes, on disk, to its entry,
+    and every file the command produced is listed; returns the manifest."""
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["n_observations"] == dataset.n == 5 * 20
-    # every listed file exists and hashes match
     for name, digest in manifest["files"].items():
         blob = (outdir / name).read_bytes()
-        assert hashlib.sha256(blob).hexdigest() == digest
-    # every output file is listed (manifest completeness)
+        assert hashlib.sha256(blob).hexdigest() == digest, name
     produced = {p.name for p in outdir.iterdir() if p.name != "manifest.json"}
     assert produced == set(manifest["files"])
+    return manifest
+
+
+def test_simulate_outputs_and_manifest(simulated, coarse_config):
+    outdir, history, dataset = simulated
+    manifest = _assert_manifest_matches(outdir)
+    assert manifest["n_observations"] == dataset.n == 5 * 20
 
 
 def test_simulate_deterministic(coarse_config, simulated, tmp_path):
@@ -237,6 +242,8 @@ def test_cli_end_to_end(tmp_path):
     a = (out / "sensors.csv").read_bytes()
     b = (tmp_path / "resample" / "sensors.csv").read_bytes()
     assert a == b
+    for name in ("sim", "fit", "rec", "err", "ver", "scan", "resample"):
+        _assert_manifest_matches(tmp_path / name)
 
 
 def _history_copy(simulated, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from dense_reference import FunctionIC, kirchhoff_trace, reference_simulation
 from waveinform import sim
 from waveinform.experiments import DEFAULT_SIM
+from waveinform.fields import fmt17
 from waveinform.oracle import SphericalRule
 from waveinform.sim import (ZERO_IC, InitialCondition, SensorDataset,
                             SimConfig, add_noise, run_simulation,
@@ -163,9 +164,23 @@ def test_fdtd_matches_reference_loop(grid):
 
 @pytest.mark.parametrize("depth", [1, 2, 4])
 def test_fdtd_slab_depth_leaves_snapshots_unchanged(monkeypatch, depth):
-    # COARSE has 11 interior x-planes, so depths 2 and 4 end on a short slab.
-    monkeypatch.setattr(sim, "_SLAB_BYTES", depth * 8 * 11**2)
+    # A slab is a run of whole x-planes of 13^2 float64 nodes on COARSE,
+    # whose 11 interior planes make depths 2 and 4 end on a short slab.
+    monkeypatch.setattr(sim, "_SLAB_BYTES", depth * 8 * 13**2)
     _fdtd_matches_reference(COARSE, 20.0)
+
+
+@pytest.mark.parametrize("component", ["u0", "v0"])
+def test_instability_guard_checks_every_snapshot(component):
+    # 20 steps, so the guard's check every 25 steps never runs: only the
+    # check of each recorded snapshot sees the infinity on one node.
+    cfg = SimConfig(L=1.0, dx=1.0 / 8.0, dt=1.0 / 40.0, c=0.5, T=0.5)
+    ics = {"u0": ZERO_IC, "v0": ZERO_IC}
+    ics[component] = FunctionIC(
+        lambda x: np.where((x == 0.5).all(axis=1), np.inf, 0.0))
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(FloatingPointError, match="instability"):
+        run_simulation(cfg, ics["u0"], ics["v0"], sample_rate=20)
 
 
 def test_huygens_quiet_before_front():
@@ -367,17 +382,23 @@ def test_dataset_points_ordering():
 
 def test_dataset_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    ds = SensorDataset(positions=rng.uniform(0, 1, (3, 3)),
-                       times=np.sort(rng.uniform(0, 1, 4)),
-                       values=rng.normal(size=12))
+    edge = [-0.0, 5e-324, 0.1, 1.0 / 3.0, np.nextafter(1.0, 2.0),
+            1.2345678901234568e17, -2.5e-310, 1e308]
+    positions = rng.uniform(0, 1, (3, 3))
+    positions[:2] = np.reshape(edge[:6], (2, 3))  # 1e308 would overflow
+    ds = SensorDataset(positions=positions,
+                       times=[-0.0, 1.0 / 3.0, 0.5, 1.2345678901234568e17],
+                       values=np.concatenate([edge, rng.normal(size=4)]))
     path = tmp_path / "sensors.csv"
-    ds.to_csv(path)
+    written = ds.to_csv(path)
+    rows = [",".join([str(i)] + [fmt17(u) for u in (*ds.positions[i], t,
+                                                    ds.values[4 * i + k])])
+            for i in range(3) for k, t in enumerate(ds.times)]
+    assert path.read_bytes() == written == "\n".join(
+        ["sensor_id,x,y,z,t,value"] + rows + [""]).encode()
     back = SensorDataset.from_csv(path)
-    assert np.array_equal(back.positions, ds.positions)
-    assert np.array_equal(back.times, ds.times)
-    assert np.array_equal(back.values, ds.values)
-    header = path.read_text().splitlines()[0]
-    assert header == "sensor_id,x,y,z,t,value"
+    for name in ("positions", "times", "values"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
 
 
 def test_ic_support_outside_box_raises():
